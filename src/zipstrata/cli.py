@@ -26,13 +26,7 @@ from .hasse import hasse_report
 from .rootdata import TYPE_A_GL, RootDataError
 from .strata import closure_codim1, decide_smooth, is_small, xi_of_weyl
 from .weyl import DEFAULT_BUDGET, BudgetExceeded, WeylElement
-from .zipdatum import (
-    BasedAutomorphism,
-    ZipDatum,
-    ZipDatumError,
-    make_zip_datum,
-    zip_datum_from_json,
-)
+from .zipdatum import ZipDatum, ZipDatumError, gl_zip_datum, zip_datum_from_json
 
 EXIT_OK = 0
 EXIT_PRECONDITION = 2
@@ -47,37 +41,27 @@ class RunConfig:
     I: list[int] | None
     m: int = 1
     q: int = 2
-    seed: int = 0
     fmt: str = "json"
     budget: int = DEFAULT_BUDGET
 
     def datum(self) -> ZipDatum:
         if self.gl is not None:
+            if self.I is not None:
+                raise ZipDatumError("--I is for --cartan data; with --gl N R, I is fixed by R")
             n, r = self.gl
-            from .rootdata import build_gl
-
-            rs, lattice, I = build_gl(n, r)
-            sigma = _parse_sigma(rs, self.sigma)
-            return make_zip_datum(rs, I, sigma, lattice, budget=self.budget)
+            return gl_zip_datum(n, r, sigma=self.sigma, budget=self.budget)
         if self.cartan_file is None:
             raise ZipDatumError("specify a datum with --gl N R or --cartan FILE")
-        with open(self.cartan_file) as fh:
-            doc = json.load(fh)
+        try:
+            with open(self.cartan_file) as fh:
+                doc = json.load(fh)
+        except OSError as exc:
+            raise ZipDatumError(f"cannot read {self.cartan_file}: {exc.strerror}") from None
         if self.I is not None:
             doc["I"] = self.I
         if self.sigma != "id":
-            doc["sigma"] = self.sigma if self.sigma == "flip" else [
-                int(x) for x in self.sigma.split(",")
-            ]
+            doc["sigma"] = self.sigma
         return zip_datum_from_json(doc, budget=self.budget)
-
-
-def _parse_sigma(rs, spec: str) -> BasedAutomorphism:
-    if spec == "id":
-        return BasedAutomorphism.identity(rs)
-    if spec == "flip":
-        return BasedAutomorphism.flip(rs)
-    return BasedAutomorphism(rs, [int(x) for x in spec.split(",")])
 
 
 def _parse_element(zd: ZipDatum, text: str) -> WeylElement:
@@ -91,12 +75,6 @@ def _parse_element(zd: ZipDatum, text: str) -> WeylElement:
     if zd.rs.realization != TYPE_A_GL:
         raise ZipDatumError("one-line input is only available for type A; use 's1 s3'")
     return zd.W.from_one_line([int(x) for x in text.replace(",", " ").split()])
-
-
-def _label(w: WeylElement):
-    if w.group.rs.realization == TYPE_A_GL:
-        return w.one_line()
-    return [int(k) for k in w.word]
 
 
 def _emit(payload, fmt: str) -> str:
@@ -116,7 +94,7 @@ def cmd_strata_list(config: RunConfig) -> str:
         feasible0 = hasse_feasible(zd, w, [0] * zd.lattice.dim).feasible
         nodes.append(
             {
-                "w": _label(w),
+                "w": w.label(),
                 "length": w.length,
                 "I_w": sorted(zd.canonical_type(w)),
                 "small": is_small(zd, w),
@@ -124,8 +102,8 @@ def cmd_strata_list(config: RunConfig) -> str:
             }
         )
         for v in zd.lower_neighbors(zd.I, w):
-            covers.append({"upper": _label(w), "lower": _label(v)})
-    payload = {"z": _label(zd.z), "J": sorted(zd.J), "nodes": nodes, "covers": covers}
+            covers.append({"upper": w.label(), "lower": v.label()})
+    payload = {"z": zd.z.label(), "J": sorted(zd.J), "nodes": nodes, "covers": covers}
     if config.fmt == "dot":
         return _to_dot(payload)
     return _emit(payload, config.fmt)
@@ -162,9 +140,9 @@ def cmd_closure(config: RunConfig, w_text: str) -> str:
     w = _parse_element(zd, w_text)
     ok, verdicts = closure_codim1(zd, w)
     payload = {
-        "w": _label(w),
+        "w": w.label(),
         "smooth_in_codim_1": ok,
-        "neighbors": {",".join(map(str, _label(k))): v.to_json() for k, v in verdicts.items()},
+        "neighbors": {",".join(map(str, k.label())): v.to_json() for k, v in verdicts.items()},
     }
     return _emit(payload, config.fmt)
 
@@ -208,7 +186,7 @@ def cmd_xi(config: RunConfig, w_text: str | None, matrix_text: str | None) -> st
     if w_text is not None:
         w = _parse_element(zd, w_text)
         out = xi_of_weyl(zd, w)
-        payload = {"input": _label(w), "xi": _label(out), "small": is_small(zd, w)}
+        payload = {"input": w.label(), "xi": out.label(), "small": is_small(zd, w)}
         return _emit(payload, config.fmt)
     F = Fq(*_factor(config.q))
     entries = [int(x) % F.p for x in matrix_text.replace(",", " ").split()]
@@ -220,7 +198,7 @@ def cmd_xi(config: RunConfig, w_text: str | None, matrix_text: str | None) -> st
     f = tuple(tuple(entries[i * n + j] for j in range(n)) for i in range(n))
     mat_inv(F, f)  # raises on singular input
     out = xi_classify(zd, F, f, config.m)
-    return _emit({"matrix": entries, "m": config.m, "xi": _label(out)}, config.fmt)
+    return _emit({"matrix": entries, "m": config.m, "xi": out.label()}, config.fmt)
 
 
 def _factor(q: int) -> tuple[int, int]:
@@ -266,7 +244,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--sigma", default="id", help="'id', 'flip', or a permutation '2,1'")
     parser.add_argument("--m", type=int, default=1, help="Frobenius exponent")
     parser.add_argument("--q", type=int, default=2, help="field size for matrix input / census")
-    parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--format", dest="fmt", choices=["json", "dot", "csv"], default="json")
     parser.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -305,7 +282,6 @@ def main(argv=None) -> int:
         I=[int(x) for x in args.I.split(",")] if args.I else None,
         m=args.m,
         q=args.q,
-        seed=args.seed,
         fmt=args.fmt,
         budget=args.budget,
     )

@@ -21,6 +21,7 @@ from .fq import (
     Fq,
     FqSubspace,
     Matrix,
+    _is_prime,
     det,
     enumerate_gl,
     gl_order,
@@ -91,9 +92,10 @@ def _gl_datum_cached(n: int, r: int) -> ZipDatum:
 
 def perm_matrix(F, w: WeylElement) -> Matrix:
     """Column i carries a single 1 in row w(i)."""
-    n = len(w.key)
+    p = w.one_line()
+    n = len(p)
     return tuple(
-        tuple(F.one if w.key[j] == i else F.zero for j in range(n)) for i in range(n)
+        tuple(F.one if p[j] == i + 1 else F.zero for j in range(n)) for i in range(n)
     )
 
 
@@ -492,7 +494,7 @@ def verify_length2(sig: Signature) -> dict:
 
 def _factor_prime_power(q: int) -> tuple[int, int]:
     for p in range(2, q + 1):
-        if _is_prime_int(p) and q % p == 0:
+        if _is_prime(p) and q % p == 0:
             k = 0
             t = q
             while t % p == 0:
@@ -502,17 +504,6 @@ def _factor_prime_power(q: int) -> tuple[int, int]:
                 raise ValueError(f"{q} is not a prime power")
             return p, k
     raise ValueError(f"{q} is not a prime power")
-
-
-def _is_prime_int(p: int) -> bool:
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
 
 
 def label_of(w: WeylElement) -> tuple[int, ...]:

@@ -475,8 +475,6 @@ def _verify_witness(zd, w, lam, witness, ew, lam_multiplier=None):
 
 def hasse_report(zd: ZipDatum, w: WeylElement, lam: Sequence[int] | None) -> dict:
     """JSON-ready feasibility report for one stratum."""
-    from .strata import _label
-
     if lam is None:
         lam_out, result = hasse_any_Lweight(zd, w)
         lam_field = None if lam_out is None else list(lam_out)
@@ -484,7 +482,7 @@ def hasse_report(zd: ZipDatum, w: WeylElement, lam: Sequence[int] | None) -> dic
         result = hasse_feasible(zd, w, lam)
         lam_field = list(lam)
     return {
-        "w": _label(w),
+        "w": w.label(),
         "E_w": [list(a.coords) for a in e_w_set(zd, w)],
         "lambda": lam_field,
         "feasible": result.feasible,

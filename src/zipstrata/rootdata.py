@@ -5,6 +5,11 @@ lattice Z^n (so e_i - e_j is stored with a literal +1/-1 pair), which matches
 the coordinate conventions of the GL_n catalogs.  ``GENERIC`` stores roots in
 simple-root coordinates and is driven entirely by a user-supplied Cartan
 matrix.  Everything is exact integer arithmetic; no floats anywhere.
+
+``RootSystem.roots`` lists the positive roots in their fixed order followed
+by their negatives in the same order; for generic systems a Weyl element is
+keyed by the permutation it induces on these 2N indices (see ``weyl``), so
+that order is part of the element representation.
 """
 
 from __future__ import annotations
@@ -135,9 +140,6 @@ class RootSystem:
             return self._by_coords[tuple(coords)]
         except KeyError:
             raise RootDataError(f"{tuple(coords)} is not a root") from None
-
-    def is_root(self, coords: Sequence[int]) -> bool:
-        return tuple(coords) in self._by_coords
 
     def delta_indices(self) -> range:
         """1-based simple root indices."""
@@ -366,6 +368,8 @@ def load_generic_json(doc: str | dict):
     """
     if isinstance(doc, str):
         doc = json.loads(doc)
+    if "cartan" not in doc:
+        raise RootDataError('a generic datum needs a "cartan" matrix')
     return build_generic(doc["cartan"], doc.get("lattice"))
 
 

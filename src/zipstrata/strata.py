@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .rootdata import Root, TYPE_A_GL, is_compact
-from .weyl import WeylElement
+from .weyl import BudgetExceeded, WeylElement
 from .zipdatum import ZipDatum, ZipDatumError
 
 _XI_NUMPY_THRESHOLD = 40_320  # switch the exhaustive a-scan to the batched path
@@ -111,11 +111,13 @@ def xi_of_weyl(zd: ZipDatum, w: WeylElement) -> WeylElement:
     disagreement would be an implementation bug, not bad input.
     """
     W = zd.W
-    if (
-        W.rs.realization == TYPE_A_GL
-        and W.parabolic_order(zd.I) > _XI_NUMPY_THRESHOLD
-    ):
-        return _xi_batched_type_a(zd, w)
+    # on generic data parabolic_elements enforces the budget as it enumerates
+    if W.rs.realization == TYPE_A_GL:
+        order = W.parabolic_order(zd.I)
+        if order > W.budget:
+            raise BudgetExceeded(f"the Xi scan over |W_I| = {order} exceeds budget {W.budget}")
+        if order > _XI_NUMPY_THRESHOLD:
+            return _xi_batched_type_a(zd, w)
     accepted: dict = {}
     for a in W.parabolic_elements(zd.I):
         v = a.inverse() * w * zd.psi(a)
@@ -235,27 +237,20 @@ class StratumVerdict:
         return self.bounded and self.separating
 
     def to_json(self) -> dict:
-        lab = _label
         return {
-            "w": lab(self.w),
-            "w_prime": lab(self.w_prime),
+            "w": self.w.label(),
+            "w_prime": self.w_prime.label(),
             "bounded": self.bounded,
             "bound_violation": self.bound_violation,
             "I_w": sorted(self.I_w),
             "I_w_prime": sorted(self.I_w_prime),
-            "gamma": [lab(v) for v in self.gamma],
-            "gamma_small": [lab(v) for v in self.gamma_small],
+            "gamma": [v.label() for v in self.gamma],
+            "gamma_small": [v.label() for v in self.gamma_small],
             "separating": self.separating,
-            "certificate": None if self.certificate is None else lab(self.certificate),
+            "certificate": None if self.certificate is None else self.certificate.label(),
             "smooth": self.smooth,
             "flag_dim": self.flag_dim,
         }
-
-
-def _label(w: WeylElement):
-    if w.group.rs.realization == TYPE_A_GL:
-        return w.one_line()
-    return list(w.word)
 
 
 def _dim_parabolic(zd: ZipDatum) -> int:

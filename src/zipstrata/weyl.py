@@ -1,10 +1,16 @@
 """Weyl group arithmetic: composition, length, Bruhat order, parabolic cosets.
 
-Elements are hash-consed per group, keyed by their action: a one-line
-permutation tuple for type A systems, an integer matrix on simple-root
-coordinates otherwise.  The Bruhat order is computed by the lifting
-recursion and memoized on the group; reduced words are chosen greedily
-(smallest simple index first) so that all enumerations are reproducible.
+Elements are hash-consed per group and keyed by a permutation tuple: the
+one-line permutation of the n coordinates for GL_n, and otherwise the
+permutation of the 2N root indices (the positive roots in the order of
+``RootSystem.positive_roots``, then their negatives in the same order), so
+index i >= N is the root -positive_roots[i - N].  Composition and inverse
+are the same tuple indexing in both cases, and a positive root goes negative
+under w iff w.key[a] > w.key[b] for the pair of points (a, b) recorded for
+that root.  Type A keeps its block algorithms on one-line keys.  The Bruhat
+order is computed by the lifting recursion and memoized on the group;
+reduced words are chosen greedily (smallest simple index first) so that all
+enumerations are reproducible.
 """
 
 from __future__ import annotations
@@ -82,6 +88,12 @@ class WeylElement:
             raise ValueError("one_line only makes sense for type A elements")
         return [v + 1 for v in self.key]
 
+    def label(self) -> list[int]:
+        """The printed form: one-line notation in type A, else the canonical word."""
+        if self.group.rs.realization == TYPE_A_GL:
+            return self.one_line()
+        return list(self.word)
+
     def __eq__(self, other) -> bool:
         return isinstance(other, WeylElement) and self.key == other.key
 
@@ -103,18 +115,26 @@ class WeylGroup:
         self._elements: dict = {}
         self._bruhat: dict = {}
         self._minimal_reps: dict = {}
+        self._twist_points: dict = {}
+        # A positive root goes negative under w iff key[a] > key[b] for its
+        # pair of points (a, b): e_a - e_b goes to e_w(a) - e_w(b) in type A,
+        # and root a lands below index N iff -root a = root b lands above it.
+        positives = rs.positive_roots
         if rs.realization == TYPE_A_GL:
             self.n = rs.ambient_dim
-            self.identity = self._intern(tuple(range(self.n)), 0)
+            size = self.n
+            pairs = [(r.coords.index(1), r.coords.index(-1)) for r in positives]
         else:
             self.n = rs.rank
-            ident = tuple(
-                tuple(1 if i == j else 0 for j in range(rs.rank)) for i in range(rs.rank)
-            )
-            self.identity = self._intern(ident, 0)
-        self._simples = {
-            k: self._make_simple(k) for k in rs.delta_indices()
-        }
+            npos = len(positives)
+            self._roots = tuple(rs.root_from_coords(r.coords) for r in rs.roots)
+            self._root_index = {r.coords: i for i, r in enumerate(self._roots)}
+            size = 2 * npos
+            pairs = [(i, i + npos) for i in range(npos)]
+        self._positive_pairs = tuple(pairs)
+        self._simple_pairs = tuple(pairs[positives.index(r)] for r in rs.simple_roots)
+        self.identity = self._intern(tuple(range(size)), 0)
+        self._simples = {k: self.reflection(rs.simple(k)) for k in rs.delta_indices()}
 
     # -- element construction -----------------------------------------------
 
@@ -124,21 +144,6 @@ class WeylGroup:
             el = WeylElement(self, key, length)
             self._elements[key] = el
         return el
-
-    def _make_simple(self, k: int) -> WeylElement:
-        if self.rs.realization == TYPE_A_GL:
-            p = list(range(self.n))
-            p[k - 1], p[k] = p[k], p[k - 1]
-            return self._intern(tuple(p), 1)
-        rank = self.rs.rank
-        C = self.rs.cartan
-        cols = []
-        for j in range(rank):
-            col = [1 if i == j else 0 for i in range(rank)]
-            col[k - 1] -= C[j][k - 1]
-            cols.append(col)
-        mat = tuple(tuple(cols[j][i] for j in range(rank)) for i in range(rank))
-        return self._intern(mat, 1)
 
     def simple(self, k: int) -> WeylElement:
         """Simple reflection s_k (1-based)."""
@@ -165,39 +170,57 @@ class WeylGroup:
             p = list(range(self.n))
             p[i], p[j] = p[j], p[i]
             return self._intern(tuple(p))
-        rank = self.rs.rank
+        # s_alpha(beta) = beta - <beta, alpha^vee> alpha in simple-root coordinates
         C = self.rs.cartan
-        mat = [[1 if i == j else 0 for j in range(rank)] for i in range(rank)]
-        for j in range(rank):
-            # <alpha_j, alpha^vee> via the coroot expansion of alpha
-            p = sum(c * C[j][k] for k, c in enumerate(root.coroot_coords))
-            for i in range(rank):
-                mat[i][j] -= p * root.simple_coords[i]
-        return self._intern(tuple(tuple(row) for row in mat))
+        alpha = root.simple_coords
+        col = [sum(c * C[j][k] for k, c in enumerate(root.coroot_coords)) for j in range(self.n)]
+        key = []
+        for beta in self._roots:
+            p = sum(b * c for b, c in zip(beta.simple_coords, col))
+            image = tuple(b - p * a for b, a in zip(beta.simple_coords, alpha))
+            key.append(self._root_index[image])
+        return self._intern(tuple(key))
+
+    def twist(self, w: WeylElement, delta_perm: Sequence[int]) -> WeylElement:
+        """sigma(w) for the diagram automorphism alpha_k -> alpha_{delta_perm[k-1]}.
+
+        sigma permutes the points the keys act on, and sigma(w) is w
+        conjugated by that permutation tau: sigma(w)[tau[i]] = tau[w[i]].
+        """
+        delta_perm = tuple(delta_perm)
+        tau = self._twist_points.get(delta_perm)
+        if tau is None:
+            if self.rs.realization == TYPE_A_GL:
+                # the one non-trivial automorphism of A_{n-1} is conjugation
+                # by w_0, which reverses the coordinates
+                flip = delta_perm != tuple(self.rs.delta_indices())
+                tau = tuple(range(self.n))[::-1] if flip else tuple(range(self.n))
+            else:
+                tau = []
+                for root in self._roots:
+                    img = [0] * self.n
+                    for k, c in enumerate(root.simple_coords):
+                        img[delta_perm[k] - 1] = c
+                    tau.append(self._root_index[tuple(img)])
+            self._twist_points[delta_perm] = tau
+        key = w.key
+        out = [0] * len(key)
+        for i, v in enumerate(key):
+            out[tau[i]] = tau[v]
+        return self._intern(tuple(out), w._length)
 
     # -- primitive operations -----------------------------------------------
 
     def _mul(self, u: WeylElement, v: WeylElement) -> WeylElement:
-        if self.rs.realization == TYPE_A_GL:
-            uk, vk = u.key, v.key
-            return self._intern(tuple(uk[x] for x in vk))
-        a, b = u.key, v.key
-        rank = self.rs.rank
-        mat = tuple(
-            tuple(sum(a[i][k] * b[k][j] for k in range(rank)) for j in range(rank))
-            for i in range(rank)
-        )
-        return self._intern(mat)
+        uk = u.key
+        return self._intern(tuple(uk[x] for x in v.key))
 
     def _inverse(self, w: WeylElement) -> WeylElement:
-        if self.rs.realization == TYPE_A_GL:
-            p = w.key
-            q = [0] * self.n
-            for i, v in enumerate(p):
-                q[v] = i
-            el = self._intern(tuple(q), w._length)
-        else:
-            el = self._intern(_mat_inverse(w.key), w._length)
+        p = w.key
+        q = [0] * len(p)
+        for i, v in enumerate(p):
+            q[v] = i
+        el = self._intern(tuple(q), w._length)
         el._inv = w
         return el
 
@@ -209,8 +232,7 @@ class WeylGroup:
                 if c:
                     out[p[i]] = c
             return self.rs.root_from_coords(tuple(out))
-        coords = _mat_vec(w.key, root.simple_coords)
-        return self.rs.root_from_coords(coords)
+        return self._roots[w.key[self._root_index[root.coords]]]
 
     def _apply_weight(self, w: WeylElement, lam, lattice):
         if self.rs.realization == TYPE_A_GL:
@@ -226,43 +248,28 @@ class WeylGroup:
         return out
 
     def _length(self, w: WeylElement) -> int:
-        if self.rs.realization == TYPE_A_GL:
-            p = w.key
-            return sum(
-                1
-                for i in range(self.n)
-                for j in range(i + 1, self.n)
-                if p[i] > p[j]
-            )
-        return sum(1 for a in self.rs.positive_roots if not w.apply(a).is_positive)
+        p = w.key
+        return sum(1 for a, b in self._positive_pairs if p[a] > p[b])
 
     # -- descents -----------------------------------------------------------
 
     def first_left_descent(self, w: WeylElement) -> int | None:
         """Smallest k with l(s_k w) < l(w), or None for the identity."""
-        if self.rs.realization == TYPE_A_GL:
-            q = w.inverse().key
-            for k in range(self.n - 1):
-                if q[k] > q[k + 1]:
-                    return k + 1
-            return None
-        winv = w.inverse()
-        for k in self.rs.delta_indices():
-            if not winv.apply(self.rs.simple(k)).is_positive:
+        q = w.inverse().key
+        for k, (a, b) in enumerate(self._simple_pairs, 1):
+            if q[a] > q[b]:
                 return k
         return None
 
     def has_left_descent(self, w: WeylElement, k: int) -> bool:
-        if self.rs.realization == TYPE_A_GL:
-            q = w.inverse().key
-            return q[k - 1] > q[k]
-        return not w.inverse().apply(self.rs.simple(k)).is_positive
+        a, b = self._simple_pairs[k - 1]
+        q = w.inverse().key
+        return q[a] > q[b]
 
     def has_right_descent(self, w: WeylElement, k: int) -> bool:
-        if self.rs.realization == TYPE_A_GL:
-            p = w.key
-            return p[k - 1] > p[k]
-        return not w.apply(self.rs.simple(k)).is_positive
+        a, b = self._simple_pairs[k - 1]
+        p = w.key
+        return p[a] > p[b]
 
     # -- Bruhat order ---------------------------------------------------------
 
@@ -363,10 +370,11 @@ class WeylGroup:
             p = u.key
             return all(block_id[p[i]] == block_id[i] for i in range(self.n))
         Kset = frozenset(K)
-        for a in self.rs.positive_roots:
-            if not u.apply(a).is_positive and not a.support() <= Kset:
-                return False
-        return True
+        p = u.key
+        return all(
+            p[a] < p[b] or root.support() <= Kset
+            for root, (a, b) in zip(self.rs.positive_roots, self._positive_pairs)
+        )
 
     def longest_element(self, K) -> WeylElement:
         """The longest element of W_K; identity for K = {}."""
@@ -429,21 +437,20 @@ class WeylGroup:
                 count //= math.factorial(hi - lo)
             if count > self.budget:
                 raise BudgetExceeded(f"|^K W| = {count} exceeds budget {self.budget}")
-            labels = []
-            for b, (lo, hi) in enumerate(blocks):
-                labels.extend([b] * (hi - lo))
-            out = []
-            seen = set()
-            for arrangement in itertools.permutations(labels):
-                if arrangement in seen:
-                    continue
-                seen.add(arrangement)
-                counters = [lo for lo, _ in blocks]
-                p = []
-                for b in arrangement:
-                    p.append(counters[b])
-                    counters[b] += 1
-                out.append(self._intern(tuple(p)))
+            # w is minimal iff each block's values appear in increasing
+            # position order, so w is a choice of positions per block
+            perms = [[None] * self.n]
+            for lo, hi in blocks:
+                nxt = []
+                for p in perms:
+                    free = [i for i, v in enumerate(p) if v is None]
+                    for pos in itertools.combinations(free, hi - lo):
+                        q = list(p)
+                        for v, i in enumerate(pos, lo):
+                            q[i] = v
+                        nxt.append(q)
+                perms = nxt
+            out = [self._intern(tuple(p)) for p in perms]
         else:
             out = [w for w in self.elements() if self.is_minimal_rep(w, key)]
         out.sort(key=lambda w: (w.length, w.word))
@@ -491,36 +498,3 @@ class WeylGroup:
             for w in self.elements():
                 if w.length == length:
                     yield w
-
-
-def _mat_vec(m, v):
-    rank = len(v)
-    return tuple(sum(m[i][k] * v[k] for k in range(rank)) for i in range(rank))
-
-
-def _mat_inverse(m):
-    """Inverse of a Weyl action matrix; exact, and integral because det = +-1."""
-    from fractions import Fraction
-
-    rank = len(m)
-    aug = [
-        [Fraction(x) for x in m[i]] + [Fraction(1 if j == i else 0) for j in range(rank)]
-        for i in range(rank)
-    ]
-    for col in range(rank):
-        piv = next(r for r in range(col, rank) if aug[r][col])
-        aug[col], aug[piv] = aug[piv], aug[col]
-        d = aug[col][col]
-        aug[col] = [x / d for x in aug[col]]
-        for r in range(rank):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-    out = []
-    for row in aug:
-        ints = []
-        for x in row[rank:]:
-            assert x.denominator == 1, "Weyl action matrices are unimodular"
-            ints.append(int(x))
-        out.append(tuple(ints))
-    return tuple(out)

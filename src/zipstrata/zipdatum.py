@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .rootdata import TYPE_A_GL, CharacterLattice, Root, RootSystem, build_gl
+from .rootdata import CharacterLattice, Root, RootSystem, build_gl
 from .weyl import BudgetExceeded, DEFAULT_BUDGET, WeylElement, WeylGroup
 
 
@@ -52,7 +52,6 @@ class BasedAutomorphism:
                     raise ZipDatumError(
                         "delta_perm does not preserve the Cartan pairing"
                     )
-        self.order = self._perm_order()
         self._root_table = self._build_root_table()
 
     @classmethod
@@ -64,43 +63,32 @@ class BasedAutomorphism:
         """The order-reversing diagram automorphism (type A duality)."""
         return cls(rs, list(reversed(list(rs.delta_indices()))))
 
+    @classmethod
+    def parse(cls, rs: RootSystem, spec: str | Sequence[int]) -> "BasedAutomorphism":
+        """sigma from "id", "flip", a comma-separated permutation "2,1", or a sequence."""
+        if spec == "id":
+            return cls.identity(rs)
+        if spec == "flip":
+            return cls.flip(rs)
+        if isinstance(spec, str):
+            spec = spec.split(",")
+        return cls(rs, [int(x) for x in spec])
+
     @property
     def is_identity(self) -> bool:
         return all(self.delta_perm[k - 1] == k for k in self.rs.delta_indices())
 
-    def _perm_order(self) -> int:
-        order = 1
-        perm = self.delta_perm
-        cur = perm
-        while any(cur[k - 1] != k for k in self.rs.delta_indices()):
-            cur = tuple(perm[c - 1] for c in cur)
-            order += 1
-        return order
-
     def _build_root_table(self) -> dict:
+        by_simple = {r.simple_coords: self.rs.root_from_coords(r.coords) for r in self.rs.roots}
         table = {}
         for r in self.rs.roots:
             img = [0] * self.rs.rank
             for k, c in enumerate(r.simple_coords):
-                if c:
-                    img[self.delta_perm[k] - 1] += c
-            table[r.coords] = self.rs.root_from_coords(
-                self._simple_to_coords(img)
-            )
+                img[self.delta_perm[k] - 1] = c
+            table[r.coords] = by_simple[tuple(img)]
         for r in self.rs.roots:
             assert table[r.coords].is_positive == r.is_positive, "sigma must fix Phi+"
         return table
-
-    def _simple_to_coords(self, simple: list[int]):
-        if self.rs.realization != TYPE_A_GL:
-            return tuple(simple)
-        n = self.rs.ambient_dim
-        out = [0] * n
-        for k, c in enumerate(simple):
-            if c:
-                out[k] += c
-                out[k + 1] -= c
-        return tuple(out)
 
     def apply_root(self, root: Root) -> Root:
         return self._root_table[root.coords]
@@ -109,18 +97,7 @@ class BasedAutomorphism:
         """sigma(w), characterized by sigma(w) . sigma(a) = sigma(w . a)."""
         if self.is_identity:
             return w
-        if W.rs.realization == TYPE_A_GL:
-            # the flip is conjugation by the longest element
-            n = W.n
-            p = w.key
-            return W._intern(tuple(n - 1 - p[n - 1 - i] for i in range(n)))
-        return W.from_word(self.delta_perm[k - 1] for k in w.word)
-
-    def apply_w_inverse(self, W: WeylGroup, w: WeylElement) -> WeylElement:
-        out = w
-        for _ in range(self.order - 1):
-            out = self.apply_w(W, out)
-        return out
+        return W.twist(w, self.delta_perm)
 
     def __repr__(self) -> str:
         return f"BasedAutomorphism({list(self.delta_perm)})"
@@ -300,16 +277,10 @@ def gl_zip_datum(n: int, r: int, sigma: str | Sequence[int] = "id",
                  budget: int = DEFAULT_BUDGET) -> ZipDatum:
     """Convenience constructor: the GL_n datum of signature (r, n-r).
 
-    ``sigma`` may be "id", "flip", or an explicit permutation of 1..n-1.
+    ``sigma`` is anything `BasedAutomorphism.parse` accepts.
     """
     rs, lattice, I = build_gl(n, r)
-    if sigma == "id":
-        aut = BasedAutomorphism.identity(rs)
-    elif sigma == "flip":
-        aut = BasedAutomorphism.flip(rs)
-    else:
-        aut = BasedAutomorphism(rs, list(sigma))
-    return make_zip_datum(rs, I, aut, lattice, budget=budget)
+    return make_zip_datum(rs, I, BasedAutomorphism.parse(rs, sigma), lattice, budget=budget)
 
 
 def zip_datum_from_json(doc: str | dict, budget: int = DEFAULT_BUDGET) -> ZipDatum:
@@ -331,12 +302,7 @@ def zip_datum_from_json(doc: str | dict, budget: int = DEFAULT_BUDGET) -> ZipDat
             int(doc["gl"]["n"]), int(doc["gl"]["r"]), sigma=sigma_spec, budget=budget
         )
     rs, lattice = load_generic_json(doc)
-    if sigma_spec == "id":
-        aut = BasedAutomorphism.identity(rs)
-    elif sigma_spec == "flip":
-        aut = BasedAutomorphism.flip(rs)
-    else:
-        aut = BasedAutomorphism(rs, [int(x) for x in sigma_spec])
+    aut = BasedAutomorphism.parse(rs, sigma_spec)
     return make_zip_datum(rs, frozenset(doc.get("I", [])), aut, lattice, budget=budget)
 
 

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from zipstrata.cli import main
 
 
@@ -144,3 +146,39 @@ def test_closure_command(capsys):
     code, out = run(capsys, "--gl", "5", "3", "closure", "s3 s2")
     doc = json.loads(out)
     assert code == 0 and doc["smooth_in_codim_1"] is False
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--gl", "6", "3", "--budget", "10", "xi", "e"),  # |W_I| = 36, scalar scan
+        ("--gl", "10", "8", "--budget", "50000", "xi", "e"),  # |W_I| = 80640, numpy batch
+    ],
+)
+def test_xi_budget_exit_code(capsys, argv):
+    code = main(list(argv))
+    assert code == 3
+    assert capsys.readouterr().err.startswith("budget exceeded: ")
+
+
+def _cartan_file(tmp_path, doc):
+    path = tmp_path / "datum.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        lambda tmp: ("--cartan", str(tmp / "missing.json"), "strata-list"),
+        lambda tmp: ("--cartan", _cartan_file(tmp, {"I": [1]}), "strata-list"),
+        lambda tmp: ("--gl", "4", "2", "--I", "1", "strata-list"),
+    ],
+    ids=["missing-file", "no-cartan-key", "I-with-gl"],
+)
+def test_bad_datum_input_is_a_precondition_error(tmp_path, capsys, argv):
+    code = main(list(argv(tmp_path)))
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")

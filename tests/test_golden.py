@@ -1,0 +1,104 @@
+"""Representation gates: frozen `strata-list` output on generic data, generic
+A_{n-1} against GL_n, and the shape of generic element keys.
+
+The files under tests/data/ were written by the integer-matrix
+implementation of generic Weyl elements; any element representation must
+reproduce them byte for byte.
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from zipstrata.cli import main
+from zipstrata.rootdata import build_generic
+from zipstrata.weyl import WeylGroup
+
+DATA = Path(__file__).parent / "data"
+
+A4 = [[2, -1, 0, 0], [-1, 2, -1, 0], [0, -1, 2, -1], [0, 0, -1, 2]]
+B4 = [[2, -1, 0, 0], [-1, 2, -1, 0], [0, -1, 2, -2], [0, 0, -1, 2]]
+C4 = [[2, -1, 0, 0], [-1, 2, -1, 0], [0, -1, 2, -1], [0, 0, -2, 2]]
+D4 = [[2, -1, 0, 0], [-1, 2, -1, -1], [0, -1, 2, 0], [0, -1, 0, 2]]
+
+# name: (Cartan matrix in Bourbaki numbering, I, sigma)
+GOLDEN = {
+    "G2": ([[2, -1], [-3, 2]], [2], "id"),
+    "B3": ([[2, -1, 0], [-1, 2, -2], [0, -1, 2]], [2, 3], "id"),
+    "C3": ([[2, -1, 0], [-1, 2, -1], [0, -2, 2]], [2, 3], "id"),
+    "B4": (B4, [2, 3, 4], "id"),
+    "C4": (C4, [2, 3, 4], "id"),
+    "D4": (D4, [2, 3, 4], "id"),
+    "F4": ([[2, -1, 0, 0], [-1, 2, -2, 0], [0, -1, 2, -1], [0, 0, -1, 2]], [2, 3, 4], "id"),
+    "A4_flip": (A4, [1, 4], "flip"),
+    "D4_triality": (D4, [1, 3, 4], "3,2,4,1"),
+}
+
+
+def _type_a_cartan(rank):
+    return [
+        [2 if i == j else -1 if abs(i - j) == 1 else 0 for j in range(rank)]
+        for i in range(rank)
+    ]
+
+
+def _canonical_word(one_line):
+    """The word generic data print for a permutation: strip the smallest left
+    descent s_k (value k+1 left of value k) until none is left; s_k * w swaps
+    the values k and k+1."""
+    p = list(one_line)
+    out = []
+    while True:
+        pos = {v: i for i, v in enumerate(p)}
+        k = next((k for k in range(1, len(p)) if pos[k] > pos[k + 1]), None)
+        if k is None:
+            return out
+        out.append(k)
+        p = [k + 1 if v == k else k if v == k + 1 else v for v in p]
+
+
+def _run(capsys, *argv):
+    code = main(list(argv))
+    out = capsys.readouterr().out
+    assert code == 0
+    return out
+
+
+def _strata_list(capsys, tmp_path, cartan, I, sigma="id"):
+    path = tmp_path / "cartan.json"
+    path.write_text(json.dumps({"cartan": cartan}))
+    return _run(capsys, "--cartan", str(path), "--I", ",".join(map(str, I)),
+                "--sigma", sigma, "strata-list")
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_strata_list_matches_golden_dump(name, tmp_path, capsys):
+    cartan, I, sigma = GOLDEN[name]
+    out = _strata_list(capsys, tmp_path, cartan, I, sigma)
+    assert out == (DATA / f"strata_{name}.json").read_text()
+
+
+@pytest.mark.parametrize("n,r", [(n, r) for n in (4, 5) for r in range(1, n)])
+def test_generic_type_a_equals_gl(n, r, tmp_path, capsys):
+    I = [k for k in range(1, n) if k != r]
+    generic = json.loads(_strata_list(capsys, tmp_path, _type_a_cartan(n - 1), I))
+    gl = json.loads(_run(capsys, "--gl", str(n), str(r), "strata-list"))
+    word = _canonical_word
+    assert generic == {
+        "z": word(gl["z"]),
+        "J": gl["J"],
+        "nodes": [dict(node, w=word(node["w"])) for node in gl["nodes"]],
+        "covers": [
+            {"upper": word(c["upper"]), "lower": word(c["lower"])} for c in gl["covers"]
+        ],
+    }
+
+
+@pytest.mark.parametrize("cartan", [[[2, -1], [-3, 2]], B4, C4, D4])
+def test_generic_keys_permute_the_roots(cartan):
+    rs, _ = build_generic(cartan)
+    W = WeylGroup(rs)
+    two_n = 2 * len(rs.positive_roots)
+    for w in W.elements():
+        assert sorted(w.key) == list(range(two_n))

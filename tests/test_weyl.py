@@ -176,6 +176,17 @@ def test_minimal_reps_partition_count():
                 assert len(W.minimal_reps(K)) * W.parabolic_order(K) == math.factorial(n)
 
 
+def test_type_a_minimal_reps_gl12_without_scanning_all_arrangements():
+    from zipstrata.zipdatum import gl_zip_datum
+
+    zd = gl_zip_datum(12, 6)
+    reps = zd.minimal_reps()
+    assert len(reps) == math.comb(12, 6) == 924
+    assert len(set(reps)) == 924
+    assert all(zd.in_IW(w) for w in reps)
+    assert reps == sorted(reps, key=lambda w: (w.length, w.word))
+
+
 def test_generic_min_coset_and_reps_match_type_a():
     rs, _ = build_generic([[2, -1], [-1, 2]])  # A_2
     Wg = WeylGroup(rs)

@@ -3,12 +3,16 @@ import itertools
 import pytest
 
 from zipstrata.rootdata import build_generic, build_gl
+from zipstrata.weyl import WeylGroup
 from zipstrata.zipdatum import (
     BasedAutomorphism,
     ZipDatumError,
     gl_zip_datum,
     make_zip_datum,
 )
+
+_A4 = [[2, -1, 0, 0], [-1, 2, -1, 0], [0, -1, 2, -1], [0, 0, -1, 2]]
+_D4 = [[2, -1, 0, 0], [-1, 2, -1, -1], [0, -1, 2, 0], [0, -1, 0, 2]]
 
 
 def test_frame_element_22(zd22):
@@ -226,3 +230,32 @@ def test_zip_datum_from_json_forms():
     assert sorted(zd2.J) == [1]
     zd3 = zip_datum_from_json({"gl": {"n": 4, "r": 2}, "sigma": [3, 2, 1]})
     assert zd3.z.one_line() == [3, 4, 1, 2]
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: BasedAutomorphism.flip(build_gl(5, 2)[0]),
+        lambda: BasedAutomorphism.flip(build_generic(_A4)[0]),
+        lambda: BasedAutomorphism(build_generic(_D4)[0], [3, 2, 4, 1]),
+    ],
+    ids=["GL5-flip", "A4-flip", "D4-triality"],
+)
+def test_apply_w_agrees_with_word_replay(make):
+    # sigma(s_{k1} ... s_{kl}) = s_{sigma(k1)} ... s_{sigma(kl)}
+    sigma = make()
+    W = WeylGroup(sigma.rs)
+    for w in W.elements():
+        image = sigma.apply_w(W, w)
+        assert image == W.from_word(sigma.delta_perm[k - 1] for k in w.word)
+        assert image.length == w.length
+
+
+def test_sigma_parse_forms():
+    rs = build_generic(_D4)[0]
+    assert BasedAutomorphism.parse(rs, "id").is_identity
+    assert BasedAutomorphism.parse(rs, "3,2,4,1").delta_perm == (3, 2, 4, 1)
+    assert BasedAutomorphism.parse(rs, [3, 2, 4, 1]).delta_perm == (3, 2, 4, 1)
+    assert BasedAutomorphism.parse(build_gl(4, 2)[0], "flip").delta_perm == (3, 2, 1)
+    with pytest.raises(ZipDatumError):
+        BasedAutomorphism.parse(rs, "2,1,3,4")
