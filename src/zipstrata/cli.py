@@ -272,6 +272,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# subcommand -> handler of (config, parsed arguments)
+COMMANDS = {
+    "strata-list": lambda config, args: cmd_strata_list(config),
+    "decide": lambda config, args: cmd_decide(config, args.w, args.w_prime),
+    "closure": lambda config, args: cmd_closure(config, args.w),
+    "sweep-length2": lambda config, args: cmd_sweep_length2(config, args.n_max, args.verify),
+    "hasse": lambda config, args: cmd_hasse(config, args.w, args.weight),
+    "xi": lambda config, args: cmd_xi(config, args.w, args.matrix),
+    "census": lambda config, args: cmd_census(
+        config, [int(x) for x in args.m_list.split(",")]),
+    "closed-form": lambda config, args: cmd_closed_form(config, args.r, args.s),
+}
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -286,25 +300,7 @@ def main(argv=None) -> int:
         budget=args.budget,
     )
     try:
-        if args.command == "strata-list":
-            out = cmd_strata_list(config)
-        elif args.command == "decide":
-            out = cmd_decide(config, args.w, args.w_prime)
-        elif args.command == "closure":
-            out = cmd_closure(config, args.w)
-        elif args.command == "sweep-length2":
-            out = cmd_sweep_length2(config, args.n_max, args.verify)
-        elif args.command == "hasse":
-            out = cmd_hasse(config, args.w, args.weight)
-        elif args.command == "xi":
-            out = cmd_xi(config, args.w, args.matrix)
-        elif args.command == "census":
-            m_list = [int(x) for x in args.m_list.split(",")]
-            out = cmd_census(config, m_list)
-        elif args.command == "closed-form":
-            out = cmd_closed_form(config, args.r, args.s)
-        else:  # pragma: no cover
-            parser.error(f"unknown command {args.command}")
+        out = COMMANDS[args.command](config, args)
     except BudgetExceeded as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET

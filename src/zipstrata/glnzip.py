@@ -112,16 +112,7 @@ def phi_map(F, f: Matrix, sig: Signature, m: int = 1) -> tuple[Matrix, Matrix]:
     n, r, s = sig.n, sig.r, sig.s
     if len(f) != n:
         raise ValueError(f"matrix size {len(f)} does not match signature n={n}")
-    finv = mat_inv(F, f)
-    a = tuple(tuple(f[i][j] if j < r else F.zero for j in range(n)) for i in range(n))
-    minus = (-m) % (getattr(F, "k", 1))
-    b = tuple(
-        tuple(
-            F.frobenius_pow(finv[i][j], minus) if i >= r else F.zero
-            for j in range(n)
-        )
-        for i in range(n)
-    )
+    a, b = _phi_pair(F, f, n, r, m)
     sb = tuple(tuple(F.frobenius_pow(x, m) for x in row) for row in b)
     zero = tuple(tuple(F.zero for _ in range(n)) for _ in range(n))
     assert mat_mul(F, a, sb) == zero and mat_mul(F, sb, a) == zero, "a sigma(b) != 0"

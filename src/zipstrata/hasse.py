@@ -113,19 +113,6 @@ class HasseResult:
         return self.witness is not None
 
 
-@dataclass(frozen=True)
-class HasseQuery:
-    """A stratum label w in ^I W together with an L-weight lambda."""
-
-    w: WeylElement
-    lam: tuple[int, ...]
-
-    def validate(self, zd: ZipDatum) -> None:
-        if not zd.in_IW(self.w):
-            raise ZipDatumError(f"w = {self.w!r} is not in ^I W")
-        _check_L_weight(zd, self.lam)
-
-
 def _check_L_weight(zd: ZipDatum, lam: Sequence[int]) -> None:
     if len(lam) != zd.lattice.dim:
         raise ZipDatumError(
@@ -397,11 +384,13 @@ def hasse_feasible(zd: ZipDatum, w: WeylElement, lam: Sequence[int]) -> HasseRes
     Decides the existence of rational lambda_0 with
     (w - z) lambda_0 = lambda and <lambda_0, alpha^vee> < 0 on E_w.
     """
-    query = HasseQuery(w, tuple(int(x) for x in lam))
-    query.validate(zd)
+    lam = tuple(int(x) for x in lam)
+    if not zd.in_IW(w):
+        raise ZipDatumError(f"w = {w!r} is not in ^I W")
+    _check_L_weight(zd, lam)
     ew = e_w_set(zd, w)
     eq_rows = _w_minus_z_rows(zd, w)
-    eq_rhs = list(query.lam)
+    eq_rhs = list(lam)
     strict_pairs = [
         (alpha, [zd.lattice.pairing(_unit(zd.lattice.dim, k), alpha)
                  for k in range(zd.lattice.dim)])
@@ -411,7 +400,7 @@ def hasse_feasible(zd: ZipDatum, w: WeylElement, lam: Sequence[int]) -> HasseRes
     if lambda0 is None:
         return HasseResult(witness=None, certificate=cert)
     witness = _witness_from_lambda0(zd, w, lambda0, ew)
-    _verify_witness(zd, w, query.lam, witness, ew)
+    _verify_witness(zd, w, lam, witness, ew)
     return HasseResult(witness=witness, certificate=None)
 
 

@@ -13,11 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .rootdata import Root, TYPE_A_GL, is_compact
+from .rootdata import Root, is_compact
 from .weyl import BudgetExceeded, WeylElement
 from .zipdatum import ZipDatum, ZipDatumError
-
-_XI_NUMPY_THRESHOLD = 40_320  # switch the exhaustive a-scan to the batched path
 
 
 class NotSmallError(ZipDatumError):
@@ -105,96 +103,39 @@ def is_small(zd: ZipDatum, w: WeylElement) -> bool:
 def xi_of_weyl(zd: ZipDatum, w: WeylElement) -> WeylElement:
     """The unique v in ^I W whose stratum contains w z^{-1}.
 
-    Scans a in W_I, forms a^{-1} w psi(a), splits off the minimal coset
-    representative and accepts when the W_I-part lies in the canonical-type
-    parabolic of the candidate.  All accepted candidates must agree; a
-    disagreement would be an implementation bug, not bad input.
+    Walks the W_I-orbit of w under the elementary twisted conjugations
+    y |-> s y psi(s), s a simple reflection in I (psi(s) is simple in J).
+    Any length-decreasing step is taken as soon as it is seen; otherwise the
+    equal-length part of the orbit reachable from the current element is
+    explored.  The walk stops at the first y = u v (u in W_I, v in ^I W)
+    with u in the parabolic of the canonical type I_v, and returns v.
+    Every element visited is some x w psi(x)^{-1}, and by X. He's reduction
+    (Adv. Math. 2007) a length-non-increasing path of such steps reaches an
+    accepted element from any start, so each length level either drops or
+    holds the answer.  The orbit is no larger than W_I, hence the budget.
     """
     W = zd.W
-    # on generic data parabolic_elements enforces the budget as it enumerates
-    if W.rs.realization == TYPE_A_GL:
-        order = W.parabolic_order(zd.I)
-        if order > W.budget:
-            raise BudgetExceeded(f"the Xi scan over |W_I| = {order} exceeds budget {W.budget}")
-        if order > _XI_NUMPY_THRESHOLD:
-            return _xi_batched_type_a(zd, w)
-    accepted: dict = {}
-    for a in W.parabolic_elements(zd.I):
-        v = a.inverse() * w * zd.psi(a)
-        u, cand = W.min_coset_rep(zd.I, v)
-        if W.in_parabolic(u, zd.canonical_type(cand)):
-            accepted[cand.key] = cand
-    assert accepted, "Xi scan accepted nothing; the representative theory is violated"
-    assert len(accepted) == 1, (
-        f"Xi scan accepted distinct candidates {list(accepted)}; implementation bug"
+    order = W.parabolic_order(zd.I)
+    if order > W.budget:
+        raise BudgetExceeded(f"the Xi walk over |W_I| = {order} exceeds budget {W.budget}")
+    steps = [(W.simple(k), zd.psi(W.simple(k))) for k in sorted(zd.I)]
+    level, seen = [w], {w.key}
+    while level:
+        y = level.pop()
+        u, v = W.min_coset_rep(zd.I, y)
+        if W.in_parabolic(u, zd.canonical_type(v)):
+            return v
+        for s, t in steps:
+            nxt = s * y * t
+            if nxt.length < y.length:
+                level, seen = [nxt], {nxt.key}
+                break
+            if nxt.length == y.length and nxt.key not in seen:
+                seen.add(nxt.key)
+                level.append(nxt)
+    raise AssertionError(
+        f"the Xi walk from {w!r} accepted nothing; the representative theory is violated"
     )
-    return next(iter(accepted.values()))
-
-
-def _xi_batched_type_a(zd: ZipDatum, w: WeylElement) -> WeylElement:
-    """Same exhaustive scan as xi_of_weyl, vectorized over all of W_I."""
-    import itertools
-
-    import numpy as np
-
-    W = zd.W
-    n = W.n
-    blocks = W.blocks(zd.I)
-
-    per_block = [
-        np.array(list(itertools.permutations(range(lo, hi))), dtype=np.int16)
-        for lo, hi in blocks
-    ]
-    A = per_block[0]
-    for nxt in per_block[1:]:
-        left = np.repeat(A, len(nxt), axis=0)
-        right = np.tile(nxt, (len(A), 1))
-        A = np.concatenate([left, right], axis=1)
-
-    def compose(U, V):
-        return np.take_along_axis(U, V, axis=1)
-
-    A_inv = np.argsort(A, axis=1).astype(np.int16)
-    zarr = np.array(zd.z.key, dtype=np.int16)
-    zinv = np.argsort(zarr).astype(np.int16)
-    if zd.sigma.is_identity:
-        sigA = A
-    else:
-        sigA = np.stack(
-            [np.array(zd.sigma.apply_w(W, W._intern(tuple(row))).key, dtype=np.int16) for row in A]
-        )
-    # psi(a) = z^{-1} o sigma(a) o z, pointwise psi(a)[i] = zinv[sigma(a)[z[i]]]
-    psiA = zinv[sigA[:, zarr]]
-    warr = np.array(w.key, dtype=np.int16)
-    # v = a^{-1} o w o psi(a)
-    V = compose(A_inv, warr[psiA])
-
-    # minimal coset representative: within each I-block, the values of each row
-    # of V are relabeled in increasing position order
-    Wmin = np.zeros_like(V)
-    for lo, hi in blocks:
-        mask = (V >= lo) & (V < hi)
-        Wmin += np.where(mask, lo + np.cumsum(mask, axis=1) - 1, 0).astype(np.int16)
-    U = compose(V, np.argsort(Wmin, axis=1).astype(np.int16))
-
-    cands, inverse_ix = np.unique(Wmin, axis=0, return_inverse=True)
-    inverse_ix = inverse_ix.reshape(-1)  # shape differs across numpy versions
-    accepted: dict = {}
-    for ci in range(len(cands)):
-        cand = W._intern(tuple(int(x) for x in cands[ci]))
-        Iw = zd.canonical_type(cand)
-        block_id = np.zeros(n, dtype=np.int16)
-        for b, (lo, hi) in enumerate(W.blocks(Iw)):
-            block_id[lo:hi] = b
-        rows = U[inverse_ix == ci]
-        ok = (block_id[rows] == block_id[np.arange(n)]).all(axis=1)
-        if ok.any():
-            accepted[cand.key] = cand
-    assert accepted, "Xi scan accepted nothing; the representative theory is violated"
-    assert len(accepted) == 1, (
-        f"Xi scan accepted distinct candidates {list(accepted)}; implementation bug"
-    )
-    return next(iter(accepted.values()))
 
 
 def pi_small(zd: ZipDatum, w: WeylElement) -> WeylElement:

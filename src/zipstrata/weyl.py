@@ -331,12 +331,18 @@ class WeylGroup:
         """All of W_K, lazily, identity first; deterministic order."""
         if self.rs.realization == TYPE_A_GL:
             blocks = self.blocks(K)
-            pools = [list(itertools.permutations(range(lo, hi))) for lo, hi in blocks]
-            for combo in itertools.product(*pools):
-                p = []
-                for piece in combo:
-                    p.extend(piece)
-                yield self._intern(tuple(p))
+
+            # block by block, the first block slowest, so that taking a few
+            # elements never materializes a block's permutations
+            def rec(i: int, prefix: tuple[int, ...]) -> Iterator[WeylElement]:
+                if i == len(blocks):
+                    yield self._intern(prefix)
+                    return
+                lo, hi = blocks[i]
+                for piece in itertools.permutations(range(lo, hi)):
+                    yield from rec(i + 1, prefix + piece)
+
+            yield from rec(0, ())
         else:
             gens = [self.simple(k) for k in sorted(K)]
             yield from self._closure(gens)

@@ -52,6 +52,7 @@ class BasedAutomorphism:
                     raise ZipDatumError(
                         "delta_perm does not preserve the Cartan pairing"
                     )
+        self.is_identity = self.delta_perm == tuple(rs.delta_indices())
         self._root_table = self._build_root_table()
 
     @classmethod
@@ -73,10 +74,6 @@ class BasedAutomorphism:
         if isinstance(spec, str):
             spec = spec.split(",")
         return cls(rs, [int(x) for x in spec])
-
-    @property
-    def is_identity(self) -> bool:
-        return all(self.delta_perm[k - 1] == k for k in self.rs.delta_indices())
 
     def _build_root_table(self) -> dict:
         by_simple = {r.simple_coords: self.rs.root_from_coords(r.coords) for r in self.rs.roots}

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import zipstrata
 from zipstrata.cli import main
 
 
@@ -151,14 +156,30 @@ def test_closure_command(capsys):
 @pytest.mark.parametrize(
     "argv",
     [
-        ("--gl", "6", "3", "--budget", "10", "xi", "e"),  # |W_I| = 36, scalar scan
-        ("--gl", "10", "8", "--budget", "50000", "xi", "e"),  # |W_I| = 80640, numpy batch
+        ("--gl", "6", "3", "--budget", "10", "xi", "e"),  # |W_I| = 36
+        ("--gl", "10", "8", "--budget", "50000", "xi", "e"),  # |W_I| = 80640
     ],
 )
 def test_xi_budget_exit_code(capsys, argv):
     code = main(list(argv))
     assert code == 3
     assert capsys.readouterr().err.startswith("budget exceeded: ")
+
+
+def test_xi_large_parabolic_runs_without_numpy():
+    # |W_I| = 7! 4! = 120960; no third-party module may be loaded
+    script = (
+        "import sys; from zipstrata.cli import main; "
+        "code = main(['--gl', '11', '7', 'xi', 'e']); "
+        "print('numpy' in sys.modules); sys.exit(code)"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(zipstrata.__file__).parent.parent)}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    xi_doc, _, loaded = proc.stdout.rstrip().rpartition("\n")
+    assert json.loads(xi_doc)["xi"] == list(range(1, 12))
+    assert loaded == "False"
 
 
 def _cartan_file(tmp_path, doc):

@@ -9,6 +9,7 @@ import itertools
 
 import pytest
 
+from xi_oracle import xi_scan
 from zipstrata.hasse import e_w_set, hasse_any_Lweight, hasse_feasible
 from zipstrata.rootdata import build_generic, is_compact, pairing
 from zipstrata.strata import (
@@ -132,10 +133,7 @@ def test_22_flip_matches_untwisted_where_sigma_acts_trivially(zd22_flip, zd22):
     ]
 
 
-def test_flip_batched_xi_agrees_with_scan():
-    from zipstrata.strata import _xi_batched_type_a, xi_of_weyl
-
+def test_flip_xi_agrees_with_scan_oracle():
     zd = gl_zip_datum(4, 2, sigma="flip")
     for w in zd.W.elements():
-        # |W_I| = 4 keeps xi_of_weyl on the pure-python scan path
-        assert _xi_batched_type_a(zd, w) == xi_of_weyl(zd, w)
+        assert xi_scan(zd, w) == xi_of_weyl(zd, w)

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from xi_oracle import xi_scan
 from zipstrata.rootdata import is_compact
 from zipstrata.strata import (
     NotSmallError,
@@ -13,7 +14,6 @@ from zipstrata.strata import (
     pi_small,
     w_sequences,
     xi_of_weyl,
-    _xi_batched_type_a,
 )
 from zipstrata.zipdatum import ZipDatumError, gl_zip_datum
 
@@ -128,9 +128,9 @@ def test_xi_32_short_reflections(zd32):
     assert xi_of_weyl(zd32, zd32.W.simple(2)) == s3
 
 
-def test_xi_batched_path_agrees_with_scan(zd32):
+def test_xi_agrees_with_scan_oracle(zd32):
     for w in itertools.islice(zd32.W.elements(), 0, 120, 11):
-        assert _xi_batched_type_a(zd32, w) == xi_of_weyl(zd32, w)
+        assert xi_scan(zd32, w) == xi_of_weyl(zd32, w)
 
 
 def test_xi_shortens_length():

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import pytest
 
@@ -185,6 +186,32 @@ def test_type_a_minimal_reps_gl12_without_scanning_all_arrangements():
     assert len(set(reps)) == 924
     assert all(zd.in_IW(w) for w in reps)
     assert reps == sorted(reps, key=lambda w: (w.length, w.word))
+
+
+def test_type_a_parabolic_elements_keep_the_block_product_order():
+    for n in (2, 3, 4, 5):
+        W = _gl_group(n)
+        indices = list(W.rs.delta_indices())
+        for size in range(len(indices) + 1):
+            for K in itertools.combinations(indices, size):
+                pools = [itertools.permutations(range(lo, hi)) for lo, hi in W.blocks(K)]
+                expected = [sum(combo, ()) for combo in itertools.product(*pools)]
+                assert [w.key for w in W.parabolic_elements(K)] == expected
+
+
+def test_type_a_parabolic_elements_are_lazy():
+    # W_K for K = {1..8} in GL_10 has 9! elements; the first ten must not
+    # cost a block's worth of permutation tuples
+    W = _gl_group(10)
+    K = frozenset(range(1, 9))
+    tracemalloc.start()
+    try:
+        first = list(itertools.islice(W.parabolic_elements(K), 10))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(first) == 10 and first[0] == W.identity
+    assert peak < 1_000_000
 
 
 def test_generic_min_coset_and_reps_match_type_a():
