@@ -22,7 +22,7 @@ from .glnzip import (
     verify_length2,
     xi_classify,
 )
-from .hasse import hasse_report
+from .hasse import hasse_feasible, hasse_report
 from .rootdata import TYPE_A_GL, RootDataError
 from .strata import closure_codim1, decide_smooth, is_small, xi_of_weyl
 from .weyl import DEFAULT_BUDGET, BudgetExceeded, WeylElement
@@ -89,8 +89,6 @@ def cmd_strata_list(config: RunConfig) -> str:
     nodes = []
     covers = []
     for w in reps:
-        from .hasse import hasse_feasible
-
         feasible0 = hasse_feasible(zd, w, [0] * zd.lattice.dim).feasible
         nodes.append(
             {
@@ -152,7 +150,7 @@ def cmd_sweep_length2(config: RunConfig, n_max: int, verify: bool) -> str:
     for n in range(4, n_max + 1):
         for s in range(2, n // 2 + 1):
             sig = Signature(n - s, s)
-            rows.append(verify_length2(sig) if verify else length2_closed_form(sig))
+            rows.append(verify_length2(sig, config.budget) if verify else length2_closed_form(sig))
     if config.fmt == "csv":
         return _sweep_csv(rows)
     return _emit(rows, config.fmt)

@@ -466,14 +466,21 @@ def length2_closed_form(sig: Signature) -> dict:
     return report
 
 
-def verify_length2(sig: Signature) -> dict:
-    """Cross-check the closed form against the general decision procedure."""
+def verify_length2(sig: Signature, budget: int | None = None) -> dict:
+    """Cross-check the closed form against the general decision procedure.
+
+    ``budget`` is the group budget of the datum decided on; None uses the
+    memoized default-budget datum.
+    """
     from .strata import decide_smooth
 
     closed = length2_closed_form(sig)
-    zd = sig.zip_datum()
-    for key, w in (("U1", sig.w1), ("U2", sig.w2)):
-        verdict = decide_smooth(zd, w, sig.w_prime)
+    zd = sig.zip_datum(budget)
+    # w', w1 and w2 (see Signature) in the Weyl group of this datum
+    W = zd.W
+    w_prime = W.simple(sig.r)
+    for key, w in (("U1", w_prime * W.simple(sig.r + 1)), ("U2", w_prime * W.simple(sig.r - 1))):
+        verdict = decide_smooth(zd, w, w_prime)
         closed[key]["decided_smooth"] = verdict.smooth
         closed[key]["decided_bounded"] = verdict.bounded
         closed[key]["agrees"] = (

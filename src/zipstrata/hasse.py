@@ -8,9 +8,13 @@ X*(T) (rationally, then scale) with
                                              for every alpha in E_w,
 
 where E_w is the set of positive roots alpha with l(w s_alpha) = l(w) - 1.
-Strict systems are decided by Fourier-Motzkin elimination over Fraction
-arithmetic; infeasibility comes with a nonnegative-multiplier certificate
-that replays to the symbolic contradiction 0 < 0.  Scaling the rational
+The equalities are solved by fraction-free integer Gauss-Jordan elimination
+and the strict rows decided by Fourier-Motzkin elimination on primitive
+integer rows; Fractions appear only in the witness lambda_0 and in
+certificates.  Infeasibility comes with a nonnegative-multiplier certificate
+that replays to the symbolic contradiction 0 < 0.  Every load-bearing check
+(certificate replay, the witness re-check) raises `InvariantViolation`, so it
+also runs under ``python -O``.  Scaling the rational
 witness to an integer one is sound because the geometric statement allows
 passing to a positive power of the line bundle; no minimality of the
 multiplier is claimed.
@@ -20,11 +24,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Sequence
 
 from .rootdata import Root
-from .weyl import WeylElement
+from .weyl import InvariantViolation, WeylElement
 from .zipdatum import ZipDatum, ZipDatumError
 
 _FM_ROW_CAP = 200_000
@@ -39,7 +43,8 @@ def e_w_set(zd: ZipDatum, w: WeylElement) -> list[Root]:
     for alpha in zd.rs.positive_roots:
         ws = w * zd.W.reflection(alpha)
         if ws.length == w.length - 1:
-            assert zd.W.bruhat_leq(ws, w), "length drop must imply Bruhat descent"
+            if not zd.W.bruhat_leq(ws, w):
+                raise InvariantViolation("length drop must imply Bruhat descent")
             out.append(alpha)
     out.sort(key=lambda a: a.coords)
     return out
@@ -126,21 +131,37 @@ def _check_L_weight(zd: ZipDatum, lam: Sequence[int]) -> None:
 
 
 # ---------------------------------------------------------------------------
-# exact linear algebra: equalities by Gaussian elimination, strict rows by
-# Fourier-Motzkin elimination
+# exact linear algebra over the integers: equalities by fraction-free
+# Gauss-Jordan elimination (after Bareiss, Math. Comp. 1968, dividing each
+# row by its gcd instead of by the previous pivot), strict rows by
+# Fourier-Motzkin elimination.  Every row is kept as a primitive integer
+# vector, so no Fraction is built inside an elimination loop.
 
 
 def _rref_with_combos(rows, rhs):
-    """Row reduce [rows | rhs], tracking each work row as a combination of
-    the input rows.  Returns (pivots, reduced, reduced_rhs, combo, bad) where
-    bad indexes a 0 = nonzero row if the system is inconsistent."""
+    """Row reduce [rows | rhs] fraction-free, tracking each work row as an
+    integer combination of the input rows.
+
+    A row given with Fractions is first scaled by the lcm of its denominators
+    and its combination starts at that scale.  Elimination replaces row i by
+    d * row_i - f * row_r (d the pivot of row r, f the entry of row i in the
+    pivot column) and divides by the gcd of the whole row; every work row is
+    then a nonzero multiple of the row plain Gauss-Jordan elimination gives.
+    Returns (pivots, reduced, bad_combo): ``reduced[i]`` is the integer pivot
+    row ``[coeffs | rhs]`` whose pivot sits in column ``pivots[i]``, and
+    ``bad_combo`` combines the input rows to 0 = nonzero when the system is
+    inconsistent (else None).
+    """
     m = len(rows)
     dim = len(rows[0]) if m else 0
-    work = [list(map(Fraction, r)) for r in rows]
-    b = [Fraction(x) for x in rhs]
-    combo = [
-        [Fraction(1 if i == j else 0) for j in range(m)] for i in range(m)
-    ]
+    # one augmented integer row: coefficients, rhs, combination of the inputs
+    work = []
+    for i, (row, b) in enumerate(zip(rows, rhs)):
+        scale = lcm(*(x.denominator for x in row), b.denominator)
+        aug = [int(x * scale) for x in row]
+        aug.append(int(b * scale))
+        aug.extend(scale if j == i else 0 for j in range(m))
+        work.append(aug)
     pivots = []
     r = 0
     for c in range(dim):
@@ -148,137 +169,136 @@ def _rref_with_combos(rows, rhs):
         if piv is None:
             continue
         work[r], work[piv] = work[piv], work[r]
-        b[r], b[piv] = b[piv], b[r]
-        combo[r], combo[piv] = combo[piv], combo[r]
-        d = work[r][c]
-        work[r] = [x / d for x in work[r]]
-        b[r] /= d
-        combo[r] = [x / d for x in combo[r]]
+        prow = work[r]
+        d = prow[c]
         for i in range(m):
-            if i != r and work[i][c]:
-                f = work[i][c]
-                work[i] = [x - f * y for x, y in zip(work[i], work[r])]
-                b[i] -= f * b[r]
-                combo[i] = [x - f * y for x, y in zip(combo[i], combo[r])]
+            f = work[i][c]
+            if i != r and f:
+                row = [d * x - f * y for x, y in zip(work[i], prow)]
+                g = gcd(*row)
+                work[i] = [x // g for x in row] if g > 1 else row
         pivots.append(c)
         r += 1
-    bad = next((i for i in range(r, m) if b[i] != 0), None)
-    return pivots, work[:r], b[:r], combo, bad
+    bad = next((i for i in range(r, m) if work[i][dim]), None)
+    bad_combo = None if bad is None else work[bad][dim + 1:]
+    return pivots, [row[:dim + 1] for row in work[:r]], bad_combo
 
 
 def _solve_equalities(rows, rhs):
-    """Solve rows . x = rhs over Q.
+    """Solve rows . x = rhs over Q (rows nonempty).
 
-    Returns ('infeasible', multipliers, None) or
-    ('ok', particular, nullspace_basis).
+    Returns ('infeasible', multipliers) with integer multipliers deriving
+    0 = nonzero, or ('ok', (P, B, D)): the solutions are (P + sum_j t_j B_j) / D
+    for rational t, with integer vectors P, B_j and a common denominator
+    D > 0.  P / D and B_j / D are the particular solution and the nullspace
+    basis read off the reduced row echelon form (free variable j set to 1).
     """
-    if not rows:
-        return "ok", None, None  # caller interprets: x free
-
-    pivots, red, redb, combo, bad = _rref_with_combos(rows, rhs)
-    if bad is not None:
-        return "infeasible", tuple(combo[bad]), None
+    pivots, red, bad_combo = _rref_with_combos(rows, rhs)
+    if bad_combo is not None:
+        return "infeasible", bad_combo
     dim = len(rows[0])
-    free = [c for c in range(dim) if c not in pivots]
-    particular = [Fraction(0)] * dim
-    for i, c in enumerate(pivots):
-        particular[c] = redb[i]
+    denom = lcm(*(abs(row[c]) for row, c in zip(red, pivots)))
+    scale = [denom // row[c] for row, c in zip(red, pivots)]
+    particular = [0] * dim
+    for row, c, k in zip(red, pivots, scale):
+        particular[c] = row[dim] * k
     basis = []
-    for fc in free:
-        vec = [Fraction(0)] * dim
-        vec[fc] = Fraction(1)
-        for i, c in enumerate(pivots):
-            vec[c] = -red[i][fc]
-        basis.append(tuple(vec))
-    return "ok", tuple(particular), tuple(basis)
+    for fc in sorted(set(range(dim)) - set(pivots)):
+        vec = [0] * dim
+        vec[fc] = denom
+        for row, c, k in zip(red, pivots, scale):
+            vec[c] = -row[fc] * k
+        basis.append(vec)
+    return "ok", (particular, basis, denom)
 
 
 def _solve_linear_combination(rows, target):
     """Express target as a rational combination of rows (must be solvable)."""
     if not rows:
-        assert not any(target)
+        if any(target):
+            raise InvariantViolation("a nonzero target has no combination of no rows")
         return ()
-    dim = len(target)
-    cols = [[rows[i][k] for i in range(len(rows))] for k in range(dim)]
-    status, particular, _ = _solve_equalities(cols, list(target))
-    assert status == "ok", "target is not in the row span"
-    if particular is None:
-        particular = tuple(Fraction(0) for _ in rows)
-    return tuple(particular)
+    cols = [[row[k] for row in rows] for k in range(len(target))]
+    status, payload = _solve_equalities(cols, target)
+    if status != "ok":
+        raise InvariantViolation("target is not in the row span")
+    particular, _, denom = payload
+    return tuple(Fraction(x, denom) for x in particular)
+
+
+def _fm_add(new, seen, row, nvars):
+    """Append ``row`` unless a positive multiple of its (coeffs, rhs) is
+    already in ``new``; the stored row is divided by its gcd."""
+    head = row[:nvars + 1]
+    g = gcd(*head)
+    key = tuple(x // g for x in head) if g else tuple(head)
+    if key in seen:
+        return
+    seen.add(key)
+    g = gcd(g, *row[nvars + 1:])
+    new.append([x // g for x in row] if g > 1 else row)
+
+
+def _fm_contradiction(rows, nvars):
+    """Multipliers of the first row reading 0 < b with b <= 0, or None."""
+    for row in rows:
+        if row[nvars] <= 0 and not any(row[:nvars]):
+            return tuple(row[nvars + 1:])
+    return None
 
 
 def _fourier_motzkin(strict_rows, rhs):
-    """Decide {t : row . t < rhs_row for all rows} over Q.
+    """Decide {t : row . t < rhs_row for all rows} over Q, integer rows.
 
-    Returns ('feasible', t) or ('infeasible', multipliers) with nonnegative
-    multipliers over the input rows deriving 0 < 0.
+    Returns ('feasible', t) with rational t, or ('infeasible', multipliers)
+    with nonnegative integer multipliers over the input rows deriving 0 < 0.
     """
     nvars = len(strict_rows[0]) if strict_rows else 0
     m = len(strict_rows)
-    rows = []
-    for i in range(m):
-        mults = [Fraction(1 if j == i else 0) for j in range(m)]
-        rows.append((list(map(Fraction, strict_rows[i])), Fraction(rhs[i]), mults))
-
-    def normalize(row):
-        coeffs, b, mults = row
-        scale = next((abs(c) for c in coeffs if c), None)
-        if scale is None or scale == 1:
-            return row
-        return ([c / scale for c in coeffs], b / scale, [x / scale for x in mults])
-
-    def const_contradiction(row):
-        coeffs, b, _ = row
-        return not any(coeffs) and b <= 0
-
+    # a row is [coeffs | rhs | multipliers]; positive multiples of a row
+    # describe the same half-space, so a row is kept once, divided by its gcd
+    rows = [
+        [*row, b, *(int(i == j) for j in range(m))]
+        for i, (row, b) in enumerate(zip(strict_rows, rhs))
+    ]
     stages = []
     for var in range(nvars):
-        for row in rows:
-            if const_contradiction(row):
-                return "infeasible", tuple(row[2])
+        bad = _fm_contradiction(rows, nvars)
+        if bad is not None:
+            return "infeasible", bad
         stages.append(rows)
-        pos = [r for r in rows if r[0][var] > 0]
-        neg = [r for r in rows if r[0][var] < 0]
-        zero = [r for r in rows if r[0][var] == 0]
+        pos = [r for r in rows if r[var] > 0]
+        neg = [r for r in rows if r[var] < 0]
         new = []
         seen = set()
-        for r in zero:
-            nr = normalize(r)
-            key = (tuple(nr[0]), nr[1])
-            if key not in seen:
-                seen.add(key)
-                new.append(nr)
+        for r in rows:
+            if r[var] == 0:
+                _fm_add(new, seen, r, nvars)
         for rp in pos:
-            ap = rp[0][var]
+            ap = rp[var]
             for rn in neg:
-                an = -rn[0][var]
-                coeffs = [an * x + ap * y for x, y in zip(rp[0], rn[0])]
-                b = an * rp[1] + ap * rn[1]
-                mults = [an * x + ap * y for x, y in zip(rp[2], rn[2])]
-                nr = normalize((coeffs, b, mults))
-                key = (tuple(nr[0]), nr[1])
-                if key not in seen:
-                    seen.add(key)
-                    new.append(nr)
+                an = -rn[var]
+                _fm_add(new, seen, [an * x + ap * y for x, y in zip(rp, rn)], nvars)
                 if len(new) > _FM_ROW_CAP:
                     raise RuntimeError("Fourier-Motzkin row cap exceeded")
         rows = new
-    for row in rows:
-        if const_contradiction(row):
-            return "infeasible", tuple(row[2])
+    bad = _fm_contradiction(rows, nvars)
+    if bad is not None:
+        return "infeasible", bad
 
-    # back-substitute, last eliminated variable first
+    # back-substitute, last eliminated variable first; a bound rest / a does
+    # not change when its row is scaled by a positive number
     values = [Fraction(0)] * nvars
     for var in range(nvars - 1, -1, -1):
         lo = hi = None
-        for coeffs, b, _ in stages[var]:
-            a = coeffs[var]
+        for row in stages[var]:
+            a = row[var]
             if a == 0:
                 continue
-            rest = b - sum(
-                coeffs[k] * values[k] for k in range(var + 1, nvars) if coeffs[k]
+            rest = row[nvars] - sum(
+                row[k] * values[k] for k in range(var + 1, nvars) if row[k]
             )
-            bound = rest / a
+            bound = Fraction(rest, a)
             if a > 0:  # t_var < bound
                 hi = bound if hi is None else min(hi, bound)
             else:  # t_var > bound
@@ -290,69 +310,70 @@ def _fourier_motzkin(strict_rows, rhs):
         elif hi is None:
             values[var] = lo + 1
         else:
-            assert lo < hi, "feasible FM system must leave room at each variable"
+            if not lo < hi:
+                raise InvariantViolation(
+                    "feasible FM system must leave room at each variable"
+                )
             values[var] = (lo + hi) / 2
     return "feasible", tuple(values)
 
 
-def _feasible_lambda0(zd, eq_rows, eq_rhs, strict_pairs):
-    """Common core: equalities eq_rows . x = eq_rhs plus strict rows < 0."""
-    dim = zd.lattice.dim
-    strict_rows = [row for _, row in strict_pairs]
+def _certificate(eq_rows, eq_rhs, strict_rows, eq_mults, strict_mults):
+    """The infeasibility certificate, replayed before it is returned."""
+    cert = InfeasibilityCertificate(
+        eq_rows=tuple(tuple(map(Fraction, r)) for r in eq_rows),
+        eq_rhs=tuple(map(Fraction, eq_rhs)),
+        strict_rows=tuple(tuple(map(Fraction, r)) for r in strict_rows),
+        equality_multipliers=tuple(map(Fraction, eq_mults)),
+        strict_multipliers=tuple(map(Fraction, strict_mults)),
+    )
+    if not cert.replay():
+        raise InvariantViolation("infeasibility certificate failed to replay")
+    return cert
 
-    status, particular, basis = _solve_equalities(eq_rows, eq_rhs)
-    if status == "infeasible":
-        cert = InfeasibilityCertificate(
-            eq_rows=tuple(tuple(map(Fraction, r)) for r in eq_rows),
-            eq_rhs=tuple(map(Fraction, eq_rhs)),
-            strict_rows=tuple(tuple(map(Fraction, r)) for r in strict_rows),
-            equality_multipliers=particular,
-            strict_multipliers=tuple(Fraction(0) for _ in strict_rows),
-        )
-        assert cert.replay(), "equality certificate failed to replay"
-        return None, cert
-    if particular is None:  # no equality constraints at all
-        particular = tuple(Fraction(0) for _ in range(dim))
-        basis = tuple(
-            tuple(Fraction(1 if j == k else 0) for j in range(dim))
-            for k in range(dim)
-        )
+
+def _feasible_lambda0(dim, eq_rows, eq_rhs, strict_rows):
+    """Rational x with eq_rows . x = eq_rhs and strict_rows . x < 0.
+
+    Returns (x, None) or (None, certificate); all rows are integer.
+    """
+    if eq_rows:
+        status, payload = _solve_equalities(eq_rows, eq_rhs)
+        if status == "infeasible":
+            return None, _certificate(
+                eq_rows, eq_rhs, strict_rows, payload, [0] * len(strict_rows)
+            )
+        particular, basis, denom = payload
+    else:  # no equality constraints at all: x is free
+        particular = [0] * dim
+        basis = [[int(j == k) for j in range(dim)] for k in range(dim)]
+        denom = 1
 
     if not strict_rows:
-        return tuple(particular), None
+        return tuple(Fraction(p, denom) for p in particular), None
 
-    # substitute x = p + N t into the strict rows
+    # substitute D x = P + B t (D > 0) into the strict rows: row . x < 0
+    # becomes the integer row (row . B) t < -(row . P)
     sub_rows, sub_rhs = [], []
     for row in strict_rows:
-        const = sum((Fraction(c) * p for c, p in zip(row, particular)), Fraction(0))
-        coeffs = [
-            sum((Fraction(c) * n for c, n in zip(row, bvec)), Fraction(0))
-            for bvec in basis
-        ]
-        sub_rows.append(coeffs)
-        sub_rhs.append(-const)
+        nz = [(k, c) for k, c in enumerate(row) if c]
+        sub_rows.append([sum(c * bvec[k] for k, c in nz) for bvec in basis])
+        sub_rhs.append(-sum(c * particular[k] for k, c in nz))
 
     status, payload = _fourier_motzkin(sub_rows, sub_rhs)
     if status == "infeasible":
         strict_mults = payload
         combined = [
-            sum((m * Fraction(r[k]) for m, r in zip(strict_mults, strict_rows)),
-                Fraction(0))
+            sum(mu * row[k] for mu, row in zip(strict_mults, strict_rows) if mu)
             for k in range(dim)
         ]
         eq_mults = _solve_linear_combination(eq_rows, combined)
-        cert = InfeasibilityCertificate(
-            eq_rows=tuple(tuple(map(Fraction, r)) for r in eq_rows),
-            eq_rhs=tuple(map(Fraction, eq_rhs)),
-            strict_rows=tuple(tuple(map(Fraction, r)) for r in strict_rows),
-            equality_multipliers=tuple(-x for x in eq_mults),
-            strict_multipliers=strict_mults,
+        return None, _certificate(
+            eq_rows, eq_rhs, strict_rows, [-x for x in eq_mults], strict_mults
         )
-        assert cert.replay(), "strict certificate failed to replay"
-        return None, cert
     t = payload
     lambda0 = tuple(
-        p + sum((bvec[k] * tv for bvec, tv in zip(basis, t)), Fraction(0))
+        Fraction(p + sum((bvec[k] * tv for bvec, tv in zip(basis, t) if bvec[k]), 0), denom)
         for k, p in enumerate(particular)
     )
     return lambda0, None
@@ -362,7 +383,8 @@ def _witness_from_lambda0(zd, w, lambda0, ew):
     mult = lcm(*(x.denominator for x in lambda0)) if lambda0 else 1
     scaled = tuple(int(x * mult) for x in lambda0)
     for alpha in ew:
-        assert zd.lattice.pairing(scaled, alpha) < 0 or mult == 0
+        if not zd.lattice.pairing(scaled, alpha) < 0:
+            raise InvariantViolation("scaled witness fails a strict pairing")
     return HasseWitness(lambda0=lambda0, scaled_integral=scaled, multiplier=mult)
 
 
@@ -391,12 +413,7 @@ def hasse_feasible(zd: ZipDatum, w: WeylElement, lam: Sequence[int]) -> HasseRes
     ew = e_w_set(zd, w)
     eq_rows = _w_minus_z_rows(zd, w)
     eq_rhs = list(lam)
-    strict_pairs = [
-        (alpha, [zd.lattice.pairing(_unit(zd.lattice.dim, k), alpha)
-                 for k in range(zd.lattice.dim)])
-        for alpha in ew
-    ]
-    lambda0, cert = _feasible_lambda0(zd, eq_rows, eq_rhs, strict_pairs)
+    lambda0, cert = _feasible_lambda0(zd.lattice.dim, eq_rows, eq_rhs, _strict_rows(zd, ew))
     if lambda0 is None:
         return HasseResult(witness=None, certificate=cert)
     witness = _witness_from_lambda0(zd, w, lambda0, ew)
@@ -425,11 +442,7 @@ def hasse_any_Lweight(zd: ZipDatum, w: WeylElement):
             row.append(zd.lattice.pairing(img, alpha))
         eq_rows.append(row)
     eq_rhs = [0] * len(eq_rows)
-    strict_pairs = [
-        (alpha, [zd.lattice.pairing(_unit(dim, k), alpha) for k in range(dim)])
-        for alpha in ew
-    ]
-    lambda0, cert = _feasible_lambda0(zd, eq_rows, eq_rhs, strict_pairs)
+    lambda0, cert = _feasible_lambda0(dim, eq_rows, eq_rhs, _strict_rows(zd, ew))
     if lambda0 is None:
         return None, HasseResult(witness=None, certificate=cert)
     witness = _witness_from_lambda0(zd, w, lambda0, ew)
@@ -442,8 +455,15 @@ def hasse_any_Lweight(zd: ZipDatum, w: WeylElement):
     return lam_scaled, HasseResult(witness=witness, certificate=None)
 
 
-def _unit(dim: int, k: int) -> tuple[int, ...]:
-    return tuple(1 if j == k else 0 for j in range(dim))
+def _strict_rows(zd, ew):
+    """Row d of alpha's strict row is <e_d, alpha^vee>, read off the coroot
+    expansion of alpha^vee and the lattice's simple coroot pairings."""
+    cp = zd.lattice.coroot_pairing
+    rows = []
+    for alpha in ew:
+        nz = [(j, c) for j, c in enumerate(alpha.coroot_coords) if c]
+        rows.append([sum(c * cp[d][j] for j, c in nz) for d in range(zd.lattice.dim)])
+    return rows
 
 
 def _verify_witness(zd, w, lam, witness, ew, lam_multiplier=None):
@@ -457,9 +477,11 @@ def _verify_witness(zd, w, lam, witness, ew, lam_multiplier=None):
         )
     )
     factor = mult if lam_multiplier is None else lam_multiplier
-    assert got == tuple(factor * x for x in lam), "witness fails the weight equation"
+    if got != tuple(factor * x for x in lam):
+        raise InvariantViolation("witness fails the weight equation")
     for alpha in ew:
-        assert zd.lattice.pairing(scaled, alpha) < 0, "witness fails a strict pairing"
+        if not zd.lattice.pairing(scaled, alpha) < 0:
+            raise InvariantViolation("witness fails a strict pairing")
 
 
 def hasse_report(zd: ZipDatum, w: WeylElement, lam: Sequence[int] | None) -> dict:

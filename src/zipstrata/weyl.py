@@ -28,6 +28,11 @@ class BudgetExceeded(RuntimeError):
     """An enumeration would exceed the configured group-size budget."""
 
 
+class InvariantViolation(AssertionError):
+    """A load-bearing invariant failed; raised explicitly, so ``python -O``
+    does not remove the check."""
+
+
 class WeylElement:
     """Immutable group element; compare/hash by the action key."""
 
@@ -115,6 +120,9 @@ class WeylGroup:
         self._elements: dict = {}
         self._bruhat: dict = {}
         self._minimal_reps: dict = {}
+        self._parabolic_orders: dict = {}
+        self._by_length: dict = {}
+        self._reps_by_length: dict = {}
         self._twist_points: dict = {}
         # A positive root goes negative under w iff key[a] > key[b] for its
         # pair of points (a, b): e_a - e_b goes to e_w(a) - e_w(b) in type A,
@@ -323,9 +331,14 @@ class WeylGroup:
         return out
 
     def parabolic_order(self, K) -> int:
+        """|W_K|: a product of factorials in type A, else counted once per K."""
         if self.rs.realization == TYPE_A_GL:
             return math.prod(math.factorial(hi - lo) for lo, hi in self.blocks(K))
-        return sum(1 for _ in self.parabolic_elements(K))
+        key = frozenset(K)
+        order = self._parabolic_orders.get(key)
+        if order is None:
+            order = self._parabolic_orders[key] = sum(1 for _ in self.parabolic_elements(key))
+        return order
 
     def parabolic_elements(self, K) -> Iterator[WeylElement]:
         """All of W_K, lazily, identity first; deterministic order."""
@@ -458,7 +471,12 @@ class WeylGroup:
                 perms = nxt
             out = [self._intern(tuple(p)) for p in perms]
         else:
-            out = [w for w in self.elements() if self.is_minimal_rep(w, key)]
+            # drawn from the length index, so W is enumerated once per group
+            out = [
+                w
+                for k in range(len(self.rs.positive_roots) + 1)
+                for w in self.minimal_reps_of_length(key, k)
+            ]
         out.sort(key=lambda w: (w.length, w.word))
         self._minimal_reps[key] = out
         return out
@@ -479,8 +497,16 @@ class WeylGroup:
         else:
             yield from self._closure([self.simple(k) for k in self.rs.delta_indices()])
 
-    def elements_of_length(self, length: int) -> Iterator[WeylElement]:
-        """All w with l(w) = length, without enumerating the whole group (type A)."""
+    def elements_of_length(self, length: int) -> tuple[WeylElement, ...]:
+        """All w with l(w) = length, memoized per length.
+
+        Type A builds only the requested length, from Lehmer codes; generic
+        data bucket one enumeration of the whole group by length.
+        """
+        memo = self._by_length
+        out = memo.get(length)
+        if out is not None:
+            return out
         if self.rs.realization == TYPE_A_GL:
             n = self.n
             code = [0] * n
@@ -496,11 +522,25 @@ class WeylGroup:
                     yield from rec(i + 1, remaining - c)
                 code[i] = 0
 
+            out = []
             for lehmer in rec(0, length):
                 avail = list(range(n))
-                p = tuple(avail.pop(c) for c in lehmer)
-                yield self._intern(p, length)
-        else:
+                out.append(self._intern(tuple(avail.pop(c) for c in lehmer), length))
+            out = memo[length] = tuple(out)
+            return out
+        if not memo:
+            buckets: dict = {}
             for w in self.elements():
-                if w.length == length:
-                    yield w
+                buckets.setdefault(w.length, []).append(w)
+            memo.update((k, tuple(v)) for k, v in buckets.items())
+        return memo.get(length, ())
+
+    def minimal_reps_of_length(self, K, length: int) -> tuple[WeylElement, ...]:
+        """^K W intersected with length ``length``, memoized per (K, length)."""
+        key = (frozenset(K), length)
+        out = self._reps_by_length.get(key)
+        if out is None:
+            out = self._reps_by_length[key] = tuple(
+                w for w in self.elements_of_length(length) if self.is_minimal_rep(w, key[0])
+            )
+        return out

@@ -180,8 +180,8 @@ class ZipDatum:
             return []
         out = [
             cand
-            for cand in self.W.elements_of_length(w.length - 1)
-            if self.W.is_minimal_rep(cand, K) and self.twisted_leq(K, cand, w)
+            for cand in self.W.minimal_reps_of_length(K, w.length - 1)
+            if self.twisted_leq(K, cand, w)
         ]
         out.sort(key=lambda v: (v.length, v.word))
         return out

@@ -77,6 +77,23 @@ def test_sweep_length2_csv(capsys):
     assert len(lines) == 1 + 6  # (2,2),(3,2),(4,2),(3,3),(5,2),(4,3)
 
 
+def test_sweep_length2_verify_honours_budget(capsys):
+    # at (3,2) the twisted-order scan over W_K passes 3 elements
+    code = main(["--budget", "3", "sweep-length2", "--verify", "--n-max", "5"])
+    assert code == 3
+    assert capsys.readouterr().err.startswith("budget exceeded: ")
+
+
+def test_sweep_length2_verify_past_the_default_budget(capsys):
+    # (11,2) has |W_I| = 11! 2!, above the default budget
+    code, out = run(capsys, "--budget", "100000000", "sweep-length2", "--verify",
+                    "--n-max", "13")
+    assert code == 0
+    rows = json.loads(out)
+    assert len(rows) == sum(n // 2 - 1 for n in range(4, 14))
+    assert all(row[key]["agrees"] for row in rows for key in ("U1", "U2"))
+
+
 def test_hasse_single(capsys):
     code, out = run(capsys, "--gl", "4", "2", "hasse", "1,3,2,4")
     doc = json.loads(out)

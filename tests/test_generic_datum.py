@@ -20,6 +20,7 @@ from zipstrata.strata import (
     w_sequences,
     xi_of_weyl,
 )
+from zipstrata.weyl import WeylGroup
 from zipstrata.zipdatum import BasedAutomorphism, gl_zip_datum, make_zip_datum
 
 
@@ -43,6 +44,20 @@ def zd22_flip():
 def test_b2_minimal_reps_partition(zd_b2):
     reps = zd_b2.minimal_reps()
     assert len(reps) * zd_b2.W.parabolic_order(zd_b2.I) == 8
+
+
+def test_generic_parabolic_order_is_counted_once(monkeypatch):
+    rs, lat = build_generic([[2, -1, 0], [-1, 2, -2], [0, -1, 2]])
+    zd = make_zip_datum(rs, frozenset({2, 3}), lattice=lat)
+    w = zd.W.from_word([1, 2, 1])
+    first = xi_of_weyl(zd, w)
+    closures = []
+    original = WeylGroup._closure
+    monkeypatch.setattr(WeylGroup, "_closure",
+                        lambda self, gens: closures.append(gens) or original(self, gens))
+    assert xi_of_weyl(zd, w) == first
+    assert zd.W.parabolic_order(zd.I) == 8
+    assert closures == []
 
 
 def test_b2_sequence_conservation(zd_b2):

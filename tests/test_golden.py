@@ -1,9 +1,12 @@
 """Representation gates: frozen `strata-list` output on generic data, generic
-A_{n-1} against GL_n, and the shape of generic element keys.
+A_{n-1} against GL_n, and the shape of generic element keys; frozen
+`strata-list` and `hasse` output on GL_n and small generic data.
 
-The files under tests/data/ were written by the integer-matrix
-implementation of generic Weyl elements; any element representation must
-reproduce them byte for byte.
+The generic `strata_*.json` files under tests/data/ were written by the
+integer-matrix implementation of generic Weyl elements, and the
+`strata_GL*.json` and `hasse_*.json` files by the Fraction Hasse solver and
+the per-w enumeration of lower neighbours; every later implementation must
+reproduce them byte for byte, witnesses and multipliers included.
 """
 
 import json
@@ -77,6 +80,32 @@ def test_strata_list_matches_golden_dump(name, tmp_path, capsys):
     cartan, I, sigma = GOLDEN[name]
     out = _strata_list(capsys, tmp_path, cartan, I, sigma)
     assert out == (DATA / f"strata_{name}.json").read_text()
+
+
+@pytest.mark.parametrize(
+    "n,r,sigma", [(n, r, s) for n in (4, 5, 6) for r in range(1, n) for s in ("id", "flip")]
+)
+def test_gl_strata_list_matches_golden_dump(n, r, sigma, capsys):
+    out = _run(capsys, "--gl", str(n), str(r), "--sigma", sigma, "strata-list")
+    assert out == (DATA / f"strata_GL{n}_{r}_{sigma}.json").read_text()
+
+
+@pytest.mark.parametrize("name,datum", [
+    ("GL4_2", ("--gl", "4", "2")),
+    ("GL5_3", ("--gl", "5", "3")),
+    ("G2", GOLDEN["G2"][:2]),
+    ("B3", GOLDEN["B3"][:2]),
+])
+def test_hasse_search_matches_golden_dump(name, datum, tmp_path, capsys):
+    if datum[0] == "--gl":
+        argv = datum
+    else:
+        cartan, I = datum
+        path = tmp_path / "cartan.json"
+        path.write_text(json.dumps({"cartan": cartan}))
+        argv = ("--cartan", str(path), "--I", ",".join(map(str, I)))
+    out = _run(capsys, *argv, "hasse")
+    assert out == (DATA / f"hasse_{name}.json").read_text()
 
 
 @pytest.mark.parametrize("n,r", [(n, r) for n in (4, 5) for r in range(1, n)])

@@ -247,6 +247,24 @@ def test_elements_of_length_matches_filter():
         assert all(w.length == k for w in got)
 
 
+@pytest.mark.parametrize("W", [
+    _gl_group(5),
+    WeylGroup(build_generic([[2, -1, 0], [-1, 2, -2], [0, -1, 2]])[0]),
+], ids=["GL5", "B3"])
+def test_length_index_matches_filter(W):
+    els = list(W.elements())
+    top = max(w.length for w in els)
+    for k in range(top + 2):
+        assert set(W.elements_of_length(k)) == {w for w in els if w.length == k}
+        assert W.elements_of_length(k) is W.elements_of_length(k)  # memoized
+    for size in range(W.rs.rank + 1):
+        for K in itertools.combinations(W.rs.delta_indices(), size):
+            for k in range(top + 1):
+                got = W.minimal_reps_of_length(K, k)
+                assert set(got) == {w for w in W.minimal_reps(K) if w.length == k}
+                assert W.minimal_reps_of_length(set(K), k) is got
+
+
 def test_apply_weight_permutes_coordinates():
     W = _gl_group(4)
     w = W.from_one_line([3, 4, 1, 2])
