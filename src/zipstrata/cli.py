@@ -150,7 +150,9 @@ def cmd_sweep_length2(config: RunConfig, n_max: int, verify: bool) -> str:
     for n in range(4, n_max + 1):
         for s in range(2, n // 2 + 1):
             sig = Signature(n - s, s)
-            rows.append(verify_length2(sig, config.budget) if verify else length2_closed_form(sig))
+            rows.append(
+                verify_length2(sig, config.budget) if verify else length2_closed_form(sig)
+            )
     if config.fmt == "csv":
         return _sweep_csv(rows)
     return _emit(rows, config.fmt)

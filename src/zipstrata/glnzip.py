@@ -477,9 +477,9 @@ def verify_length2(sig: Signature, budget: int | None = None) -> dict:
     closed = length2_closed_form(sig)
     zd = sig.zip_datum(budget)
     # w', w1 and w2 (see Signature) in the Weyl group of this datum
-    W = zd.W
-    w_prime = W.simple(sig.r)
-    for key, w in (("U1", w_prime * W.simple(sig.r + 1)), ("U2", w_prime * W.simple(sig.r - 1))):
+    simple = zd.W.simple
+    w_prime = simple(sig.r)
+    for key, w in (("U1", w_prime * simple(sig.r + 1)), ("U2", w_prime * simple(sig.r - 1))):
         verdict = decide_smooth(zd, w, w_prime)
         closed[key]["decided_smooth"] = verdict.smooth
         closed[key]["decided_bounded"] = verdict.bounded

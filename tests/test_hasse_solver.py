@@ -69,7 +69,8 @@ def _data():
         for r in range(1, n):
             for sigma in ("id", "flip"):
                 yield f"GL{n}({r},{n - r}) {sigma}", gl_zip_datum(n, r, sigma=sigma)
-    for name, cartan in (("G2", [[2, -1], [-3, 2]]), ("B3", [[2, -1, 0], [-1, 2, -2], [0, -1, 2]])):
+    b3 = [[2, -1, 0], [-1, 2, -2], [0, -1, 2]]
+    for name, cartan in (("G2", [[2, -1], [-3, 2]]), ("B3", b3)):
         rs, lat = build_generic(cartan)
         for size in range(len(cartan) + 1):
             for I in itertools.combinations(range(1, len(cartan) + 1), size):
@@ -85,7 +86,8 @@ def _queries(zd):
     return out
 
 
-@pytest.mark.parametrize("name,zd", list(_data()), ids=lambda v: v if isinstance(v, str) else "")
+@pytest.mark.parametrize("name,zd", list(_data()),
+                         ids=lambda v: v if isinstance(v, str) else "")
 def test_hasse_matches_fraction_solver_on_every_stratum(name, zd, monkeypatch):
     new = _queries(zd)
     monkeypatch.setattr(hasse, "_feasible_lambda0", hasse_oracle._feasible_lambda0)
