@@ -1,10 +1,19 @@
 """Small finite fields F_{p^k} (k <= 3) and exact linear algebra over them.
 
 Field elements are integers 0..q-1 encoding polynomials over F_p in base-p
-digits (little endian).  Extensions are table-driven, so they stay small by
+digits (little endian).  Extensions are table-driven (addition, negation,
+multiplication, inverse and Frobenius tables), so they stay small by
 construction; prime fields work for any p (arithmetic mod p, no tables).
+
+Elimination works on whole rows: a field gives two row operations,
+``scale_row(row, c)`` = c row and ``sub_multiple(row, c, other)`` =
+row - c other, each one list comprehension (``% p`` on prime fields, the
+table row of c on extensions).  `RationalField` gives the same two, so
+`rref`, `det`, `mat_inv` and `mat_mul` also run over QQ.
+
 Subspaces are kept in row-reduced echelon form, which is canonical, so
-equality of subspaces is tuple equality.
+equality of subspaces is tuple equality; the pivot of an echelon row is the
+index of its first 1.
 """
 
 from __future__ import annotations
@@ -12,6 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
+
+from .weyl import InvariantViolation
 
 _TABLE_LIMIT = 2048
 
@@ -40,6 +51,8 @@ class Fq:
         self.q = p**k
         if k == 1:
             self.modulus = (0, 1) if modulus is None else tuple(modulus)
+            self._add_table = None
+            self._neg_table = None
             self._mul_table = None
             self._inv_table = None
             self._frob_table = None
@@ -79,7 +92,7 @@ class Fq:
             poly = tuple(digits) + (1,)
             if not self._has_root(poly):
                 return poly
-        raise AssertionError("no irreducible polynomial found")
+        raise InvariantViolation("no irreducible polynomial found")
 
     def _poly_of(self, a: int) -> list[int]:
         out = []
@@ -110,8 +123,13 @@ class Fq:
         return prod[:k]
 
     def _build_tables(self) -> None:
-        q = self.q
+        q, p = self.q, self.p
         polys = [self._poly_of(a) for a in range(q)]
+        self._add_table = [
+            [self._of_poly([(x + y) % p for x, y in zip(pa, pb)]) for pb in polys]
+            for pa in polys
+        ]
+        self._neg_table = [self._of_poly([-x % p for x in pa]) for pa in polys]
         mul = [[0] * q for _ in range(q)]
         for a in range(q):
             for b in range(a, q):
@@ -126,7 +144,7 @@ class Fq:
                     inv[a] = b
                     break
             else:
-                raise AssertionError("modulus is not irreducible")
+                raise InvariantViolation("modulus is not irreducible")
         self._inv_table = inv
         frob = [0] * q
         for a in range(q):
@@ -136,38 +154,25 @@ class Fq:
             frob[a] = acc
         self._frob_table = frob
         fixed = [a for a in range(q) if frob[a] == a]
-        assert len(fixed) == self.p, "Frobenius must fix exactly F_p"
+        if len(fixed) != self.p:
+            raise InvariantViolation("Frobenius must fix exactly F_p")
         cur = list(range(q))
         for _ in range(self.k):
             cur = [frob[a] for a in cur]
-        assert cur == list(range(q)), "sigma^k must be the identity"
+        if cur != list(range(q)):
+            raise InvariantViolation("sigma^k must be the identity")
 
     # -- arithmetic -----------------------------------------------------------
 
     def add(self, a: int, b: int) -> int:
         if self.k == 1:
             return (a + b) % self.p
-        p = self.p
-        out = 0
-        mult = 1
-        for _ in range(self.k):
-            out += ((a + b) % p) * mult
-            a //= p
-            b //= p
-            mult *= p
-        return out
+        return self._add_table[a][b]
 
     def neg(self, a: int) -> int:
         if self.k == 1:
             return (-a) % self.p
-        p = self.p
-        out = 0
-        mult = 1
-        for _ in range(self.k):
-            out += ((-a) % p) * mult
-            a //= p
-            mult *= p
-        return out
+        return self._neg_table[a]
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
@@ -183,6 +188,22 @@ class Fq:
         if self.k == 1:
             return pow(a, self.p - 2, self.p)
         return self._inv_table[a]
+
+    def scale_row(self, row: Sequence[int], c: int) -> list[int]:
+        """c row."""
+        if self.k == 1:
+            p = self.p
+            return [c * x % p for x in row]
+        t = self._mul_table[c]
+        return [t[x] for x in row]
+
+    def sub_multiple(self, row: Sequence[int], c: int, other: Sequence[int]) -> list[int]:
+        """row - c other."""
+        if self.k == 1:
+            p = self.p
+            return [(x - c * y) % p for x, y in zip(row, other)]
+        add, t = self._add_table, self._mul_table[self._neg_table[c]]
+        return [add[x][t[y]] for x, y in zip(row, other)]
 
     def frobenius(self, a: int) -> int:
         """x |-> x^p, the arithmetic Frobenius generator."""
@@ -210,6 +231,7 @@ class RationalField:
 
     zero = Fraction(0)
     one = Fraction(1)
+    k = 1  # QQ is its own prime field: every Frobenius power is the identity
 
     @staticmethod
     def add(a, b):
@@ -234,6 +256,14 @@ class RationalField:
         return 1 / Fraction(a)
 
     @staticmethod
+    def scale_row(row, c):
+        return [c * x for x in row]
+
+    @staticmethod
+    def sub_multiple(row, c, other):
+        return [x - c * y for x, y in zip(row, other)]
+
+    @staticmethod
     def frobenius(a):
         return a
 
@@ -256,34 +286,16 @@ def mat_identity(F, n: int) -> Matrix:
 
 
 def mat_mul(F, A: Matrix, B: Matrix) -> Matrix:
-    inner = len(B)
-    cols = len(B[0])
+    """Row i of AB: the rows of B combined with row i of A as coefficients."""
+    zero = [F.zero] * len(B[0])
     out = []
     for row in A:
-        new = []
-        for j in range(cols):
-            acc = F.zero
-            for k in range(inner):
-                if row[k] != F.zero and B[k][j] != F.zero:
-                    acc = F.add(acc, F.mul(row[k], B[k][j]))
-            new.append(acc)
-        out.append(tuple(new))
+        acc = zero
+        for c, brow in zip(row, B):
+            if c:
+                acc = F.sub_multiple(acc, F.neg(c), brow)
+        out.append(tuple(acc))
     return tuple(out)
-
-
-def mat_vec(F, A: Matrix, v: Sequence) -> tuple:
-    return tuple(
-        _dot(F, row, v)
-        for row in A
-    )
-
-
-def _dot(F, row, v):
-    acc = F.zero
-    for a, b in zip(row, v):
-        if a != F.zero and b != F.zero:
-            acc = F.add(acc, F.mul(a, b))
-    return acc
 
 
 def mat_transpose(A: Matrix) -> Matrix:
@@ -291,34 +303,27 @@ def mat_transpose(A: Matrix) -> Matrix:
 
 
 def rref(F, rows: Iterable[Sequence]) -> tuple:
-    """Canonical row-reduced echelon form; zero rows dropped."""
-    work = [list(r) for r in rows]
-    ncols = len(work[0]) if work else 0
-    out = []
-    col = 0
-    while work and col < ncols:
-        piv = next((i for i, r in enumerate(work) if r[col] != F.zero), None)
+    """Canonical row-reduced echelon form; zero rows dropped.
+
+    Gauss-Jordan on whole rows: the pivot rows come out in pivot-column
+    order, each led by a 1.
+    """
+    work = list(rows)
+    out: list = []
+    one = F.one
+    for col in range(len(work[0]) if work else 0):
+        piv = next((i for i, r in enumerate(work) if r[col]), None)
         if piv is None:
-            col += 1
             continue
         row = work.pop(piv)
-        inv = F.inv(row[col])
-        row = [F.mul(inv, x) for x in row]
-        for r in work:
-            if r[col] != F.zero:
-                f = r[col]
-                for j in range(ncols):
-                    r[j] = F.sub(r[j], F.mul(f, row[j]))
-        for r in out:
-            if r[col] != F.zero:
-                f = r[col]
-                for j in range(ncols):
-                    r[j] = F.sub(r[j], F.mul(f, row[j]))
+        if row[col] != one:
+            row = F.scale_row(row, F.inv(row[col]))
+        work = [F.sub_multiple(r, r[col], row) if r[col] else r for r in work]
+        out = [F.sub_multiple(r, r[col], row) if r[col] else r for r in out]
         out.append(row)
-        col += 1
-    out = [tuple(r) for r in out if any(x != F.zero for x in r)]
-    out.sort(key=lambda r: next(j for j, x in enumerate(r) if x != F.zero))
-    return tuple(out)
+        if not work:
+            break
+    return tuple(map(tuple, out))
 
 
 def rank(F, A: Matrix) -> int:
@@ -326,58 +331,50 @@ def rank(F, A: Matrix) -> int:
 
 
 def mat_inv(F, A: Matrix) -> Matrix:
+    """The right half of rref [A | 1]."""
     n = len(A)
-    work = [list(A[i]) + [F.one if j == i else F.zero for j in range(n)] for i in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if work[r][col] != F.zero), None)
-        if piv is None:
-            raise ZeroDivisionError("matrix is singular")
-        work[col], work[piv] = work[piv], work[col]
-        inv = F.inv(work[col][col])
-        work[col] = [F.mul(inv, x) for x in work[col]]
-        for r in range(n):
-            if r != col and work[r][col] != F.zero:
-                f = work[r][col]
-                work[r] = [F.sub(a, F.mul(f, b)) for a, b in zip(work[r], work[col])]
-    return tuple(tuple(row[n:]) for row in work)
+    red = rref(F, [tuple(row) + tuple(F.one if j == i else F.zero for j in range(n))
+                   for i, row in enumerate(A)])
+    # [A | 1] has rank n, and A is invertible iff the pivots are its first n
+    # columns, that is iff the last pivot sits in column n - 1
+    if n and red[-1][n - 1] != F.one:
+        raise ZeroDivisionError("matrix is singular")
+    return tuple(row[n:] for row in red)
 
 
 def det(F, A: Matrix):
     n = len(A)
-    work = [list(r) for r in A]
+    work = list(A)
     d = F.one
     for col in range(n):
-        piv = next((r for r in range(col, n) if work[r][col] != F.zero), None)
+        piv = next((r for r in range(col, n) if work[r][col]), None)
         if piv is None:
             return F.zero
         if piv != col:
             work[col], work[piv] = work[piv], work[col]
             d = F.neg(d)
-        d = F.mul(d, work[col][col])
-        inv = F.inv(work[col][col])
+        row = work[col]
+        d = F.mul(d, row[col])
+        inv = F.inv(row[col])
         for r in range(col + 1, n):
-            if work[r][col] != F.zero:
-                f = F.mul(work[r][col], inv)
-                for j in range(col, n):
-                    work[r][j] = F.sub(work[r][j], F.mul(f, work[col][j]))
+            if work[r][col]:
+                work[r] = F.sub_multiple(work[r], F.mul(work[r][col], inv), row)
     return d
 
 
 def kernel_basis(F, A: Matrix, ncols: int | None = None) -> list[tuple]:
-    """Basis of {x : A x = 0}."""
-    if not A:
-        n = ncols if ncols is not None else 0
-        return [tuple(F.one if i == j else F.zero for j in range(n)) for i in range(n)]
-    n = len(A[0])
+    """Basis of {x : A x = 0}; ``ncols`` gives the width when A has no rows."""
+    n = len(A[0]) if A else (ncols or 0)
     red = rref(F, A)
-    pivots = [next(j for j, x in enumerate(r) if x != F.zero) for r in red]
-    free = [j for j in range(n) if j not in pivots]
+    pivots = [r.index(F.one) for r in red]
     basis = []
-    for fc in free:
+    for fc in range(n):
+        if fc in pivots:
+            continue
         vec = [F.zero] * n
         vec[fc] = F.one
-        for i, pc in enumerate(pivots):
-            vec[pc] = F.neg(red[i][fc])
+        for row, pc in zip(red, pivots):
+            vec[pc] = F.neg(row[fc])
         basis.append(tuple(vec))
     return basis
 
@@ -392,8 +389,7 @@ class FqSubspace:
 
     @classmethod
     def from_vectors(cls, F, n: int, vectors: Iterable[Sequence]) -> "FqSubspace":
-        vecs = [tuple(v) for v in vectors]
-        return cls(F, n, rref(F, vecs) if vecs else ())
+        return cls(F, n, rref(F, vectors))
 
     @classmethod
     def zero(cls, F, n: int) -> "FqSubspace":
@@ -409,13 +405,11 @@ class FqSubspace:
 
     def contains(self, vec: Sequence) -> bool:
         F = self.field
-        v = list(vec)
         for row in self.rows:
-            piv = next(j for j, x in enumerate(row) if x != F.zero)
-            if v[piv] != F.zero:
-                f = v[piv]
-                v = [F.sub(a, F.mul(f, b)) for a, b in zip(v, row)]
-        return all(x == F.zero for x in v)
+            c = vec[row.index(F.one)]
+            if c:
+                vec = F.sub_multiple(vec, c, row)
+        return not any(vec)
 
     def __le__(self, other: "FqSubspace") -> bool:
         return all(other.contains(r) for r in self.rows)
@@ -427,35 +421,38 @@ class FqSubspace:
         return self.dim + other.dim - self.sum(other).dim
 
     def map_semilinear(self, A: Matrix, frob_m: int) -> "FqSubspace":
-        """Image under v |-> A sigma^m(v)."""
-        F = self.field
-        imgs = [
-            mat_vec(F, A, [F.frobenius_pow(x, frob_m) for x in row])
-            for row in self.rows
-        ]
-        return FqSubspace.from_vectors(F, self.n, imgs)
+        """Image under v |-> A sigma^m(v): the row space of sigma^m(rows) A^T."""
+        F, rows = self.field, self.rows
+        if not rows:
+            return self
+        if frob_m % F.k:
+            rows = [[F.frobenius_pow(x, frob_m) for x in row] for row in rows]
+        return FqSubspace.from_vectors(F, self.n, mat_mul(F, rows, mat_transpose(A)))
 
     def preimage(self, A: Matrix) -> "FqSubspace":
         """{x : A x in self}."""
-        F = self.field
-        n = self.n
-        reducer = []
-        for k in range(n):
-            e = [F.zero] * n
-            e[k] = F.one
-            v = list(e)
-            for row in self.rows:
-                piv = next(j for j, x in enumerate(row) if x != F.zero)
-                if v[piv] != F.zero:
-                    f = v[piv]
-                    v = [F.sub(a, F.mul(f, b)) for a, b in zip(v, row)]
-            reducer.append(v)
-        R = mat_transpose(tuple(tuple(r) for r in reducer))  # y |-> y mod self
-        RA = mat_mul(F, R, A)
-        return FqSubspace.from_vectors(F, n, kernel_basis(F, RA, n))
+        F, n, rows = self.field, self.n, self.rows
+        if len(rows) == n:
+            return self
+        # y lies in self iff y_j = sum_i rows[i][j] y_{p_i} at every non-pivot
+        # j (p_i the pivots); for y = A x that is row j of A minus the rows
+        # p_i of A weighted by rows[i][j], applied to x.
+        pivots = [r.index(F.one) for r in rows]
+        constraints = []
+        for j in range(n):
+            if j in pivots:
+                continue
+            c = A[j]
+            for row, p in zip(rows, pivots):
+                if row[j]:
+                    c = F.sub_multiple(c, row[j], A[p])
+            constraints.append(c)
+        return FqSubspace.from_vectors(F, n, kernel_basis(F, constraints))
 
     def apply_frobenius(self, m: int) -> "FqSubspace":
         F = self.field
+        if m % F.k == 0:  # sigma^m is the identity on F
+            return self
         return FqSubspace.from_vectors(
             F, self.n, [[F.frobenius_pow(x, m) for x in row] for row in self.rows]
         )

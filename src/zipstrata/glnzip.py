@@ -32,7 +32,7 @@ from .fq import (
     rank,
 )
 from .rootdata import TYPE_A_GL
-from .weyl import BudgetExceeded, WeylElement
+from .weyl import BudgetExceeded, InvariantViolation, WeylElement
 from .zipdatum import ZipDatum, ZipDatumError, gl_zip_datum
 
 
@@ -115,44 +115,43 @@ def phi_map(F, f: Matrix, sig: Signature, m: int = 1) -> tuple[Matrix, Matrix]:
     a, b = _phi_pair(F, f, n, r, m)
     sb = tuple(tuple(F.frobenius_pow(x, m) for x in row) for row in b)
     zero = tuple(tuple(F.zero for _ in range(n)) for _ in range(n))
-    assert mat_mul(F, a, sb) == zero and mat_mul(F, sb, a) == zero, "a sigma(b) != 0"
-    assert rank(F, a) == r and rank(F, b) == s, "phi_map rank condition failed"
+    if mat_mul(F, a, sb) != zero or mat_mul(F, sb, a) != zero:
+        raise InvariantViolation("a sigma(b) != 0")
+    if rank(F, a) != r or rank(F, b) != s:
+        raise InvariantViolation("phi_map rank condition failed")
     ker = FqSubspace.from_vectors(
         F, n, [[F.one if j == k else F.zero for j in range(n)] for k in range(r, n)]
     )
-    got = FqSubspace.from_vectors(F, n, kernel_basis(F, a, n))
-    assert got == ker, "ker(a) must be W_2"
+    if FqSubspace.from_vectors(F, n, kernel_basis(F, a, n)) != ker:
+        raise InvariantViolation("ker(a) must be W_2")
     return a, b
 
 
 def canonical_filtration(F, a: Matrix, b: Matrix, m: int = 1) -> list[FqSubspace]:
     """The coarsest filtration stable under F and V^{-1}, as an ascending chain.
 
-    Closes {0, D} under M |-> span(a sigma^m M) and M |-> sigma^m{y : b y in M};
-    the resulting family must be totally ordered and stabilize within 2n steps.
+    Closes {0, D} under M |-> span(a sigma^m M) and M |-> sigma^m{y : b y in M}
+    with a worklist, so each member of the family is mapped once.  The family
+    must be totally ordered, so it has at most n + 1 members.
     """
     n = len(a)
-    family: dict = {}
-    for sp in (FqSubspace.zero(F, n), FqSubspace.full(F, n)):
-        family[sp.rows] = sp
-    for _ in range(2 * n + 1):
-        new = {}
-        for sp in family.values():
-            img = sp.map_semilinear(a, m)
-            pre = sp.preimage(b).apply_frobenius(m)
-            for cand in (img, pre):
-                if cand.rows not in family and cand.rows not in new:
-                    new[cand.rows] = cand
-        if not new:
-            break
-        family.update(new)
-    else:
-        raise AssertionError("canonical filtration failed to stabilize in 2n steps")
+    todo = [FqSubspace.zero(F, n), FqSubspace.full(F, n)]
+    family = {sp.rows: sp for sp in todo}
+    while todo:
+        sp = todo.pop()
+        for cand in (sp.map_semilinear(a, m), sp.preimage(b).apply_frobenius(m)):
+            if cand.rows not in family:
+                if len(family) > n:
+                    raise InvariantViolation(
+                        f"canonical family exceeds n + 1 = {n + 1} subspaces; "
+                        "it is not a chain"
+                    )
+                family[cand.rows] = cand
+                todo.append(cand)
     chain = sorted(family.values(), key=lambda sp: sp.dim)
     for lower, upper in zip(chain, chain[1:]):
-        assert lower.dim < upper.dim and lower <= upper, (
-            "canonical family is not a chain; implementation bug"
-        )
+        if not (lower.dim < upper.dim and lower <= upper):
+            raise InvariantViolation("canonical family is not a chain; implementation bug")
     return chain
 
 
@@ -183,10 +182,11 @@ def _model_table(zd: ZipDatum) -> dict:
         table = {}
         for w in zd.minimal_reps():
             inv = _stratum_invariant(zd, F2, perm_matrix(F2, w * zd.z.inverse()), 1)
-            assert inv not in table, (
-                "stratum profiles must separate ^I W; collision at "
-                f"{w.one_line()} vs {table[inv].one_line()}"
-            )
+            if inv in table:
+                raise InvariantViolation(
+                    "stratum profiles must separate ^I W; collision at "
+                    f"{w.one_line()} vs {table[inv].one_line()}"
+                )
             table[inv] = w
         zd._extra["xi_model_table"] = table
     return table
@@ -211,22 +211,22 @@ def xi_classify(zd: ZipDatum, F, f: Matrix, m: int = 1) -> WeylElement:
         raise ZipDatumError("the matrix classifier needs sigma = id (split case)")
     if m < 1:
         raise ZipDatumError("the Frobenius exponent m must be >= 1")
-    g = mat_mul(F, f, perm_matrix(F, zd.z.inverse()))
+    # g = f perm_matrix(z^{-1}): column j of g is column z^{-1}(j) of f
+    cols = [i - 1 for i in zd.z.inverse().one_line()]
+    g = tuple(tuple(row[j] for j in cols) for row in f)
     return _model_table(zd)[_stratum_invariant(zd, F, g, m)]
 
 
 def _phi_pair(F, f: Matrix, n: int, r: int, m: int):
     """phi_map without the Signature wrapper (r is the parabolic cut)."""
     finv = mat_inv(F, f)
-    a = tuple(tuple(f[i][j] if j < r else F.zero for j in range(n)) for i in range(n))
-    minus = (-m) % (getattr(F, "k", 1))
-    b = tuple(
-        tuple(
-            F.frobenius_pow(finv[i][j], minus) if i >= r else F.zero
-            for j in range(n)
-        )
-        for i in range(n)
-    )
+    zeros = (F.zero,) * (n - r)
+    a = tuple(tuple(row[:r]) + zeros for row in f)
+    zero_row = (F.zero,) * n
+    b = tuple(finv[i] if i >= r else zero_row for i in range(n))
+    minus = (-m) % F.k
+    if minus:
+        b = tuple(tuple(F.frobenius_pow(x, minus) for x in row) for row in b)
     return a, b
 
 
@@ -368,7 +368,8 @@ def _char_poly(F, A: Matrix) -> tuple:
 
     out = minor(0, tuple(range(r)))
     out = out + (F.zero,) * (r + 1 - len(out))
-    assert out[r] == F.one, "characteristic polynomial must be monic"
+    if out[r] != F.one:
+        raise InvariantViolation("characteristic polynomial must be monic")
     return out
 
 

@@ -108,10 +108,12 @@ class InfeasibilityCertificate:
 
 @dataclass(frozen=True)
 class HasseResult:
-    """Outcome of a feasibility query: a witness or a replayable certificate."""
+    """Outcome of a feasibility query: a witness or a replayable certificate,
+    with the set E_w the strict inequalities were taken over."""
 
     witness: HasseWitness | None
     certificate: InfeasibilityCertificate | None
+    e_w: tuple[Root, ...]
 
     @property
     def feasible(self) -> bool:
@@ -410,15 +412,15 @@ def hasse_feasible(zd: ZipDatum, w: WeylElement, lam: Sequence[int]) -> HasseRes
     if not zd.in_IW(w):
         raise ZipDatumError(f"w = {w!r} is not in ^I W")
     _check_L_weight(zd, lam)
-    ew = e_w_set(zd, w)
+    ew = tuple(e_w_set(zd, w))
     eq_rows = _w_minus_z_rows(zd, w)
     eq_rhs = list(lam)
     lambda0, cert = _feasible_lambda0(zd.lattice.dim, eq_rows, eq_rhs, _strict_rows(zd, ew))
     if lambda0 is None:
-        return HasseResult(witness=None, certificate=cert)
+        return HasseResult(witness=None, certificate=cert, e_w=ew)
     witness = _witness_from_lambda0(zd, w, lambda0, ew)
     _verify_witness(zd, w, lam, witness, ew)
-    return HasseResult(witness=witness, certificate=None)
+    return HasseResult(witness=witness, certificate=None, e_w=ew)
 
 
 def hasse_any_Lweight(zd: ZipDatum, w: WeylElement):
@@ -430,7 +432,7 @@ def hasse_any_Lweight(zd: ZipDatum, w: WeylElement):
     """
     if not zd.in_IW(w):
         raise ZipDatumError(f"w = {w!r} is not in ^I W")
-    ew = e_w_set(zd, w)
+    ew = tuple(e_w_set(zd, w))
     dim = zd.lattice.dim
     wz = _w_minus_z_rows(zd, w)
     eq_rows = []
@@ -444,7 +446,7 @@ def hasse_any_Lweight(zd: ZipDatum, w: WeylElement):
     eq_rhs = [0] * len(eq_rows)
     lambda0, cert = _feasible_lambda0(dim, eq_rows, eq_rhs, _strict_rows(zd, ew))
     if lambda0 is None:
-        return None, HasseResult(witness=None, certificate=cert)
+        return None, HasseResult(witness=None, certificate=cert, e_w=ew)
     witness = _witness_from_lambda0(zd, w, lambda0, ew)
     lam_scaled = tuple(
         sum(wz[d][k] * witness.scaled_integral[k] for k in range(dim))
@@ -452,7 +454,7 @@ def hasse_any_Lweight(zd: ZipDatum, w: WeylElement):
     )
     _check_L_weight(zd, lam_scaled)
     _verify_witness(zd, w, lam_scaled, witness, ew, lam_multiplier=1)
-    return lam_scaled, HasseResult(witness=witness, certificate=None)
+    return lam_scaled, HasseResult(witness=witness, certificate=None, e_w=ew)
 
 
 def _strict_rows(zd, ew):
@@ -494,7 +496,7 @@ def hasse_report(zd: ZipDatum, w: WeylElement, lam: Sequence[int] | None) -> dic
         lam_field = list(lam)
     return {
         "w": w.label(),
-        "E_w": [list(a.coords) for a in e_w_set(zd, w)],
+        "E_w": [list(a.coords) for a in result.e_w],
         "lambda": lam_field,
         "feasible": result.feasible,
         "witness": list(result.witness.scaled_integral) if result.feasible else None,

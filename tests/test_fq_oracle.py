@@ -1,0 +1,128 @@
+"""Whole-row F_q elimination and the worklist canonical filtration against
+the entry-by-entry reference in `fq_oracle`, on seeded random inputs over
+F_2, F_3, F_4, F_8 and F_9 with Frobenius exponents m = 1, 2, 3 (on the
+extension fields sigma^m is the identity for some m and not for others).
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+import fq_oracle
+from zipstrata.fq import (
+    QQ,
+    Fq,
+    FqSubspace,
+    det,
+    kernel_basis,
+    mat_identity,
+    mat_inv,
+    mat_mul,
+    rref,
+)
+from zipstrata.glnzip import _phi_pair, canonical_filtration
+
+FIELDS = [(2, 1), (3, 1), (2, 2), (2, 3), (3, 2)]
+EXPONENTS = [1, 2, 3]
+
+
+def _ids(field):
+    p, k = field
+    return f"F{p ** k}"
+
+
+def _rand_rows(F, rng, count, n):
+    """``count`` random combinations of a random set of at most n vectors,
+    so that ranks, repeats and zero rows all occur."""
+    els = list(F.elements())
+    base = [[rng.choice(els) for _ in range(n)] for _ in range(rng.randint(0, n))]
+    rows = []
+    for _ in range(count):
+        row = [F.zero] * n
+        for v in base:
+            c = rng.choice(els)
+            row = [fq_oracle._add(F, x, F.mul(c, y)) for x, y in zip(row, v)]
+        rows.append(tuple(row))
+    return rows
+
+
+def _rand_matrix(F, rng, n):
+    els = list(F.elements())
+    return tuple(tuple(rng.choice(els) for _ in range(n)) for _ in range(n))
+
+
+def _rand_invertible(F, rng, n):
+    while True:
+        f = _rand_matrix(F, rng, n)
+        if len(fq_oracle.rref(F, f)) == n:
+            return f
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=_ids)
+def test_rref_and_kernel_match_reference(field):
+    F = Fq(*field)
+    rng = random.Random(field[0] * 10 + field[1])
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        rows = _rand_rows(F, rng, rng.randint(0, 7), n)
+        assert rref(F, rows) == fq_oracle.rref(F, rows), rows
+        assert kernel_basis(F, rows, n) == fq_oracle.kernel_basis(F, rows, n), rows
+
+
+@pytest.mark.parametrize("m", EXPONENTS)
+@pytest.mark.parametrize("field", FIELDS, ids=_ids)
+def test_subspace_maps_match_reference(field, m):
+    F = Fq(*field)
+    rng = random.Random(field[0] * 100 + field[1] * 10 + m)
+    els = list(F.elements())
+    for _ in range(150):
+        n = rng.randint(1, 5)
+        sp = FqSubspace.from_vectors(F, n, _rand_rows(F, rng, rng.randint(0, n + 1), n))
+        A = _rand_matrix(F, rng, n)
+        assert sp.preimage(A).rows == fq_oracle.preimage(F, sp.rows, n, A)
+        assert sp.map_semilinear(A, m).rows == fq_oracle.map_semilinear(F, sp.rows, A, m)
+        assert sp.apply_frobenius(m).rows == fq_oracle.apply_frobenius(F, sp.rows, m)
+        v = tuple(rng.choice(els) for _ in range(n))
+        assert sp.contains(v) == (len(fq_oracle.rref(F, sp.rows + (v,))) == sp.dim)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=_ids)
+def test_inverse_and_determinant(field):
+    F = Fq(*field)
+    rng = random.Random(field[0] * 1000 + field[1])
+    for _ in range(100):
+        n = rng.randint(1, 5)
+        f, g = _rand_invertible(F, rng, n), _rand_matrix(F, rng, n)
+        assert fq_oracle.mat_mul(F, f, mat_inv(F, f)) == mat_identity(F, n)
+        assert mat_mul(F, f, g) == fq_oracle.mat_mul(F, f, g)
+        assert det(F, f) != F.zero
+        assert det(F, fq_oracle.mat_mul(F, f, g)) == F.mul(det(F, f), det(F, g))
+        if len(fq_oracle.rref(F, g)) < n:
+            assert det(F, g) == F.zero
+            with pytest.raises(ZeroDivisionError):
+                mat_inv(F, g)
+
+
+@pytest.mark.parametrize("m", EXPONENTS)
+@pytest.mark.parametrize("field", FIELDS, ids=_ids)
+def test_filtration_matches_round_based_reference(field, m):
+    F = Fq(*field)
+    rng = random.Random(field[0] * 7 + field[1] * 3 + m)
+    for _ in range(40):
+        n = rng.randint(2, 4)
+        a, b = _phi_pair(F, _rand_invertible(F, rng, n), n, rng.randint(1, n - 1), m)
+        chain = [sp.rows for sp in canonical_filtration(F, a, b, m)]
+        assert chain == fq_oracle.canonical_filtration(F, a, b, m), (a, b)
+
+
+def test_rational_rows_match_reference():
+    rng = random.Random(11)
+    for _ in range(200):
+        n = rng.randint(1, 5)
+        rows = [tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n))
+                for _ in range(rng.randint(0, 6))]
+        assert rref(QQ, rows) == fq_oracle.rref(QQ, rows), rows
+        if len(rows) == n and len(fq_oracle.rref(QQ, rows)) == n:
+            assert fq_oracle.mat_mul(QQ, rows, mat_inv(QQ, rows)) == mat_identity(QQ, n)
+            assert det(QQ, rows) != 0

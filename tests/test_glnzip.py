@@ -1,6 +1,10 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -115,9 +119,34 @@ def test_filtration_endpoints_and_stability():
         assert chain[0].dim == 0 and chain[-1].dim == 4
         for step in chain:
             assert step.map_semilinear(a, 1) <= step
-            assert step.preimage(b).apply_frobenius(1) >= step or True
             # V^{-1}-stability: step <= sigma({y : b y in step})
             assert step <= step.preimage(b).apply_frobenius(1)
+
+
+def test_filtration_checks_survive_python_O():
+    # a = b = e_1 e_1^T: on F_2^3 the family {0, <e1>, <e2,e3>, D} has n + 1
+    # members but is no chain; on F_2^2, {0, <e1>, <e2>, D} exceeds n + 1
+    script = (
+        "from zipstrata.fq import Fq\n"
+        "from zipstrata.glnzip import canonical_filtration\n"
+        "from zipstrata.weyl import InvariantViolation\n"
+        "assert False, 'python -O keeps asserts'\n"
+        "for n in (3, 2):\n"
+        "    e11 = tuple(tuple(int(i == j == 0) for j in range(n)) for i in range(n))\n"
+        "    try:\n"
+        "        canonical_filtration(Fq(2), e11, e11)\n"
+        "    except InvariantViolation as exc:\n"
+        "        print(exc)\n"
+    )
+    src = str(Path(canonical_filtration.__code__.co_filename).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    done = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == [
+        "canonical family is not a chain; implementation bug",
+        "canonical family exceeds n + 1 = 3 subspaces; it is not a chain",
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -177,6 +177,19 @@ def test_report_shape(zd22):
     assert set(doc2) == {"w", "E_w", "lambda", "feasible", "witness", "multiplier"}
 
 
+def test_report_computes_e_w_once(zd22, monkeypatch):
+    from zipstrata import hasse
+
+    calls = []
+    monkeypatch.setattr(hasse, "e_w_set", lambda zd, w: calls.append(w) or e_w_set(zd, w))
+    w = zd22.W.from_one_line([3, 1, 4, 2])
+    for lam in (None, [0, 0, 0, 0]):
+        calls.clear()
+        doc = hasse_report(zd22, w, lam)
+        assert calls == [w]
+        assert doc["E_w"] == [list(a.coords) for a in e_w_set(zd22, w)]
+
+
 def test_feasibility_sweep_53_random_weights():
     # every outcome must carry a valid witness or a replaying certificate,
     # including longer strata where several descent roots stack up
