@@ -423,8 +423,6 @@ class FqSubspace:
     def map_semilinear(self, A: Matrix, frob_m: int) -> "FqSubspace":
         """Image under v |-> A sigma^m(v): the row space of sigma^m(rows) A^T."""
         F, rows = self.field, self.rows
-        if not rows:
-            return self
         if frob_m % F.k:
             rows = [[F.frobenius_pow(x, frob_m) for x in row] for row in rows]
         return FqSubspace.from_vectors(F, self.n, mat_mul(F, rows, mat_transpose(A)))
