@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .rootdata import Root, is_compact
-from .weyl import BudgetExceeded, WeylElement
+from .weyl import BudgetExceeded, InvariantViolation, WeylElement
 from .zipdatum import ZipDatum, ZipDatumError
 
 
@@ -66,7 +66,7 @@ def w_sequences(zd: ZipDatum, v: WeylElement):
                 break
             body.append(cur)
         else:
-            raise AssertionError("w-sequence failed to terminate")
+            raise InvariantViolation("w-sequence failed to terminate")
         seqs.append(WSequence(beta0, tuple(body), cur))
     n_plus = sum(1 for s in seqs if s.sign > 0)
     return seqs, n_plus, len(seqs) - n_plus
@@ -133,7 +133,7 @@ def xi_of_weyl(zd: ZipDatum, w: WeylElement) -> WeylElement:
             if nxt.length == y.length and nxt.key not in seen:
                 seen.add(nxt.key)
                 level.append(nxt)
-    raise AssertionError(
+    raise InvariantViolation(
         f"the Xi walk from {w!r} accepted nothing; the representative theory is violated"
     )
 
@@ -149,7 +149,8 @@ def pi_small(zd: ZipDatum, w: WeylElement) -> WeylElement:
             f"pi is only computed on small elements; {w!r} is not small"
         )
     out = xi_of_weyl(zd, w)
-    assert out.length == w.length, "pi must preserve length on small elements"
+    if out.length != w.length:
+        raise InvariantViolation("pi must preserve length on small elements")
     return out
 
 

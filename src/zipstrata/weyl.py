@@ -11,6 +11,14 @@ that root.  Type A keeps its block algorithms on one-line keys.  The Bruhat
 order is computed by the lifting recursion and memoized on the group;
 reduced words are chosen greedily (smallest simple index first) so that all
 enumerations are reproducible.
+
+Hot loops work on raw key tuples (`compose`, `invert`, `conjugate`) and
+intern only their results: `parabolic_keys` enumerates W_K as keys, and
+`parabolic_elements` and `_closure` intern on top of it; `coatom_keys` gives
+the Bruhat coatoms w t (t a reflection, l(w t) = l(w) - 1).  ^K W is closed
+under prefixes in the right weak order (Deodhar), so `minimal_reps_of_length`
+builds it level by level from {e} along w -> w s, and generic `minimal_reps`
+never enumerates W.
 """
 
 from __future__ import annotations
@@ -22,6 +30,27 @@ from typing import Iterable, Iterator, Sequence
 from .rootdata import TYPE_A_GL, CharacterLattice, Root, RootSystem
 
 DEFAULT_BUDGET = math.factorial(10)
+
+
+def compose(u: tuple, v: tuple) -> tuple:
+    """The key of u v: (u v)[i] = u[v[i]]."""
+    return tuple(map(u.__getitem__, v))
+
+
+def invert(p: tuple) -> tuple:
+    """The key of p^{-1}."""
+    q = [0] * len(p)
+    for i, v in enumerate(p):
+        q[v] = i
+    return tuple(q)
+
+
+def conjugate(x: tuple, y: tuple) -> tuple:
+    """The key of x y x^{-1}: it sends x[i] to x[y[i]]."""
+    out = [0] * len(y)
+    for i, v in enumerate(y):
+        out[x[i]] = x[v]
+    return tuple(out)
 
 
 class BudgetExceeded(RuntimeError):
@@ -124,6 +153,7 @@ class WeylGroup:
         self._by_length: dict = {}
         self._reps_by_length: dict = {}
         self._twist_points: dict = {}
+        self._reflections: dict = {}
         # A positive root goes negative under w iff key[a] > key[b] for its
         # pair of points (a, b): e_a - e_b goes to e_w(a) - e_w(b) in type A,
         # and root a lands below index N iff -root a = root b lands above it.
@@ -171,13 +201,19 @@ class WeylGroup:
         return w
 
     def reflection(self, root: Root) -> WeylElement:
-        """The reflection s_alpha for an arbitrary root alpha."""
+        """The reflection s_alpha for an arbitrary root alpha, memoized."""
+        el = self._reflections.get(root.coords)
+        if el is None:
+            el = self._reflections[root.coords] = self._intern(self._reflection_key(root))
+        return el
+
+    def _reflection_key(self, root: Root) -> tuple:
         if self.rs.realization == TYPE_A_GL:
             i = root.coords.index(1)
             j = root.coords.index(-1)
             p = list(range(self.n))
             p[i], p[j] = p[j], p[i]
-            return self._intern(tuple(p))
+            return tuple(p)
         # s_alpha(beta) = beta - <beta, alpha^vee> alpha in simple-root coordinates
         C = self.rs.cartan
         alpha = root.simple_coords
@@ -187,7 +223,7 @@ class WeylGroup:
             p = sum(b * c for b, c in zip(beta.simple_coords, col))
             image = tuple(b - p * a for b, a in zip(beta.simple_coords, alpha))
             key.append(self._root_index[image])
-        return self._intern(tuple(key))
+        return tuple(key)
 
     def twist(self, w: WeylElement, delta_perm: Sequence[int]) -> WeylElement:
         """sigma(w) for the diagram automorphism alpha_k -> alpha_{delta_perm[k-1]}.
@@ -195,6 +231,10 @@ class WeylGroup:
         sigma permutes the points the keys act on, and sigma(w) is w
         conjugated by that permutation tau: sigma(w)[tau[i]] = tau[w[i]].
         """
+        return self._intern(conjugate(self.twist_points(delta_perm), w.key), w._length)
+
+    def twist_points(self, delta_perm: Sequence[int]) -> tuple:
+        """The permutation tau of the key points that sigma induces."""
         delta_perm = tuple(delta_perm)
         tau = self._twist_points.get(delta_perm)
         if tau is None:
@@ -210,25 +250,17 @@ class WeylGroup:
                     for k, c in enumerate(root.simple_coords):
                         img[delta_perm[k] - 1] = c
                     tau.append(self._root_index[tuple(img)])
+                tau = tuple(tau)
             self._twist_points[delta_perm] = tau
-        key = w.key
-        out = [0] * len(key)
-        for i, v in enumerate(key):
-            out[tau[i]] = tau[v]
-        return self._intern(tuple(out), w._length)
+        return tau
 
     # -- primitive operations -----------------------------------------------
 
     def _mul(self, u: WeylElement, v: WeylElement) -> WeylElement:
-        uk = u.key
-        return self._intern(tuple(uk[x] for x in v.key))
+        return self._intern(compose(u.key, v.key))
 
     def _inverse(self, w: WeylElement) -> WeylElement:
-        p = w.key
-        q = [0] * len(p)
-        for i, v in enumerate(p):
-            q[v] = i
-        el = self._intern(tuple(q), w._length)
+        el = self._intern(invert(w.key), w._length)
         el._inv = w
         return el
 
@@ -256,7 +288,9 @@ class WeylGroup:
         return out
 
     def _length(self, w: WeylElement) -> int:
-        p = w.key
+        return self._key_length(w.key)
+
+    def _key_length(self, p: tuple) -> int:
         return sum(1 for a, b in self._positive_pairs if p[a] > p[b])
 
     # -- descents -----------------------------------------------------------
@@ -312,6 +346,19 @@ class WeylGroup:
         memo[key] = res
         return res
 
+    def coatom_keys(self, w: WeylElement) -> list[tuple]:
+        """Keys of the Bruhat coatoms of w: the w t, t a reflection, with
+        l(w t) = l(w) - 1 (Bjorner-Brenti, ch. 2); uninterned."""
+        p = w.key
+        below = w.length - 1
+        out = []
+        for (a, b), root in zip(self._positive_pairs, self.rs.positive_roots):
+            if p[a] > p[b]:  # w sends root negative: l(w s_root) < l(w)
+                u = compose(p, self.reflection(root).key)
+                if self._key_length(u) == below:
+                    out.append(u)
+        return out
+
     # -- parabolic machinery ---------------------------------------------------
 
     def blocks(self, K: frozenset[int] | set[int]) -> list[tuple[int, int]]:
@@ -342,39 +389,55 @@ class WeylGroup:
 
     def parabolic_elements(self, K) -> Iterator[WeylElement]:
         """All of W_K, lazily, identity first; deterministic order."""
+        for key in self.parabolic_keys(K):
+            yield self._intern(key)
+
+    def parabolic_keys(self, K) -> Iterator[tuple]:
+        """The keys of `parabolic_elements(K)`, in the same order, uninterned."""
         if self.rs.realization == TYPE_A_GL:
-            blocks = self.blocks(K)
+            moving = [(lo, hi) for lo, hi in self.blocks(K) if hi - lo > 1]
+            if not moving:
+                return iter([self.identity.key])
+            tail = tuple(range(moving[-1][1], self.n))
+            last = len(moving) - 1
 
             # block by block, the first block slowest, so that taking a few
-            # elements never materializes a block's permutations
-            def rec(i: int, prefix: tuple[int, ...]) -> Iterator[WeylElement]:
-                if i == len(blocks):
-                    yield self._intern(prefix)
-                    return
-                lo, hi = blocks[i]
-                for piece in itertools.permutations(range(lo, hi)):
-                    yield from rec(i + 1, prefix + piece)
+            # elements never materializes a block's permutations; the points
+            # between the blocks are fixed
+            def rec(i: int, prefix: tuple[int, ...]) -> Iterator[tuple]:
+                lo, hi = moving[i]
+                head = prefix + tuple(range(len(prefix), lo))
+                pieces = itertools.permutations(range(lo, hi))
+                if i == last:
+                    for piece in pieces:
+                        yield head + piece + tail
+                else:
+                    for piece in pieces:
+                        yield from rec(i + 1, head + piece)
 
-            yield from rec(0, ())
-        else:
-            gens = [self.simple(k) for k in sorted(K)]
-            yield from self._closure(gens)
+            return rec(0, ())
+        return self._closure_keys([self.simple(k).key for k in sorted(K)])
 
     def _closure(self, gens) -> Iterator[WeylElement]:
+        for key in self._closure_keys([g.key for g in gens]):
+            yield self._intern(key)
+
+    def _closure_keys(self, gens: list[tuple]) -> Iterator[tuple]:
+        """The subgroup generated by the keys ``gens``, breadth first from e."""
         seen = {self.identity.key}
-        frontier = [self.identity]
-        yield self.identity
+        frontier = [self.identity.key]
+        yield self.identity.key
         while frontier:
             nxt = []
             for w in frontier:
                 for g in gens:
-                    u = w * g
-                    if u.key not in seen:
+                    u = compose(w, g)
+                    if u not in seen:
                         if len(seen) >= self.budget:
                             raise BudgetExceeded(
                                 f"group enumeration exceeds budget {self.budget}"
                             )
-                        seen.add(u.key)
+                        seen.add(u)
                         nxt.append(u)
                         yield u
             frontier = nxt
@@ -471,12 +534,14 @@ class WeylGroup:
                 perms = nxt
             out = [self._intern(tuple(p)) for p in perms]
         else:
-            # drawn from the length index, so W is enumerated once per group
-            out = [
-                w
-                for k in range(len(self.rs.positive_roots) + 1)
-                for w in self.minimal_reps_of_length(key, k)
-            ]
+            out = []
+            for length in itertools.count():
+                level = self.minimal_reps_of_length(key, length)
+                if not level:
+                    break
+                out.extend(level)
+                if len(out) > self.budget:
+                    raise BudgetExceeded(f"|^K W| exceeds budget {self.budget}")
         out.sort(key=lambda w: (w.length, w.word))
         self._minimal_reps[key] = out
         return out
@@ -501,7 +566,10 @@ class WeylGroup:
         """All w with l(w) = length, memoized per length.
 
         Type A builds only the requested length, from Lehmer codes; generic
-        data bucket one enumeration of the whole group by length.
+        data bucket one enumeration of the whole group by length.  The
+        library itself no longer calls this (^K W comes from the weak-order
+        search of `minimal_reps_of_length`); the span tracer of
+        `perfbench/tracing.py` still wraps it by name.
         """
         memo = self._by_length
         out = memo.get(length)
@@ -536,11 +604,41 @@ class WeylGroup:
         return memo.get(length, ())
 
     def minimal_reps_of_length(self, K, length: int) -> tuple[WeylElement, ...]:
-        """^K W intersected with length ``length``, memoized per (K, length)."""
-        key = (frozenset(K), length)
-        out = self._reps_by_length.get(key)
-        if out is None:
-            out = self._reps_by_length[key] = tuple(
-                w for w in self.elements_of_length(length) if self.is_minimal_rep(w, key[0])
-            )
-        return out
+        """^K W intersected with length ``length``, memoized per (K, length).
+
+        ^K W is closed under prefixes in the right weak order (Deodhar), so
+        level l + 1 is the set of w s with w in level l, s not a right descent
+        of w, and w s in ^K W; the search starts from {e} and never builds an
+        element outside ^K W.
+        """
+        K = frozenset(K)
+        memo = self._reps_by_length
+        hit = memo.get((K, length))
+        if hit is not None:
+            return hit
+        if length < 0:
+            return ()
+        memo.setdefault((K, 0), (self.identity,))
+        top = length
+        while (K, top) not in memo:
+            top -= 1
+        level = memo[(K, top)]
+        K_pairs = [self._simple_pairs[k - 1] for k in sorted(K)]
+        simples = [(pair, self.simple(k).key)
+                   for k, pair in enumerate(self._simple_pairs, 1)]
+        while top < length:
+            top += 1
+            nxt: dict = {}
+            for w in level:
+                p = w.key
+                for (a, b), s in simples:
+                    if p[a] > p[b]:
+                        continue  # s is a right descent of w
+                    u = compose(p, s)
+                    if u in nxt:
+                        continue
+                    q = invert(u)
+                    if all(q[c] < q[d] for c, d in K_pairs):  # no left descent in K
+                        nxt[u] = None
+            level = memo[(K, top)] = tuple(self._intern(u, top) for u in nxt)
+        return level

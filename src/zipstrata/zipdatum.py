@@ -15,15 +15,35 @@ K inside I, so the twisted order on ^K W is always
 
 A "re-derived z per K" variant would silently change these orders; do not do
 that.
+
+Lower neighbours use two facts.  For w' in ^K W and x in W_K, l(x w') =
+l(x) + l(w') and psi preserves length, so l(x w' psi(x)^{-1}) >= l(w');
+hence when l(w') = l(w) - 1 a witness is w itself or a Bruhat coatom of w.
+And with tau the permutation of key points that sigma induces (sigma(x) =
+tau x tau^{-1}) and A = z^{-1} tau, psi(x) = A x A^{-1}, so
+
+    x w' psi(x)^{-1} = t   iff   x (w' A) x^{-1} = t A,
+
+one conjugation of a raw key and one set lookup per x.
 """
 
 from __future__ import annotations
 
+import copy
+import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .rootdata import CharacterLattice, Root, RootSystem, build_gl
-from .weyl import BudgetExceeded, DEFAULT_BUDGET, WeylElement, WeylGroup
+from .weyl import (
+    BudgetExceeded,
+    DEFAULT_BUDGET,
+    InvariantViolation,
+    WeylElement,
+    WeylGroup,
+    compose,
+    conjugate,
+)
 
 
 class ZipDatumError(ValueError):
@@ -84,7 +104,8 @@ class BasedAutomorphism:
                 img[self.delta_perm[k] - 1] = c
             table[r.coords] = by_simple[tuple(img)]
         for r in self.rs.roots:
-            assert table[r.coords].is_positive == r.is_positive, "sigma must fix Phi+"
+            if table[r.coords].is_positive != r.is_positive:
+                raise InvariantViolation("sigma must fix Phi+")
         return table
 
     def apply_root(self, root: Root) -> Root:
@@ -114,6 +135,13 @@ class ZipDatum:
     _canonical_types: dict = field(default_factory=dict, repr=False)
     _small: dict = field(default_factory=dict, repr=False)
     _extra: dict = field(default_factory=dict, repr=False)
+    _frame: tuple = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        # A = z^{-1} tau, so that psi(x) = A x A^{-1} (module docstring)
+        self._frame = compose(
+            self.z.inverse().key, self.W.twist_points(self.sigma.delta_perm)
+        )
 
     # -- basic derived maps ----------------------------------------------------
 
@@ -171,18 +199,35 @@ class ZipDatum:
         return False
 
     def lower_neighbors(self, K: Iterable[int], w: WeylElement) -> list[WeylElement]:
-        """Gamma_K(w): the w' in ^K W with l(w') = l(w) - 1 and w' <=_K w."""
+        """Gamma_K(w): the w' in ^K W with l(w') = l(w) - 1 and w' <=_K w.
+
+        The witnesses are w and its Bruhat coatoms, tested on keys (see the
+        module docstring); W_K is scanned lazily up to the first hit, with
+        the budget of `twisted_leq` per candidate.
+        """
         K = frozenset(K)
         self._check_K_inside_I(K)
-        if not self.W.is_minimal_rep(w, K):
+        W = self.W
+        if not W.is_minimal_rep(w, K):
             raise ZipDatumError(f"w = {w!r} is not in ^K W for K={sorted(K)}")
         if w.length == 0:
             return []
-        out = [
-            cand
-            for cand in self.W.minimal_reps_of_length(K, w.length - 1)
-            if self.twisted_leq(K, cand, w)
-        ]
+        frame = self._frame
+        targets = {compose(t, frame) for t in (w.key, *W.coatom_keys(w))}
+        # never advanced itself: each copy replays the keys drawn so far and
+        # draws the rest on demand, so W_K is enumerated at most once per call
+        drawn = itertools.tee(W.parabolic_keys(K), 1)[0]
+        out = []
+        for cand in W.minimal_reps_of_length(K, w.length - 1):
+            c = compose(cand.key, frame)
+            for scanned, x in enumerate(copy.copy(drawn), 1):
+                if scanned > W.budget:
+                    raise BudgetExceeded(
+                        f"twisted_leq scanned more than {W.budget} elements of W_K"
+                    )
+                if conjugate(x, c) in targets:
+                    out.append(cand)
+                    break
         out.sort(key=lambda v: (v.length, v.word))
         return out
 
@@ -221,7 +266,8 @@ class ZipDatum:
             op.apply(self.sigma.apply_root(self.rs.simple(k))).coords
             for k in result
         }
-        assert img == set(current.keys()), "canonical type is not phi_w-stable"
+        if img != set(current.keys()):
+            raise InvariantViolation("canonical type is not phi_w-stable")
         self._canonical_types[w.key] = result
         return result
 
@@ -265,8 +311,8 @@ def make_zip_datum(
         J.add(img.simple_coords.index(1) + 1)
     zd = ZipDatum(rs, I, sigma, lattice, W, z, frozenset(J))
     for k in sorted(I):
-        img = zd.psi(W.simple(k))
-        assert img.length == 1, "psi must map simple reflections to simple reflections"
+        if zd.psi(W.simple(k)).length != 1:
+            raise InvariantViolation("psi must map simple reflections to simple reflections")
     return zd
 
 

@@ -69,6 +69,30 @@ def test_budget_exit_code(capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("budget,code", [(20, 3), (35, 3), (36, 0)])
+def test_lower_neighbour_scan_budget_exit_code(capsys, budget, code):
+    # GL_6 (3,3): |^I W| = 20 fits every budget here, and the scan of
+    # W_I (36 elements) for a candidate below no element of W_I w' psi(.)^-1
+    # ends only after all of W_I
+    assert main(["--gl", "6", "3", "--budget", str(budget), "strata-list"]) == code
+    err = capsys.readouterr().err
+    if code == 3:
+        assert err == f"budget exceeded: twisted_leq scanned more than {budget} elements of W_K\n"
+
+
+def test_generic_budget_caps_the_representatives_not_the_group(capsys, tmp_path):
+    # B3, I = {2,3}: |W| = 48, |W_I| = 8, |^I W| = 6; every lower-neighbour
+    # scan hits within 7 elements of W_I, and ^I W is searched without
+    # enumerating W
+    path = tmp_path / "b3.json"
+    path.write_text(json.dumps({"cartan": [[2, -1, 0], [-1, 2, -2], [0, -1, 2]]}))
+    argv = ["--cartan", str(path), "--I", "2,3", "--budget"]
+    assert main(argv + ["7", "strata-list"]) == 0
+    capsys.readouterr()
+    assert main(argv + ["5", "strata-list"]) == 3
+    assert capsys.readouterr().err == "budget exceeded: |^K W| exceeds budget 5\n"
+
+
 def test_sweep_length2_csv(capsys):
     code, out = run(capsys, "--format", "csv", "sweep-length2", "--n-max", "7")
     assert code == 0

@@ -52,8 +52,8 @@ def test_generic_parabolic_order_is_counted_once(monkeypatch):
     w = zd.W.from_word([1, 2, 1])
     first = xi_of_weyl(zd, w)
     closures = []
-    original = WeylGroup._closure
-    monkeypatch.setattr(WeylGroup, "_closure",
+    original = WeylGroup._closure_keys
+    monkeypatch.setattr(WeylGroup, "_closure_keys",
                         lambda self, gens: closures.append(gens) or original(self, gens))
     assert xi_of_weyl(zd, w) == first
     assert zd.W.parabolic_order(zd.I) == 8

@@ -1,4 +1,8 @@
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -183,6 +187,22 @@ def test_lower_neighbor_restriction_lemma():
                     assert inner <= outer
 
 
+def test_lower_neighbors_intern_no_scanned_candidate():
+    # GL_6 (3,3), K = I with |W_K| = 36.  With the reflections, the candidate
+    # level and w's inverse formed first, a call interns nothing: neither a
+    # coatom of w nor any scanned x w' psi(x)^{-1}
+    zd = gl_zip_datum(6, 3)
+    W = zd.W
+    for a in zd.rs.positive_roots:
+        W.reflection(a)
+    for w in zd.minimal_reps():
+        W.minimal_reps_of_length(zd.I, w.length - 1)
+        W.is_minimal_rep(w, zd.I)
+        before = len(W._elements)
+        zd.lower_neighbors(zd.I, w)
+        assert len(W._elements) == before, w
+
+
 def test_twisted_leq_implies_length_leq(zd22):
     reps = zd22.minimal_reps()
     for a in reps:
@@ -259,3 +279,46 @@ def test_sigma_parse_forms():
     assert BasedAutomorphism.parse(build_gl(4, 2)[0], "flip").delta_perm == (3, 2, 1)
     with pytest.raises(ZipDatumError):
         BasedAutomorphism.parse(rs, "2,1,3,4")
+
+
+def test_datum_and_pi_checks_survive_python_O():
+    # under -O: a twist that sends simple reflections to w_0 breaks "psi
+    # maps simples to simples"; an Xi that returns e breaks "pi preserves
+    # length"; an in_parabolic that accepts nothing leaves the Xi walk empty
+    script = (
+        "from zipstrata import strata\n"
+        "from zipstrata.weyl import InvariantViolation, WeylGroup\n"
+        "from zipstrata.zipdatum import gl_zip_datum\n"
+        "assert False, 'python -O keeps asserts'\n"
+        "twist = WeylGroup.twist\n"
+        "WeylGroup.twist = lambda W, w, p: (\n"
+        "    W.longest_element(W.rs.delta_indices()) if w.length == 1 else twist(W, w, p))\n"
+        "try:\n"
+        "    gl_zip_datum(4, 2, sigma='flip')\n"
+        "except InvariantViolation as exc:\n"
+        "    print(exc)\n"
+        "WeylGroup.twist = twist\n"
+        "zd = gl_zip_datum(4, 2)\n"
+        "w = zd.W.from_one_line([1, 3, 2, 4])\n"
+        "walk = strata.xi_of_weyl\n"
+        "strata.xi_of_weyl = lambda zd, w: zd.W.identity\n"
+        "try:\n"
+        "    strata.pi_small(zd, w)\n"
+        "except InvariantViolation as exc:\n"
+        "    print(exc)\n"
+        "zd.W.in_parabolic = lambda u, K: False\n"
+        "try:\n"
+        "    walk(zd, w)\n"
+        "except InvariantViolation as exc:\n"
+        "    print(str(exc).split(' from ')[0])\n"
+    )
+    src = str(Path(make_zip_datum.__code__.co_filename).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    done = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == [
+        "psi must map simple reflections to simple reflections",
+        "pi must preserve length on small elements",
+        "the Xi walk",
+    ]
