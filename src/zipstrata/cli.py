@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from .fq import Fq, mat_inv
 from .glnzip import (
     Signature,
+    _factor_prime_power,
     fp_point_census,
     length2_closed_form,
     verify_length2,
@@ -188,7 +189,7 @@ def cmd_xi(config: RunConfig, w_text: str | None, matrix_text: str | None) -> st
         out = xi_of_weyl(zd, w)
         payload = {"input": w.label(), "xi": out.label(), "small": is_small(zd, w)}
         return _emit(payload, config.fmt)
-    F = Fq(*_factor(config.q))
+    F = Fq(*_factor_prime_power(config.q))
     entries = [int(x) % F.p for x in matrix_text.replace(",", " ").split()]
     n = zd.rs.ambient_dim
     if len(entries) != n * n:
@@ -199,12 +200,6 @@ def cmd_xi(config: RunConfig, w_text: str | None, matrix_text: str | None) -> st
     mat_inv(F, f)  # raises on singular input
     out = xi_classify(zd, F, f, config.m)
     return _emit({"matrix": entries, "m": config.m, "xi": out.label()}, config.fmt)
-
-
-def _factor(q: int) -> tuple[int, int]:
-    from .glnzip import _factor_prime_power
-
-    return _factor_prime_power(q)
 
 
 def cmd_census(config: RunConfig, m_list: list[int]) -> str:

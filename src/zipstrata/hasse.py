@@ -28,7 +28,7 @@ from math import gcd, lcm
 from typing import Sequence
 
 from .rootdata import Root
-from .weyl import InvariantViolation, WeylElement
+from .weyl import BudgetExceeded, InvariantViolation, WeylElement
 from .zipdatum import ZipDatum, ZipDatumError
 
 _FM_ROW_CAP = 200_000
@@ -282,7 +282,7 @@ def _fourier_motzkin(strict_rows, rhs):
                 an = -rn[var]
                 _fm_add(new, seen, [an * x + ap * y for x, y in zip(rp, rn)], nvars)
                 if len(new) > _FM_ROW_CAP:
-                    raise RuntimeError("Fourier-Motzkin row cap exceeded")
+                    raise BudgetExceeded("Fourier-Motzkin row cap exceeded")
         rows = new
     bad = _fm_contradiction(rows, nvars)
     if bad is not None:

@@ -372,8 +372,3 @@ def load_generic_json(doc: str | dict):
         raise RootDataError('a generic datum needs a "cartan" matrix')
     return build_generic(doc["cartan"], doc.get("lattice"))
 
-
-if __name__ == "__main__":
-    import doctest
-
-    doctest.testmod()

@@ -17,8 +17,9 @@ A "re-derived z per K" variant would silently change these orders; do not do
 that.
 
 Lower neighbours use two facts.  For w' in ^K W and x in W_K, l(x w') =
-l(x) + l(w') and psi preserves length, so l(x w' psi(x)^{-1}) >= l(w');
-hence when l(w') = l(w) - 1 a witness is w itself or a Bruhat coatom of w.
+l(x) + l(w') and psi preserves length, so l(x w' psi(x)^{-1}) >= l(w'),
+and by the sign character l(x w' psi(x)^{-1}) = l(w') mod 2; hence when
+l(w') = l(w) - 1 a witness has length l(w) - 1 and is a Bruhat coatom of w.
 And with tau the permutation of key points that sigma induces (sigma(x) =
 tau x tau^{-1}) and A = z^{-1} tau, psi(x) = A x A^{-1}, so
 
@@ -201,7 +202,7 @@ class ZipDatum:
     def lower_neighbors(self, K: Iterable[int], w: WeylElement) -> list[WeylElement]:
         """Gamma_K(w): the w' in ^K W with l(w') = l(w) - 1 and w' <=_K w.
 
-        The witnesses are w and its Bruhat coatoms, tested on keys (see the
+        The witnesses are the Bruhat coatoms of w, tested on keys (see the
         module docstring); W_K is scanned lazily up to the first hit, with
         the budget of `twisted_leq` per candidate.
         """
@@ -213,7 +214,7 @@ class ZipDatum:
         if w.length == 0:
             return []
         frame = self._frame
-        targets = {compose(t, frame) for t in (w.key, *W.coatom_keys(w))}
+        targets = {compose(t, frame) for t in W.coatom_keys(w)}
         # never advanced itself: each copy replays the keys drawn so far and
         # draws the rest on demand, so W_K is enumerated at most once per call
         drawn = itertools.tee(W.parabolic_keys(K), 1)[0]
@@ -348,8 +349,3 @@ def zip_datum_from_json(doc: str | dict, budget: int = DEFAULT_BUDGET) -> ZipDat
     aut = BasedAutomorphism.parse(rs, sigma_spec)
     return make_zip_datum(rs, frozenset(doc.get("I", [])), aut, lattice, budget=budget)
 
-
-if __name__ == "__main__":
-    import doctest
-
-    doctest.testmod()

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import zipstrata
+from zipstrata import hasse
 from zipstrata.cli import main
 
 
@@ -204,6 +205,12 @@ def test_closure_command(capsys):
 def test_xi_budget_exit_code(capsys, argv):
     code = main(list(argv))
     assert code == 3
+    assert capsys.readouterr().err.startswith("budget exceeded: ")
+
+
+def test_fourier_motzkin_row_cap_exits_3(capsys, monkeypatch):
+    monkeypatch.setattr(hasse, "_FM_ROW_CAP", 0)
+    assert main(["--gl", "5", "2", "hasse"]) == 3
     assert capsys.readouterr().err.startswith("budget exceeded: ")
 
 

@@ -1,8 +1,10 @@
+import doctest
 import json
 import random
 
 import pytest
 
+from zipstrata import rootdata, zipdatum
 from zipstrata.rootdata import (
     RootDataError,
     build_generic,
@@ -165,3 +167,9 @@ def test_json_roundtrip_loader():
     rs, lat = load_generic_json(json.dumps(doc))
     assert len(rs.positive_roots) == 3
     assert lat.dim == 2
+
+
+def test_module_doctests():
+    for module in (rootdata, zipdatum):
+        result = doctest.testmod(module)
+        assert result.attempted > 0 and result.failed == 0, module.__name__

@@ -1,13 +1,14 @@
 """Lower neighbours from the coatom targets against the `twisted_leq` scan,
 and the facts the scan rests on.
 
-`ZipDatum.lower_neighbors` tests each candidate w' against the set {w} and
-the Bruhat coatoms of w, conjugating raw keys by W_K; `twisted_oracle`
-tests every x w' psi(x)^{-1} against w in the Bruhat order, as
-`twisted_leq` does, over ^K W taken from all of W.  The two must give the
-same neighbour lists.  The property tests draw random finite-type data and
-check the weak-order search for ^K W and the length lemma
-l(x w' psi(x)^{-1}) >= l(w').
+`ZipDatum.lower_neighbors` tests each candidate w' against the Bruhat
+coatoms of w, conjugating raw keys by W_K; `twisted_oracle` tests every
+x w' psi(x)^{-1} against w in the Bruhat order, as `twisted_leq` does, over
+^K W taken from all of W.  The two must give the same neighbour lists.  The
+property tests draw random finite-type data and check the weak-order search
+for ^K W, the parabolic operations against W_K enumerated, and the length
+lemma l(x w' psi(x)^{-1}) >= l(w') with equal parity; the height product
+for |W| is checked against the textbook orders, E6-E8 included.
 """
 
 import itertools
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 
 from twisted_oracle import TwistedScan
 from zipstrata.rootdata import build_generic
-from zipstrata.weyl import conjugate
+from zipstrata.weyl import BudgetExceeded, WeylGroup, conjugate
 from zipstrata.zipdatum import BasedAutomorphism, gl_zip_datum, make_zip_datum
 
 A4 = [[2, -1, 0, 0], [-1, 2, -1, 0], [0, -1, 2, -1], [0, 0, -1, 2]]
@@ -165,4 +166,58 @@ def test_twisted_conjugates_never_drop_below_the_representative(datum):
     pairs = [(x, zd.psi(x).inverse()) for x in W.parabolic_elements(K)]
     for w in W.minimal_reps(K):
         for x, psi_inv in pairs:
-            assert (x * w * psi_inv).length >= w.length
+            length = (x * w * psi_inv).length
+            assert length >= w.length
+            # psi preserves length, so the sign character fixes the parity
+            assert (length - w.length) % 2 == 0
+
+
+@settings(max_examples=25, deadline=None)
+@given(data())
+def test_parabolic_operations_agree_with_w_k_enumerated(datum):
+    zd, K = datum
+    W = zd.W
+    members = set(W.parabolic_elements(K))
+    assert len(members) == W.parabolic_order(K)
+    longest = W.longest_element(K)
+    assert longest in members
+    assert longest.length == sum(1 for r in zd.rs.positive_roots if r.support() <= K)
+    for w in W.elements():
+        assert W.in_parabolic(w, K) == (w in members)
+        u, wmin = W.min_coset_rep(K, w)
+        assert u * wmin == w and u in members and W.is_minimal_rep(wmin, K)
+        assert u.length + wmin.length == w.length
+
+
+# -- group orders from the height product --------------------------------------
+
+TEXTBOOK_ORDERS = {
+    ("A", 1): 2, ("A", 2): 6, ("A", 3): 24, ("A", 4): 120, ("B", 2): 8, ("B", 3): 48,
+    ("B", 4): 384, ("C", 3): 48, ("C", 4): 384, ("D", 4): 192, ("F", 4): 1152, ("G", 2): 12,
+}
+
+
+@pytest.mark.parametrize("family,rank", TYPES)
+def test_order_is_the_textbook_order(family, rank):
+    rs, _ = build_generic(_cartan(family, rank))
+    W = WeylGroup(rs)
+    assert W.order() == TEXTBOOK_ORDERS[family, rank]
+    assert len(list(W.elements())) == TEXTBOOK_ORDERS[family, rank]
+
+
+def _simply_laced(rank, edges):
+    C = [[2 if i == j else 0 for j in range(rank)] for i in range(rank)]
+    for i, j in edges:
+        C[i - 1][j - 1] = C[j - 1][i - 1] = -1
+    return C
+
+
+@pytest.mark.parametrize("rank,order", [(6, 51_840), (7, 2_903_040), (8, 696_729_600)])
+def test_order_of_e_types_without_enumerating(rank, order):
+    # Bourbaki numbering: the chain 1-3-4-...-rank, with node 2 attached to 4
+    edges = [(1, 3), (2, 4)] + [(k, k + 1) for k in range(3, rank)]
+    rs, _ = build_generic(_simply_laced(rank, edges))
+    W = WeylGroup(rs, budget=order - 1)
+    assert W.order() == order
+    with pytest.raises(BudgetExceeded):  # up front, before any element is built
+        next(W.elements())
