@@ -8,16 +8,18 @@ X*(T) (rationally, then scale) with
                                              for every alpha in E_w,
 
 where E_w is the set of positive roots alpha with l(w s_alpha) = l(w) - 1.
-The equalities are solved by fraction-free integer Gauss-Jordan elimination
+E_w is read off the Bruhat coatoms of w (`WeylGroup.coatoms`).  The
+equalities are solved by one fraction-free integer Gauss-Jordan elimination
 and the strict rows decided by Fourier-Motzkin elimination on primitive
-integer rows; Fractions appear only in the witness lambda_0 and in
-certificates.  Infeasibility comes with a nonnegative-multiplier certificate
-that replays to the symbolic contradiction 0 < 0.  Every load-bearing check
-(certificate replay, the witness re-check) raises `InvariantViolation`, so it
-also runs under ``python -O``.  Scaling the rational
-witness to an integer one is sound because the geometric statement allows
-passing to a positive power of the line bundle; no minimality of the
-multiplier is claimed.
+integer rows.  Infeasibility comes with an integer certificate: multipliers
+(the strict ones nonnegative) that replay to the symbolic contradiction
+0 < 0.  Fractions appear only on the way to a witness: in the point that
+Fourier-Motzkin back-substitution picks and in lambda_0.  Every load-bearing
+check (the Bruhat re-check of E_w, certificate replay, the witness re-check)
+raises `InvariantViolation`, so it also runs under ``python -O``.  Scaling
+the rational witness to an integer one is sound because the geometric
+statement allows passing to a positive power of the line bundle; no
+minimality of the multiplier is claimed.
 """
 
 from __future__ import annotations
@@ -35,17 +37,17 @@ _FM_ROW_CAP = 200_000
 
 
 def e_w_set(zd: ZipDatum, w: WeylElement) -> list[Root]:
-    """E_w = {alpha in Phi+ : l(w s_alpha) = l(w) - 1}.
+    """E_w = {alpha in Phi+ : l(w s_alpha) = l(w) - 1}, the roots of the
+    Bruhat coatoms of w.
 
     The Bruhat condition w s_alpha <= w is implied but re-checked.
     """
+    W = zd.W
     out = []
-    for alpha in zd.rs.positive_roots:
-        ws = w * zd.W.reflection(alpha)
-        if ws.length == w.length - 1:
-            if not zd.W.bruhat_leq(ws, w):
-                raise InvariantViolation("length drop must imply Bruhat descent")
-            out.append(alpha)
+    for alpha, key in W.coatoms(w):
+        if not W.bruhat_leq(W._intern(key, w.length - 1), w):
+            raise InvariantViolation("length drop must imply Bruhat descent")
+        out.append(alpha)
     out.sort(key=lambda a: a.coords)
     return out
 
@@ -63,33 +65,46 @@ class HasseWitness:
 class InfeasibilityCertificate:
     """Nonnegative multipliers deriving the contradiction 0 < 0.
 
-    ``equality_multipliers`` (rational, unconstrained sign) apply to the
-    equality rows; ``strict_multipliers`` (nonnegative, not all zero unless
-    the equalities alone are inconsistent) apply to the strict rows
-    <lambda_0, alpha^vee> < 0 indexed by E_w order.
+    ``equality_multipliers`` (unconstrained sign) apply to the equality
+    rows; ``strict_multipliers`` (nonnegative, not all zero unless the
+    equalities alone are inconsistent) apply to the strict rows
+    <lambda_0, alpha^vee> < 0 indexed by E_w order.  The solver builds
+    every entry as an integer; rational entries replay as well.
     """
 
-    eq_rows: tuple[tuple[Fraction, ...], ...]
-    eq_rhs: tuple[Fraction, ...]
-    strict_rows: tuple[tuple[Fraction, ...], ...]
-    equality_multipliers: tuple[Fraction, ...]
-    strict_multipliers: tuple[Fraction, ...]
+    eq_rows: tuple[tuple[int | Fraction, ...], ...]
+    eq_rhs: tuple[int | Fraction, ...]
+    strict_rows: tuple[tuple[int | Fraction, ...], ...]
+    equality_multipliers: tuple[int | Fraction, ...]
+    strict_multipliers: tuple[int | Fraction, ...]
 
     def replay(self) -> bool:
         """Re-derive the contradiction directly from the original system.
 
         The multipliers combine the rows to 0 = c with c != 0 (pure equality
-        failure) or to 0 < 0 / 0 <= -c with c > 0 (strict failure).
+        failure) or to 0 < 0 / 0 <= -c with c > 0 (strict failure).  The sums
+        start from the integer 0, so integer certificates replay on integers.
+
+        x + y = 1 and x + y < 0 contradict each other, with integers or
+        with Fractions:
+
+        >>> InfeasibilityCertificate(
+        ...     eq_rows=((1, 1),), eq_rhs=(1,), strict_rows=((1, 1),),
+        ...     equality_multipliers=(-1,), strict_multipliers=(1,)).replay()
+        True
+        >>> half = Fraction(1, 2)
+        >>> InfeasibilityCertificate(
+        ...     eq_rows=((half, half),), eq_rhs=(half,), strict_rows=((1, 1),),
+        ...     equality_multipliers=(Fraction(-1),), strict_multipliers=(half,)
+        ... ).replay()
+        True
         """
         dim = len(self.eq_rows[0]) if self.eq_rows else len(self.strict_rows[0])
-        coeffs = [Fraction(0)] * dim
+        coeffs = [0] * dim
         for mult, row in zip(self.equality_multipliers, self.eq_rows):
             for k in range(dim):
                 coeffs[k] += mult * row[k]
-        rhs = sum(
-            (m * b for m, b in zip(self.equality_multipliers, self.eq_rhs)),
-            Fraction(0),
-        )
+        rhs = sum(m * b for m, b in zip(self.equality_multipliers, self.eq_rhs))
         strict = False
         for mult, row in zip(self.strict_multipliers, self.strict_rows):
             if mult < 0:
@@ -150,9 +165,9 @@ def _rref_with_combos(rows, rhs):
     pivot column) and divides by the gcd of the whole row; every work row is
     then a nonzero multiple of the row plain Gauss-Jordan elimination gives.
     Returns (pivots, reduced, bad_combo): ``reduced[i]`` is the integer pivot
-    row ``[coeffs | rhs]`` whose pivot sits in column ``pivots[i]``, and
-    ``bad_combo`` combines the input rows to 0 = nonzero when the system is
-    inconsistent (else None).
+    row ``[coeffs | rhs | combination]`` whose pivot sits in column
+    ``pivots[i]``, and ``bad_combo`` combines the input rows to 0 = nonzero
+    when the system is inconsistent (else None).
     """
     m = len(rows)
     dim = len(rows[0]) if m else 0
@@ -183,17 +198,20 @@ def _rref_with_combos(rows, rhs):
         r += 1
     bad = next((i for i in range(r, m) if work[i][dim]), None)
     bad_combo = None if bad is None else work[bad][dim + 1:]
-    return pivots, [row[:dim + 1] for row in work[:r]], bad_combo
+    return pivots, work[:r], bad_combo
 
 
 def _solve_equalities(rows, rhs):
     """Solve rows . x = rhs over Q (rows nonempty).
 
     Returns ('infeasible', multipliers) with integer multipliers deriving
-    0 = nonzero, or ('ok', (P, B, D)): the solutions are (P + sum_j t_j B_j) / D
-    for rational t, with integer vectors P, B_j and a common denominator
-    D > 0.  P / D and B_j / D are the particular solution and the nullspace
-    basis read off the reduced row echelon form (free variable j set to 1).
+    0 = nonzero, or ('ok', (P, B, D, span)): the solutions are
+    (P + sum_j t_j B_j) / D for rational t, with integer vectors P, B_j and a
+    common denominator D > 0.  P / D and B_j / D are the particular solution
+    and the nullspace basis read off the reduced row echelon form (free
+    variable j set to 1).  ``span`` lists, per pivot row, its pivot column
+    c, the factor D / d (d the row's pivot entry) and the row's integer
+    combination of the input rows.
     """
     pivots, red, bad_combo = _rref_with_combos(rows, rhs)
     if bad_combo is not None:
@@ -201,6 +219,7 @@ def _solve_equalities(rows, rhs):
     dim = len(rows[0])
     denom = lcm(*(abs(row[c]) for row, c in zip(red, pivots)))
     scale = [denom // row[c] for row, c in zip(red, pivots)]
+    span = [(c, k, row[dim + 1:]) for row, c, k in zip(red, pivots, scale)]
     particular = [0] * dim
     for row, c, k in zip(red, pivots, scale):
         particular[c] = row[dim] * k
@@ -211,21 +230,7 @@ def _solve_equalities(rows, rhs):
         for row, c, k in zip(red, pivots, scale):
             vec[c] = -row[fc] * k
         basis.append(vec)
-    return "ok", (particular, basis, denom)
-
-
-def _solve_linear_combination(rows, target):
-    """Express target as a rational combination of rows (must be solvable)."""
-    if not rows:
-        if any(target):
-            raise InvariantViolation("a nonzero target has no combination of no rows")
-        return ()
-    cols = [[row[k] for row in rows] for k in range(len(target))]
-    status, payload = _solve_equalities(cols, target)
-    if status != "ok":
-        raise InvariantViolation("target is not in the row span")
-    particular, _, denom = payload
-    return tuple(Fraction(x, denom) for x in particular)
+    return "ok", (particular, basis, denom, span)
 
 
 def _fm_add(new, seen, row, nvars):
@@ -323,11 +328,11 @@ def _fourier_motzkin(strict_rows, rhs):
 def _certificate(eq_rows, eq_rhs, strict_rows, eq_mults, strict_mults):
     """The infeasibility certificate, replayed before it is returned."""
     cert = InfeasibilityCertificate(
-        eq_rows=tuple(tuple(map(Fraction, r)) for r in eq_rows),
-        eq_rhs=tuple(map(Fraction, eq_rhs)),
-        strict_rows=tuple(tuple(map(Fraction, r)) for r in strict_rows),
-        equality_multipliers=tuple(map(Fraction, eq_mults)),
-        strict_multipliers=tuple(map(Fraction, strict_mults)),
+        eq_rows=tuple(map(tuple, eq_rows)),
+        eq_rhs=tuple(eq_rhs),
+        strict_rows=tuple(map(tuple, strict_rows)),
+        equality_multipliers=tuple(eq_mults),
+        strict_multipliers=tuple(strict_mults),
     )
     if not cert.replay():
         raise InvariantViolation("infeasibility certificate failed to replay")
@@ -345,11 +350,12 @@ def _feasible_lambda0(dim, eq_rows, eq_rhs, strict_rows):
             return None, _certificate(
                 eq_rows, eq_rhs, strict_rows, payload, [0] * len(strict_rows)
             )
-        particular, basis, denom = payload
+        particular, basis, denom, span = payload
     else:  # no equality constraints at all: x is free
         particular = [0] * dim
         basis = [[int(j == k) for j in range(dim)] for k in range(dim)]
         denom = 1
+        span = []
 
     if not strict_rows:
         return tuple(Fraction(p, denom) for p in particular), None
@@ -364,29 +370,37 @@ def _feasible_lambda0(dim, eq_rows, eq_rhs, strict_rows):
 
     status, payload = _fourier_motzkin(sub_rows, sub_rhs)
     if status == "infeasible":
-        strict_mults = payload
+        # combined = sum mu_j strict_j vanishes on every B_j, so it lies in
+        # the row span of the equalities, and in reduced echelon form
+        # D combined = sum_i combined[c_i] (D / d_i) red_i (pivot column c_i,
+        # pivot entry d_i); the strict multipliers are scaled by D to match
         combined = [
-            sum(mu * row[k] for mu, row in zip(strict_mults, strict_rows) if mu)
+            sum(mu * row[k] for mu, row in zip(payload, strict_rows) if mu)
             for k in range(dim)
         ]
-        eq_mults = _solve_linear_combination(eq_rows, combined)
+        eq_mults = [0] * len(eq_rows)
+        for c, k, combo in span:
+            f = combined[c] * k
+            if f:
+                for i, x in enumerate(combo):
+                    eq_mults[i] -= f * x
         return None, _certificate(
-            eq_rows, eq_rhs, strict_rows, [-x for x in eq_mults], strict_mults
+            eq_rows, eq_rhs, strict_rows, eq_mults, [denom * mu for mu in payload]
         )
-    t = payload
+    # x = (P + B t) / D on the integer numerators of t = T / E
+    tden = lcm(*(tv.denominator for tv in payload))
+    tnum = [tv.numerator * (tden // tv.denominator) for tv in payload]
     lambda0 = tuple(
-        Fraction(p + sum((bvec[k] * tv for bvec, tv in zip(basis, t) if bvec[k]), 0), denom)
+        Fraction(p * tden + sum(bvec[k] * tv for bvec, tv in zip(basis, tnum) if bvec[k]),
+                 denom * tden)
         for k, p in enumerate(particular)
     )
     return lambda0, None
 
 
-def _witness_from_lambda0(zd, w, lambda0, ew):
-    mult = lcm(*(x.denominator for x in lambda0)) if lambda0 else 1
-    scaled = tuple(int(x * mult) for x in lambda0)
-    for alpha in ew:
-        if not zd.lattice.pairing(scaled, alpha) < 0:
-            raise InvariantViolation("scaled witness fails a strict pairing")
+def _witness_from_lambda0(lambda0):
+    mult = lcm(*(x.denominator for x in lambda0))
+    scaled = tuple(x.numerator * (mult // x.denominator) for x in lambda0)
     return HasseWitness(lambda0=lambda0, scaled_integral=scaled, multiplier=mult)
 
 
@@ -418,7 +432,7 @@ def hasse_feasible(zd: ZipDatum, w: WeylElement, lam: Sequence[int]) -> HasseRes
     lambda0, cert = _feasible_lambda0(zd.lattice.dim, eq_rows, eq_rhs, _strict_rows(zd, ew))
     if lambda0 is None:
         return HasseResult(witness=None, certificate=cert, e_w=ew)
-    witness = _witness_from_lambda0(zd, w, lambda0, ew)
+    witness = _witness_from_lambda0(lambda0)
     _verify_witness(zd, w, lam, witness, ew)
     return HasseResult(witness=witness, certificate=None, e_w=ew)
 
@@ -447,7 +461,7 @@ def hasse_any_Lweight(zd: ZipDatum, w: WeylElement):
     lambda0, cert = _feasible_lambda0(dim, eq_rows, eq_rhs, _strict_rows(zd, ew))
     if lambda0 is None:
         return None, HasseResult(witness=None, certificate=cert, e_w=ew)
-    witness = _witness_from_lambda0(zd, w, lambda0, ew)
+    witness = _witness_from_lambda0(lambda0)
     lam_scaled = tuple(
         sum(wz[d][k] * witness.scaled_integral[k] for k in range(dim))
         for d in range(dim)

@@ -125,15 +125,14 @@ class RootSystem:
     positive_roots: tuple[Root, ...]
     cartan: tuple[tuple[int, ...], ...]  # cartan[i][j] = <alpha_i, alpha_j^vee>
     _by_coords: dict = field(repr=False, hash=False, compare=False, default_factory=dict)
+    # the positive roots, then their negatives in the same order
+    roots: tuple[Root, ...] = field(init=False, repr=False, hash=False, compare=False)
 
     def __post_init__(self) -> None:
-        for r in self.positive_roots:
+        roots = self.positive_roots + tuple(-r for r in self.positive_roots)
+        object.__setattr__(self, "roots", roots)
+        for r in roots:
             self._by_coords[r.coords] = r
-            self._by_coords[(-r).coords] = -r
-
-    @property
-    def roots(self) -> list[Root]:
-        return list(self.positive_roots) + [-r for r in self.positive_roots]
 
     def root_from_coords(self, coords: Sequence[int]) -> Root:
         try:

@@ -11,6 +11,7 @@ w', i.e. the flag stratum that breaks the separating cover.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .rootdata import Root, is_compact
@@ -52,17 +53,20 @@ def w_sequences(zd: ZipDatum, v: WeylElement):
     those roots.
     """
     rs, sigma = zd.rs, zd.sigma
-    noncompact_pos = [
-        a for a in rs.positive_roots if not is_compact(rs, a, zd.I)
-    ]
+    # a root is non-compact iff a simple root outside I occurs in it
+    outside = [k not in zd.I for k in rs.delta_indices()]
+
+    def noncompact(root: Root) -> bool:
+        return any(itertools.compress(root.simple_coords, outside))
+
     bound = 2 * len(rs.positive_roots) + 1
     seqs = []
-    for beta0 in noncompact_pos:
+    for beta0 in filter(noncompact, rs.positive_roots):
         body = []
         cur = beta0
         for _ in range(bound):
             cur = v.apply(sigma.apply_root(cur))
-            if not is_compact(rs, cur, zd.I):
+            if noncompact(cur):
                 break
             body.append(cur)
         else:

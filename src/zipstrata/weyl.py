@@ -16,11 +16,11 @@ data.  |W_K| is the height product prod_{alpha in Phi_K+} (ht alpha + 1) /
 ht alpha (Macdonald, Math. Ann. 199, 1972), so no order is counted by
 enumeration.  Hot loops work on raw key tuples (`compose`, `invert`,
 `conjugate`) and intern only their results: `parabolic_keys` enumerates W_K
-as keys, and `parabolic_elements` interns on top of it; `coatom_keys` gives
-the Bruhat coatoms w t (t a reflection, l(w t) = l(w) - 1).  ^K W is closed
-under prefixes in the right weak order (Deodhar), so `minimal_reps_of_length`
-builds it level by level from {e} along w -> w s, and `minimal_reps` never
-enumerates W.
+as keys, and `parabolic_elements` interns on top of it; `coatoms` gives
+the Bruhat coatoms w s_alpha (l(w s_alpha) = l(w) - 1) with their roots.
+^K W is closed under prefixes in the right weak order (Deodhar), so
+`minimal_reps_of_length` builds it level by level from {e} along w -> w s,
+and `minimal_reps` never enumerates W.
 
 The realization is read only where the key layout itself differs: the
 one-line view (`one_line`, `label`, `__repr__`, `from_one_line`), the key
@@ -176,7 +176,7 @@ class WeylGroup:
         else:
             self.n = rs.rank
             npos = len(positives)
-            self._roots = tuple(rs.root_from_coords(r.coords) for r in rs.roots)
+            self._roots = rs.roots
             self._root_index = {r.coords: i for i, r in enumerate(self._roots)}
             size = 2 * npos
             pairs = [(i, i + npos) for i in range(npos)]
@@ -352,9 +352,13 @@ class WeylGroup:
         memo[key] = res
         return res
 
-    def coatom_keys(self, w: WeylElement) -> list[tuple]:
-        """Keys of the Bruhat coatoms of w: the w t, t a reflection, with
-        l(w t) = l(w) - 1 (Bjorner-Brenti, ch. 2); uninterned."""
+    def coatoms(self, w: WeylElement) -> list[tuple[Root, tuple]]:
+        """(alpha, key of w s_alpha) for the Bruhat coatoms of w: the w s_alpha,
+        alpha > 0, with l(w s_alpha) = l(w) - 1 (Bjorner-Brenti, ch. 2).
+
+        Only the roots that w sends negative can shorten w; their products
+        are compared by length on raw keys and left uninterned.
+        """
         p = w.key
         below = w.length - 1
         out = []
@@ -362,7 +366,7 @@ class WeylGroup:
             if p[a] > p[b]:  # w sends root negative: l(w s_root) < l(w)
                 u = compose(p, self.reflection(root).key)
                 if self._key_length(u) == below:
-                    out.append(u)
+                    out.append((root, u))
         return out
 
     # -- parabolic machinery ---------------------------------------------------

@@ -97,7 +97,7 @@ class BasedAutomorphism:
         return cls(rs, [int(x) for x in spec])
 
     def _build_root_table(self) -> dict:
-        by_simple = {r.simple_coords: self.rs.root_from_coords(r.coords) for r in self.rs.roots}
+        by_simple = {r.simple_coords: r for r in self.rs.roots}
         table = {}
         for r in self.rs.roots:
             img = [0] * self.rs.rank
@@ -214,7 +214,7 @@ class ZipDatum:
         if w.length == 0:
             return []
         frame = self._frame
-        targets = {compose(t, frame) for t in W.coatom_keys(w)}
+        targets = {compose(t, frame) for _, t in W.coatoms(w)}
         # never advanced itself: each copy replays the keys drawn so far and
         # draws the rest on demand, so W_K is enumerated at most once per call
         drawn = itertools.tee(W.parabolic_keys(K), 1)[0]

@@ -47,17 +47,26 @@ def test_b2_minimal_reps_partition(zd_b2):
 
 
 def test_generic_parabolic_order_is_counted_once(monkeypatch):
+    # |W_K| comes from the height product: with every enumeration of W_K
+    # refused, parabolic_order still gives the counts enumerated before, for
+    # every K of B3, and the Xi walk still runs
     rs, lat = build_generic([[2, -1, 0], [-1, 2, -2], [0, -1, 2]])
     zd = make_zip_datum(rs, frozenset({2, 3}), lattice=lat)
     w = zd.W.from_word([1, 2, 1])
     first = xi_of_weyl(zd, w)
-    closures = []
-    original = WeylGroup._closure_keys
-    monkeypatch.setattr(WeylGroup, "_closure_keys",
-                        lambda self, gens: closures.append(gens) or original(self, gens))
+    subsets = [frozenset(K) for size in range(4)
+               for K in itertools.combinations((1, 2, 3), size)]
+    counted = {K: sum(1 for _ in zd.W.parabolic_keys(K)) for K in subsets}
+
+    def refuse(*args):
+        raise AssertionError("W_K was enumerated")
+
+    monkeypatch.setattr(WeylGroup, "parabolic_keys", refuse)
+    monkeypatch.setattr(WeylGroup, "_closure_keys", refuse)
+    fresh = WeylGroup(rs)  # nothing memoized yet
+    assert {K: fresh.parabolic_order(K) for K in subsets} == counted
     assert xi_of_weyl(zd, w) == first
     assert zd.W.parabolic_order(zd.I) == 8
-    assert closures == []
 
 
 def test_b2_sequence_conservation(zd_b2):
