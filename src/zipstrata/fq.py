@@ -13,7 +13,10 @@ table row of c on extensions).  `RationalField` gives the same two, so
 
 Subspaces are kept in row-reduced echelon form, which is canonical, so
 equality of subspaces is tuple equality; the pivot of an echelon row is the
-index of its first 1.
+index of its first 1.  Each subspace costs at most one elimination:
+`kernel_basis` returns the kernel already in that form, and `apply_frobenius`
+maps entries without re-reducing, since sigma^m is an automorphism fixing 0
+and 1 and so keeps echelon rows echelon.
 """
 
 from __future__ import annotations
@@ -362,21 +365,33 @@ def det(F, A: Matrix):
     return d
 
 
-def kernel_basis(F, A: Matrix, ncols: int | None = None) -> list[tuple]:
-    """Basis of {x : A x = 0}; ``ncols`` gives the width when A has no rows."""
+def kernel_basis(F, A: Matrix, ncols: int | None = None) -> tuple:
+    """{x : A x = 0} in row-reduced echelon form; ``ncols`` gives the width
+    when A has no rows.
+
+    A is reduced on reversed columns, so the vector of free column f has its
+    leading 1 at f and its other entries at pivots right of f: the basis is
+    the canonical echelon form of the kernel.
+
+    >>> kernel_basis(Fq(3), ((1, 2, 0, 1), (0, 1, 1, 2)))
+    ((1, 0, 2, 2), (0, 1, 0, 1))
+    >>> kernel_basis(Fq(2), (), 2)
+    ((1, 0), (0, 1))
+    """
     n = len(A[0]) if A else (ncols or 0)
-    red = rref(F, A)
-    pivots = [r.index(F.one) for r in red]
+    last = n - 1
+    # pivot column (original order) -> its echelon row (reversed order)
+    pivots = {last - r.index(F.one): r for r in rref(F, [row[::-1] for row in A])}
     basis = []
     for fc in range(n):
         if fc in pivots:
             continue
         vec = [F.zero] * n
         vec[fc] = F.one
-        for row, pc in zip(red, pivots):
-            vec[pc] = F.neg(row[fc])
+        for pc, row in pivots.items():
+            vec[pc] = F.neg(row[last - fc])
         basis.append(tuple(vec))
-    return basis
+    return tuple(basis)
 
 
 @dataclass(frozen=True)
@@ -417,9 +432,6 @@ class FqSubspace:
     def sum(self, other: "FqSubspace") -> "FqSubspace":
         return FqSubspace.from_vectors(self.field, self.n, self.rows + other.rows)
 
-    def intersection_dim(self, other: "FqSubspace") -> int:
-        return self.dim + other.dim - self.sum(other).dim
-
     def map_semilinear(self, A: Matrix, frob_m: int) -> "FqSubspace":
         """Image under v |-> A sigma^m(v): the row space of sigma^m(rows) A^T."""
         F, rows = self.field, self.rows
@@ -445,14 +457,15 @@ class FqSubspace:
                 if row[j]:
                     c = F.sub_multiple(c, row[j], A[p])
             constraints.append(c)
-        return FqSubspace.from_vectors(F, n, kernel_basis(F, constraints))
+        return FqSubspace(F, n, kernel_basis(F, constraints))
 
     def apply_frobenius(self, m: int) -> "FqSubspace":
+        """sigma^m entrywise; it fixes 0 and 1, so the rows stay echelon."""
         F = self.field
         if m % F.k == 0:  # sigma^m is the identity on F
             return self
-        return FqSubspace.from_vectors(
-            F, self.n, [[F.frobenius_pow(x, m) for x in row] for row in self.rows]
+        return FqSubspace(
+            F, self.n, tuple(tuple(F.frobenius_pow(x, m) for x in row) for row in self.rows)
         )
 
 
@@ -466,7 +479,7 @@ def enumerate_gl(F, n: int) -> Iterator[Matrix]:
             return
         for v in vectors:
             if not space.contains(v):
-                yield from rec(rows + [v], space.sum(FqSubspace.from_vectors(F, n, [v])))
+                yield from rec(rows + [v], FqSubspace.from_vectors(F, n, space.rows + (v,)))
 
     yield from rec([], FqSubspace.zero(F, n))
 

@@ -5,14 +5,18 @@ polynomial invariants, the length-2 closed form, and point censuses.
 A matrix f determines a pair (a, b) = (f p_1, sigma^{-m}(p_2 f^{-1})), hence
 semilinear operators F = a sigma^m and V = b sigma^{-m}; the coarsest F- and
 V^{-1}-stable filtration, compared with 0 < V(D) < D, recovers the stratum
-label of f z^{-1}.  The classifiers here and the combinatorial map on W are
-developed independently and cross-validated on permutation matrices.
+label of f z^{-1}.  Since b is zero above row r and has rank s,
+V(D) = span(e_r, ..., e_{n-1}), so that comparison is read off the echelon
+pivots of the filtration, with no further elimination.  The classifiers here
+and the combinatorial map on W are developed independently and
+cross-validated on permutation matrices.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
@@ -21,14 +25,13 @@ from .fq import (
     Fq,
     FqSubspace,
     Matrix,
-    _is_prime,
     det,
     enumerate_gl,
     gl_order,
     kernel_basis,
+    mat_identity,
     mat_inv,
     mat_mul,
-    mat_transpose,
     rank,
 )
 from .rootdata import TYPE_A_GL
@@ -119,10 +122,8 @@ def phi_map(F, f: Matrix, sig: Signature, m: int = 1) -> tuple[Matrix, Matrix]:
         raise InvariantViolation("a sigma(b) != 0")
     if rank(F, a) != r or rank(F, b) != s:
         raise InvariantViolation("phi_map rank condition failed")
-    ker = FqSubspace.from_vectors(
-        F, n, [[F.one if j == k else F.zero for j in range(n)] for k in range(r, n)]
-    )
-    if FqSubspace.from_vectors(F, n, kernel_basis(F, a, n)) != ker:
+    # kernel_basis is in echelon form, and W_2's is the unit rows r..n-1
+    if kernel_basis(F, a, n) != mat_identity(F, n)[r:]:
         raise InvariantViolation("ker(a) must be W_2")
     return a, b
 
@@ -160,14 +161,18 @@ def _stratum_invariant(zd: ZipDatum, F, g: Matrix, m: int) -> tuple:
     recorded as the intersection-dimension profile (dim D_i, dim(V(D) /\\ D_i)).
 
     This profile is a complete isomorphism invariant of the Dieudonne pair of
-    g, hence classifies the stratum containing g.
+    g, hence classifies the stratum containing g.  b is zero above row rr and
+    has rank s, so V(D) = im b = span(e_rr, ..., e_{n-1}); a vector of D_i lies
+    in it iff its coefficients on the echelon rows with pivot < rr vanish, so
+    dim(V(D) /\\ D_i) is the number of echelon rows of D_i with pivot >= rr.
     """
     n = zd.rs.ambient_dim
     (rr,) = sorted(set(zd.rs.delta_indices()) - zd.I)
     a, b = _phi_pair(F, g, n, rr, m)
-    chain = canonical_filtration(F, a, b, m)
-    vd = FqSubspace.from_vectors(F, n, mat_transpose(b))
-    return tuple((c.dim, vd.intersection_dim(c)) for c in chain)
+    return tuple(
+        (c.dim, sum(row.index(F.one) >= rr for row in c.rows))
+        for c in canonical_filtration(F, a, b, m)
+    )
 
 
 def _model_table(zd: ZipDatum) -> dict:
@@ -492,17 +497,13 @@ def verify_length2(sig: Signature, budget: int | None = None) -> dict:
 
 
 def _factor_prime_power(q: int) -> tuple[int, int]:
-    for p in range(2, q + 1):
-        if _is_prime(p) and q % p == 0:
-            k = 0
-            t = q
-            while t % p == 0:
-                t //= p
-                k += 1
-            if t != 1:
-                raise ValueError(f"{q} is not a prime power")
-            return p, k
-    raise ValueError(f"{q} is not a prime power")
+    p = next((d for d in range(2, q + 1) if q % d == 0), q)  # the least factor is prime
+    k = 1
+    while p**k < q:
+        k += 1
+    if q < 2 or p**k != q:
+        raise ValueError(f"{q} is not a prime power")
+    return p, k
 
 
 def label_of(w: WeylElement) -> tuple[int, ...]:
@@ -514,7 +515,12 @@ def fp_point_census(sig: Signature, q: int, m_list: Sequence[int],
     """Classify every f in GL_n(F_q) for each exponent in m_list.
 
     Returns per-stratum counts per exponent; over a prime field the counts
-    (indeed the pointwise classes) must agree across exponents.
+    (indeed the pointwise classes) must agree across exponents.  For every
+    exponent and every w in ^I W, ``point_count_law`` compares the count
+    with |P(F_q)| q^{l(w)} = |E_Z(F_q)| q^{l(w) - dim G/P}, the count of the
+    stack [E_Z\\O^w] (Pink-Wedhorn-Ziegler, Doc. Math. 2011) times |E_Z(F_q)|;
+    a mislabelled point breaks it stratum by stratum even when the total
+    holds.
     """
     n = sig.n
     if n > 4 or q > 9:
@@ -525,17 +531,15 @@ def fp_point_census(sig: Signature, q: int, m_list: Sequence[int],
     p, k = _factor_prime_power(q)
     F = Fq(p, k)
     zd = sig.zip_datum()
-    counts: dict[int, dict] = {m: {} for m in m_list}
+    counts = {m: Counter() for m in m_list}
     pointwise_equal = True
     for f in enumerate_gl(F, n):
-        labels = []
-        for m in m_list:
-            lab = label_of(xi_classify(zd, F, f, m))
-            labels.append(lab)
-            bucket = counts[m]
-            bucket[lab] = bucket.get(lab, 0) + 1
-        if any(lab != labels[0] for lab in labels[1:]):
-            pointwise_equal = False
+        labels = [label_of(xi_classify(zd, F, f, m)) for m in m_list]
+        for m, lab in zip(m_list, labels):
+            counts[m][lab] += 1
+        pointwise_equal = pointwise_equal and len(set(labels)) == 1
+    parabolic = gl_order(q, sig.r) * gl_order(q, sig.s) * q ** (sig.r * sig.s)
+    expected = sorted((label_of(w), parabolic * q**w.length) for w in zd.minimal_reps())
     report = {
         "signature": [sig.r, sig.s],
         "q": q,
@@ -548,6 +552,13 @@ def fp_point_census(sig: Signature, q: int, m_list: Sequence[int],
         "counts_m_independent": all(
             counts[m] == counts[m_list[0]] for m in m_list[1:]
         ),
+        "point_count_law": {
+            str(m): {
+                ",".join(map(str, lab)): {"expected": e, "matched": counts[m][lab] == e}
+                for lab, e in expected
+            }
+            for m in m_list
+        },
     }
     if k == 1:
         report["pointwise_m_independent"] = pointwise_equal

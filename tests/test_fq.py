@@ -89,7 +89,7 @@ def test_subspace_canonical_and_lattice_ops():
     V = FqSubspace.from_vectors(F, 3, [(1, 1, 0)])
     assert V <= U
     assert U.sum(V) == U
-    assert V.intersection_dim(U) == 1
+    assert V.dim + U.dim - V.sum(U).dim == 1
     assert U.contains((1, 0, 1)) and not U.contains((1, 0, 0))
 
 

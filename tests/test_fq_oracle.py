@@ -1,7 +1,8 @@
 """Whole-row F_q elimination and the worklist canonical filtration against
 the entry-by-entry reference in `fq_oracle`, on seeded random inputs over
 F_2, F_3, F_4, F_8 and F_9 with Frobenius exponents m = 1, 2, 3 (on the
-extension fields sigma^m is the identity for some m and not for others).
+extension fields sigma^m is the identity for some m and not for others);
+and the pivot-count stratum profile against intersections of subspaces.
 """
 
 import random
@@ -21,7 +22,8 @@ from zipstrata.fq import (
     mat_mul,
     rref,
 )
-from zipstrata.glnzip import _phi_pair, canonical_filtration
+from zipstrata.glnzip import _phi_pair, _stratum_invariant, canonical_filtration
+from zipstrata.zipdatum import gl_zip_datum
 
 FIELDS = [(2, 1), (3, 1), (2, 2), (2, 3), (3, 2)]
 EXPONENTS = [1, 2, 3]
@@ -67,7 +69,9 @@ def test_rref_and_kernel_match_reference(field):
         n = rng.randint(1, 6)
         rows = _rand_rows(F, rng, rng.randint(0, 7), n)
         assert rref(F, rows) == fq_oracle.rref(F, rows), rows
-        assert kernel_basis(F, rows, n) == fq_oracle.kernel_basis(F, rows, n), rows
+        # the same subspace as the reference kernel, and in its canonical form
+        assert kernel_basis(F, rows, n) == fq_oracle.rref(
+            F, fq_oracle.kernel_basis(F, rows, n)), rows
 
 
 @pytest.mark.parametrize("m", EXPONENTS)
@@ -126,3 +130,44 @@ def test_rational_rows_match_reference():
         if len(rows) == n and len(fq_oracle.rref(QQ, rows)) == n:
             assert fq_oracle.mat_mul(QQ, rows, mat_inv(QQ, rows)) == mat_identity(QQ, n)
             assert det(QQ, rows) != 0
+
+
+def _reference_profile(F, g, n, r, m):
+    """(dim D_i, dim(V(D) /\\ D_i)) with V(D) the echelon form of b's columns
+    and each intersection dimension through the sum of subspaces."""
+    a, b = _phi_pair(F, g, n, r, m)
+    vd = FqSubspace.from_vectors(F, n, zip(*b))
+    # the fact the pivot count rests on: V(D) = span(e_r, ..., e_{n-1})
+    assert vd.rows == mat_identity(F, n)[r:]
+    return tuple((c.dim, vd.dim + c.dim - vd.sum(c).dim)
+                 for c in canonical_filtration(F, a, b, m))
+
+
+def _rand_near_monomial(F, rng, n):
+    """A scaled permutation matrix with up to two entries overwritten; unlike
+    uniform matrices, these land in the small strata too."""
+    nonzero = list(F.elements())[1:]
+    perm = rng.sample(range(n), n)
+    while True:
+        g = [[F.zero] * n for _ in range(n)]
+        for i, j in enumerate(perm):
+            g[i][j] = rng.choice(nonzero)
+        for _ in range(rng.randint(0, 2)):
+            i, j = rng.sample(range(n), 2)
+            g[i][j] = rng.choice(list(F.elements()))
+        if len(fq_oracle.rref(F, g)) == n:
+            return tuple(map(tuple, g))
+
+
+@pytest.mark.parametrize("field", FIELDS + [(5, 1)], ids=_ids)
+def test_stratum_profile_matches_intersection_reference(field):
+    F = Fq(*field)
+    rng = random.Random(field[0] * 31 + field[1])
+    for n in range(2, 7):
+        for r in range(1, n):
+            zd = gl_zip_datum(n, r)
+            for m in EXPONENTS:
+                for sample in (_rand_invertible, _rand_near_monomial) * 5:
+                    g = sample(F, rng, n)
+                    assert _stratum_invariant(zd, F, g, m) == _reference_profile(
+                        F, g, n, r, m), (g, r, m)

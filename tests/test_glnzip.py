@@ -181,6 +181,17 @@ def test_gl2_f4_census_realizes_both_strata():
     assert report["total"] == 180
 
 
+def test_gl2_f8_census_obeys_point_count_law():
+    # sigma^m differs for m = 1, 2, 3 on F_8; every stratum w has
+    # |P(F_8)| 8^{l(w)} points, with |P(F_8)| = 7 * 7 * 8 = 392
+    report = fp_point_census(Signature(1, 1), 8, [1, 2, 3])
+    assert report["total"] == 3528
+    law = {"1,2": {"expected": 392, "matched": True},
+           "2,1": {"expected": 3136, "matched": True}}
+    assert report["point_count_law"] == {str(m): law for m in (1, 2, 3)}
+    assert all(report["counts"][str(m)] == {"1,2": 392, "2,1": 3136} for m in (1, 2, 3))
+
+
 def test_xi_classify_zip_orbit_invariance(zd22):
     # the strata are the E_m-orbits, so classifying g z by Xi is invariant
     # under g |-> x g y^{-1} for zip pairs (x, y) of exponent m

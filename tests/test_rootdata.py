@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from zipstrata import hasse, rootdata, zipdatum
+from zipstrata import fq, hasse, rootdata, zipdatum
 from zipstrata.rootdata import (
     RootDataError,
     build_generic,
@@ -170,6 +170,6 @@ def test_json_roundtrip_loader():
 
 
 def test_module_doctests():
-    for module in (rootdata, zipdatum, hasse):
+    for module in (rootdata, zipdatum, hasse, fq):
         result = doctest.testmod(module)
         assert result.attempted > 0 and result.failed == 0, module.__name__
