@@ -141,10 +141,28 @@ def _check_L_weight(zd: ZipDatum, lam: Sequence[int]) -> None:
             f"weight has dimension {len(lam)}, lattice has {zd.lattice.dim}"
         )
     for k in sorted(zd.I):
-        if zd.lattice.pairing(lam, zd.rs.simple(k)) != 0:
+        if _dot(_coroot_row(zd, zd.rs.simple(k)), lam) != 0:
             raise ZipDatumError(
                 f"lambda is not an L-weight: <lambda, alpha_{k}^vee> != 0"
             )
+
+
+def _dot(row, vec) -> int:
+    return sum(a * b for a, b in zip(row, vec) if a)
+
+
+def _coroot_row(zd: ZipDatum, alpha: Root) -> tuple[int, ...]:
+    """(<e_d, alpha^vee>)_d, read off the coroot expansion of alpha^vee and
+    the lattice's simple coroot pairings; memoized per root on the datum."""
+    rows = zd._extra.setdefault("hasse_coroot_rows", {})
+    row = rows.get(alpha.coords)
+    if row is None:
+        cp = zd.lattice.coroot_pairing
+        nz = [(j, c) for j, c in enumerate(alpha.coroot_coords) if c]
+        row = rows[alpha.coords] = tuple(
+            sum(c * cp[d][j] for j, c in nz) for d in range(zd.lattice.dim)
+        )
+    return row
 
 
 # ---------------------------------------------------------------------------
@@ -405,15 +423,20 @@ def _witness_from_lambda0(lambda0):
 
 
 def _w_minus_z_rows(zd, w):
-    """Rows of the lattice map lambda_0 |-> w lambda_0 - z lambda_0."""
-    dim = zd.lattice.dim
-    cols = []
-    for k in range(dim):
-        e = tuple(1 if j == k else 0 for j in range(dim))
-        wk = w.apply_weight(e, zd.lattice)
-        zk = zd.z.apply_weight(e, zd.lattice)
-        cols.append([a - b for a, b in zip(wk, zk)])
-    return [[cols[k][d] for k in range(dim)] for d in range(dim)]
+    """Rows of the lattice map lambda_0 |-> w lambda_0 - z lambda_0; the unit
+    vectors and their images under z are kept on the datum."""
+    consts = zd._extra.get("hasse_z_columns")
+    if consts is None:
+        dim = zd.lattice.dim
+        units = [tuple(int(j == k) for j in range(dim)) for k in range(dim)]
+        consts = zd._extra["hasse_z_columns"] = (
+            units, [zd.z.apply_weight(e, zd.lattice) for e in units])
+    units, zcols = consts
+    cols = [
+        [a - b for a, b in zip(w.apply_weight(e, zd.lattice), zk)]
+        for e, zk in zip(units, zcols)
+    ]
+    return list(zip(*cols))
 
 
 def hasse_feasible(zd: ZipDatum, w: WeylElement, lam: Sequence[int]) -> HasseResult:
@@ -449,14 +472,12 @@ def hasse_any_Lweight(zd: ZipDatum, w: WeylElement):
     ew = tuple(e_w_set(zd, w))
     dim = zd.lattice.dim
     wz = _w_minus_z_rows(zd, w)
-    eq_rows = []
-    for k in sorted(zd.I):
-        alpha = zd.rs.simple(k)
-        row = []
-        for j in range(dim):
-            img = tuple(wz[d][j] for d in range(dim))
-            row.append(zd.lattice.pairing(img, alpha))
-        eq_rows.append(row)
+    # row k: <(w - z) e_j, alpha_k^vee> for each j, alpha_k simple in I
+    cols = list(zip(*wz))
+    eq_rows = [
+        [_dot(_coroot_row(zd, zd.rs.simple(k)), col) for col in cols]
+        for k in sorted(zd.I)
+    ]
     eq_rhs = [0] * len(eq_rows)
     lambda0, cert = _feasible_lambda0(dim, eq_rows, eq_rhs, _strict_rows(zd, ew))
     if lambda0 is None:
@@ -472,14 +493,8 @@ def hasse_any_Lweight(zd: ZipDatum, w: WeylElement):
 
 
 def _strict_rows(zd, ew):
-    """Row d of alpha's strict row is <e_d, alpha^vee>, read off the coroot
-    expansion of alpha^vee and the lattice's simple coroot pairings."""
-    cp = zd.lattice.coroot_pairing
-    rows = []
-    for alpha in ew:
-        nz = [(j, c) for j, c in enumerate(alpha.coroot_coords) if c]
-        rows.append([sum(c * cp[d][j] for j, c in nz) for d in range(zd.lattice.dim)])
-    return rows
+    """Row d of alpha's strict row is <e_d, alpha^vee>."""
+    return [_coroot_row(zd, alpha) for alpha in ew]
 
 
 def _verify_witness(zd, w, lam, witness, ew, lam_multiplier=None):

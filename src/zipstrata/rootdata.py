@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 TYPE_A_GL = "TYPE_A_GL"
@@ -245,31 +246,22 @@ def _validate_cartan(cartan: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], 
                         stack.append(j)
                     elif d[j] != dj:
                         raise RootDataError("Cartan matrix is not symmetrizable")
-    S = [[d[i] * C[i][j] for j in range(m)] for i in range(m)]
-    for k in range(1, m + 1):
-        if _det_fraction([row[:k] for row in S[:k]]) <= 0:
+    # S = diag(d) C, scaled to integers, is positive definite iff every
+    # leading principal minor is positive.  One fraction-free elimination
+    # without row swaps (Bareiss, Math. Comp. 1968) leaves the k-th leading
+    # minor as its k-th pivot, so the first pivot <= 0 rejects C.
+    scale = lcm(*(x.denominator for x in d))
+    S = [[int(d[i] * scale) * C[i][j] for j in range(m)] for i in range(m)]
+    prev = 1
+    for k in range(m):
+        pivot = S[k][k]
+        if pivot <= 0:
             raise RootDataError("Cartan matrix is not of finite type")
+        for i in range(k + 1, m):
+            for j in range(k + 1, m):
+                S[i][j] = (S[i][j] * pivot - S[i][k] * S[k][j]) // prev
+        prev = pivot
     return C
-
-
-def _det_fraction(mat) -> Fraction:
-    m = [list(map(Fraction, row)) for row in mat]
-    n = len(m)
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col]), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = 1 / m[col][col]
-        for r in range(col + 1, n):
-            f = m[r][col] * inv
-            for c in range(col, n):
-                m[r][c] -= f * m[col][c]
-    return det
 
 
 def _generate_positive_roots(C) -> list[Root]:

@@ -200,10 +200,16 @@ class StratumVerdict:
 
 
 def _dim_parabolic(zd: ZipDatum) -> int:
-    phi_I_plus = sum(
-        1 for a in zd.rs.positive_roots if is_compact(zd.rs, a, zd.I)
-    )
-    return zd.lattice.dim + len(zd.rs.positive_roots) + phi_I_plus
+    """dim P = dim T + |Phi+| + |Phi_I+|, counted once per datum."""
+    dim = zd._extra.get("dim_parabolic")
+    if dim is None:
+        phi_I_plus = sum(
+            1 for a in zd.rs.positive_roots if is_compact(zd.rs, a, zd.I)
+        )
+        dim = zd._extra["dim_parabolic"] = (
+            zd.lattice.dim + len(zd.rs.positive_roots) + phi_I_plus
+        )
+    return dim
 
 
 def decide_smooth(zd: ZipDatum, w: WeylElement, w_prime: WeylElement) -> StratumVerdict:

@@ -7,9 +7,11 @@ permutation of the 2N root indices (the positive roots in the order of
 index i >= N is the root -positive_roots[i - N].  Composition and inverse
 are the same tuple indexing in both cases, and a positive root goes negative
 under w iff w.key[a] > w.key[b] for the pair of points (a, b) recorded for
-that root.  The Bruhat order is computed by the lifting recursion and
-memoized on the group; reduced words are chosen greedily (smallest simple
-index first) so that all enumerations are reproducible.
+that root.  The Bruhat order is decided by the lifting property, whose
+recursion never branches: `bruhat_leq` runs it as one loop on the inverse
+keys, stripping a left descent of w (a right descent of w^{-1}) per step,
+and memoizes only the pair asked for.  Reduced words are chosen greedily
+(smallest simple index first) so that all enumerations are reproducible.
 
 Every group operation has one algorithm on keys, shared by GL_n and generic
 data.  |W_K| is the height product prod_{alpha in Phi_K+} (ht alpha + 1) /
@@ -17,7 +19,10 @@ ht alpha (Macdonald, Math. Ann. 199, 1972), so no order is counted by
 enumeration.  Hot loops work on raw key tuples (`compose`, `invert`,
 `conjugate`) and intern only their results: `parabolic_keys` enumerates W_K
 as keys, and `parabolic_elements` interns on top of it; `coatoms` gives
-the Bruhat coatoms w s_alpha (l(w s_alpha) = l(w) - 1) with their roots.
+the Bruhat coatoms w s_alpha (l(w s_alpha) = l(w) - 1) with their roots,
+memoized per key.  `orbit_labels` names the W_K-orbit of each key point,
+and `cycle_shape` writes a key's cycles in those names, which conjugation
+by W_K keeps.
 ^K W is closed under prefixes in the right weak order (Deodhar), so
 `minimal_reps_of_length` builds it level by level from {e} along w -> w s,
 and `minimal_reps` never enumerates W.
@@ -62,6 +67,37 @@ def conjugate(x: tuple, y: tuple) -> tuple:
     for i, v in enumerate(y):
         out[x[i]] = x[v]
     return tuple(out)
+
+
+def cycle_shape(p: tuple, labels: Sequence) -> tuple:
+    """The cycles of the key p, each written as the word of its points'
+    labels, rotated to its least form, then sorted.
+
+    Conjugating p by a permutation that keeps every label keeps the shape:
+    x p x^{-1} sends x[i] to x[p[i]], so each cycle is carried to a cycle
+    with the same word.
+
+    >>> cycle_shape((1, 0, 3, 2), "aabb")
+    (('a', 'a'), ('b', 'b'))
+    >>> cycle_shape((2, 3, 0, 1), "aabb")
+    (('a', 'b'), ('a', 'b'))
+    """
+    seen = [False] * len(p)
+    cycles = []
+    for i in range(len(p)):
+        if seen[i]:
+            continue
+        word = []
+        while not seen[i]:
+            seen[i] = True
+            word.append(labels[i])
+            i = p[i]
+        if len(word) > 1:  # the least rotation starts at a least label
+            low = min(word)
+            word = min(word[r:] + word[:r] for r, lab in enumerate(word) if lab == low)
+        cycles.append(tuple(word))
+    cycles.sort()
+    return tuple(cycles)
 
 
 class BudgetExceeded(RuntimeError):
@@ -159,6 +195,8 @@ class WeylGroup:
         self.budget = budget
         self._elements: dict = {}
         self._bruhat: dict = {}
+        self._coatoms: dict = {}
+        self._orbit_labels: dict = {}
         self._minimal_reps: dict = {}
         self._parabolics: dict = {}
         self._by_length: dict = {}
@@ -184,6 +222,12 @@ class WeylGroup:
         self._simple_pairs = tuple(pairs[positives.index(r)] for r in rs.simple_roots)
         self.identity = self._intern(tuple(range(size)), 0)
         self._simples = {k: self.reflection(rs.simple(k)) for k in rs.delta_indices()}
+        # ((a, b), key of s_k) for k = 1..rank: s_k is a right descent of p
+        # iff p[a] > p[b]
+        self._simple_moves = tuple(
+            (pair, self._simples[k].key)
+            for k, pair in enumerate(self._simple_pairs, 1)
+        )
 
     # -- element construction -----------------------------------------------
 
@@ -322,52 +366,66 @@ class WeylGroup:
     # -- Bruhat order ---------------------------------------------------------
 
     def bruhat_leq(self, v: WeylElement, w: WeylElement) -> bool:
-        """Bruhat order via the lifting recursion, memoized.
+        """Bruhat order by the lifting property, as one loop on raw keys.
 
-        Pick a simple s with l(sw) < l(w); then v <= w iff (sv < v and
-        sv <= sw) or (sv > v and v <= sw); the base case w = e forces v = e.
+        For a simple s with l(sw) < l(w): v <= w iff sv <= sw when
+        l(sv) < l(v), and v <= sw otherwise.  The recursion never branches,
+        so it runs as a loop on the inverse keys, where s w is w^{-1} s and a
+        left descent of w is a right descent of w^{-1}.  An s that is no
+        descent of v is taken first, since it closes the length gap.  The
+        loop stops once v = e (below everything) or l(v) >= l(w), where
+        v <= w iff v = w.  Only the pair asked for is memoized, and no
+        intermediate product is interned.
         """
         if v.group is not self or w.group is not self:
             raise ValueError("elements belong to a different Weyl group")
         if v.key == w.key:
             return True
-        if v.length >= w.length:
+        lv, lw = v.length, w.length
+        if lv >= lw:
             return False
-        memo = self._bruhat
-        key = (v.key, w.key)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        s = self.first_left_descent(w)
-        if s is None:
-            res = v.key == self.identity.key
-        else:
-            sref = self.simple(s)
-            sw = sref * w
-            sv = sref * v
-            if self.has_left_descent(v, s):
-                res = self.bruhat_leq(sv, sw)
-            else:
-                res = self.bruhat_leq(v, sw)
-        memo[key] = res
-        return res
+        pair = (v.key, w.key)
+        hit = self._bruhat.get(pair)
+        if hit is None:
+            p, q = invert(v.key), invert(w.key)
+            while 0 < lv < lw:
+                shared = None
+                for move in self._simple_moves:
+                    (a, b), s = move
+                    if q[a] > q[b]:  # s is a left descent of w
+                        if p[a] < p[b]:
+                            break
+                        shared = shared or move
+                else:  # every left descent of w is one of v
+                    (a, b), s = shared
+                q = compose(q, s)
+                lw -= 1
+                if p[a] > p[b]:
+                    p = compose(p, s)
+                    lv -= 1
+            hit = self._bruhat[pair] = lv < lw or p == q
+        return hit
 
-    def coatoms(self, w: WeylElement) -> list[tuple[Root, tuple]]:
+    def coatoms(self, w: WeylElement) -> tuple[tuple[Root, tuple], ...]:
         """(alpha, key of w s_alpha) for the Bruhat coatoms of w: the w s_alpha,
-        alpha > 0, with l(w s_alpha) = l(w) - 1 (Bjorner-Brenti, ch. 2).
+        alpha > 0, with l(w s_alpha) = l(w) - 1 (Bjorner-Brenti, ch. 2),
+        memoized per key.
 
         Only the roots that w sends negative can shorten w; their products
         are compared by length on raw keys and left uninterned.
         """
         p = w.key
-        below = w.length - 1
-        out = []
-        for (a, b), root in zip(self._positive_pairs, self.rs.positive_roots):
-            if p[a] > p[b]:  # w sends root negative: l(w s_root) < l(w)
-                u = compose(p, self.reflection(root).key)
-                if self._key_length(u) == below:
-                    out.append((root, u))
-        return out
+        hit = self._coatoms.get(p)
+        if hit is None:
+            below = w.length - 1
+            out = []
+            for (a, b), root in zip(self._positive_pairs, self.rs.positive_roots):
+                if p[a] > p[b]:  # w sends root negative: l(w s_root) < l(w)
+                    u = compose(p, self.reflection(root).key)
+                    if self._key_length(u) == below:
+                        out.append((root, u))
+            hit = self._coatoms[p] = tuple(out)
+        return hit
 
     # -- parabolic machinery ---------------------------------------------------
 
@@ -410,6 +468,31 @@ class WeylGroup:
             order = math.prod(h + 1 for h in heights) // math.prod(heights)
             hit = self._parabolics[key] = (order, tuple(pairs))
         return hit
+
+    def orbit_labels(self, K) -> tuple[int, ...]:
+        """For each key point, the least point of its W_K-orbit; memoized per K.
+
+        W_K is generated by the s_k, k in K, so its orbits are the classes of
+        i ~ s_k[i]: one union pass over the keys of those generators, the
+        same for GL_n and generic keys.
+        """
+        key = frozenset(K)
+        labels = self._orbit_labels.get(key)
+        if labels is None:
+            parent = list(range(len(self.identity.key)))
+
+            def root(i: int) -> int:
+                while parent[i] != i:
+                    i = parent[i]
+                return i
+
+            for k in key:
+                for i, j in enumerate(self._simples[k].key):
+                    a, b = root(i), root(j)
+                    # the least point of a class stays its root
+                    parent[max(a, b)] = min(a, b)
+            labels = self._orbit_labels[key] = tuple(map(root, range(len(parent))))
+        return labels
 
     def parabolic_elements(self, K) -> Iterator[WeylElement]:
         """All of W_K, lazily, identity first; deterministic order."""
@@ -471,7 +554,7 @@ class WeylGroup:
         """Multiply the key p on the right by each s_k, k in K, that
         lengthens it (``up``) or shortens it (not ``up``), until none does;
         returns the last key and the number of steps."""
-        moves = [(self._simple_pairs[k - 1], self._simples[k].key) for k in sorted(K)]
+        moves = [self._simple_moves[k - 1] for k in sorted(K)]
         steps = 0
         moved = True
         while moved:
@@ -565,14 +648,12 @@ class WeylGroup:
             top -= 1
         level = memo[(K, top)]
         K_pairs = [self._simple_pairs[k - 1] for k in sorted(K)]
-        simples = [(pair, self.simple(k).key)
-                   for k, pair in enumerate(self._simple_pairs, 1)]
         while top < length:
             top += 1
             nxt: dict = {}
             for w in level:
                 p = w.key
-                for (a, b), s in simples:
+                for (a, b), s in self._simple_moves:
                     if p[a] > p[b]:
                         continue  # s is a right descent of w
                     u = compose(p, s)

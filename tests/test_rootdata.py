@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from zipstrata import fq, hasse, rootdata, zipdatum
+from zipstrata import fq, hasse, rootdata, weyl, zipdatum
 from zipstrata.rootdata import (
     RootDataError,
     build_generic,
@@ -79,6 +79,41 @@ def test_generic_rejects_nonfinite_or_malformed(cartan):
         return
     with pytest.raises(RootDataError):
         build_generic(cartan)
+
+
+def _simply_laced(rank, edges):
+    C = [[2 if i == j else 0 for j in range(rank)] for i in range(rank)]
+    for i, j in edges:
+        C[i - 1][j - 1] = C[j - 1][i - 1] = -1
+    return C
+
+
+# Bourbaki E_rank: the chain 1-3-4-...-rank, node 2 attached to 4; E_9 is
+# affine E_8 and E_10 hyperbolic, so only their last leading minor fails
+E_EDGES = [(1, 3), (2, 4)]
+
+
+@pytest.mark.parametrize(
+    "cartan,finite",
+    [
+        ([[2, -1, -1], [-1, 2, -1], [-1, -1, 2]], False),  # affine A_2
+        ([[2, -1, 0], [-2, 2, -2], [0, -1, 2]], False),  # affine C_2
+        ([[2, 0, 0, 0, -1], [0, 2, 0, 0, -1], [0, 0, 2, 0, -1], [0, 0, 0, 2, -1],
+          [-1, -1, -1, -1, 2]], False),  # affine D_4
+        ([[2, -1, 0], [-1, 2, -1], [0, -3, 2]], False),  # B/G hybrid, indefinite
+        (_simply_laced(9, E_EDGES + [(k, k + 1) for k in range(3, 9)]), False),
+        (_simply_laced(10, E_EDGES + [(k, k + 1) for k in range(3, 10)]), False),
+        (_simply_laced(8, E_EDGES + [(k, k + 1) for k in range(3, 8)]), True),
+        ([[2, -1, 0, 0], [-1, 2, -2, 0], [0, -1, 2, -1], [0, 0, -1, 2]], True),  # F_4
+        ([[2, -1, 0], [-1, 2, -2], [0, -1, 2]], True),  # B_3
+    ],
+)
+def test_finite_type_is_decided_by_the_leading_minors(cartan, finite):
+    if finite:
+        build_generic(cartan)
+    else:
+        with pytest.raises(RootDataError, match="not of finite type"):
+            build_generic(cartan)
 
 
 def test_lattice_consistency_is_enforced():
@@ -170,6 +205,6 @@ def test_json_roundtrip_loader():
 
 
 def test_module_doctests():
-    for module in (rootdata, zipdatum, hasse, fq):
+    for module in (rootdata, weyl, zipdatum, hasse, fq):
         result = doctest.testmod(module)
         assert result.attempted > 0 and result.failed == 0, module.__name__

@@ -4,11 +4,14 @@ and the facts the scan rests on.
 `ZipDatum.lower_neighbors` tests each candidate w' against the Bruhat
 coatoms of w, conjugating raw keys by W_K; `twisted_oracle` tests every
 x w' psi(x)^{-1} against w in the Bruhat order, as `twisted_leq` does, over
-^K W taken from all of W.  The two must give the same neighbour lists.  The
+^K W taken from all of W.  The two must give the same neighbour lists, also
+with the cycle-shape test on every W_K, and stop agreeing when the orbit
+labels are made finer.  In type A a matching shape is a neighbour.  The
 property tests draw random finite-type data and check the weak-order search
-for ^K W, the parabolic operations against W_K enumerated, and the length
-lemma l(x w' psi(x)^{-1}) >= l(w') with equal parity; the height product
-for |W| is checked against the textbook orders, E6-E8 included.
+for ^K W, the parabolic operations against W_K enumerated, the length
+lemma l(x w' psi(x)^{-1}) >= l(w') with equal parity, and that the orbit
+labels and the cycle shape are kept by W_K; the height product for |W| is
+checked against the textbook orders, E6-E8 included.
 """
 
 import itertools
@@ -18,8 +21,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twisted_oracle import TwistedScan
+from zipstrata import zipdatum
 from zipstrata.rootdata import build_generic
-from zipstrata.weyl import BudgetExceeded, WeylGroup, conjugate
+from zipstrata.weyl import BudgetExceeded, WeylGroup, compose, conjugate, cycle_shape
 from zipstrata.zipdatum import BasedAutomorphism, gl_zip_datum, make_zip_datum
 
 A4 = [[2, -1, 0, 0], [-1, 2, -1, 0], [0, -1, 2, -1], [0, 0, -1, 2]]
@@ -84,6 +88,57 @@ def test_lower_neighbors_match_scan_on_golden_generic_data(name):
     cartan, I, sigma = GOLDEN[name]
     rs, lat = build_generic(cartan)
     _agree_on_every_K(make_zip_datum(rs, frozenset(I), BasedAutomorphism.parse(rs, sigma), lat))
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN) + ["GL_5"])
+def test_lower_neighbors_match_scan_with_the_shape_test_on_every_k(monkeypatch, name):
+    # by default a W_K of order <= 4 is scanned without the shape test
+    monkeypatch.setattr(zipdatum, "_SCAN_ONLY_ORDER", 0)
+    if name == "GL_5":
+        done = set()
+        for r in range(1, 5):
+            for sigma in ("id", "flip"):
+                _agree_on_every_K(gl_zip_datum(5, r, sigma=sigma), done)
+        return
+    cartan, I, sigma = GOLDEN[name]
+    rs, lat = build_generic(cartan)
+    _agree_on_every_K(make_zip_datum(rs, frozenset(I), BasedAutomorphism.parse(rs, sigma), lat))
+
+
+@pytest.mark.parametrize("n,r,scan_only", [(4, 2, 0), (5, 3, zipdatum._SCAN_ONLY_ORDER)])
+def test_finer_orbit_labels_break_the_comparison(monkeypatch, n, r, scan_only):
+    # one label per point: a shape then matches only the target it equals,
+    # so neighbours with a witness x != e are lost and the oracle notices
+    monkeypatch.setattr(zipdatum, "_SCAN_ONLY_ORDER", scan_only)
+    monkeypatch.setattr(WeylGroup, "orbit_labels",
+                        lambda self, K: tuple(range(len(self.identity.key))))
+    with pytest.raises(AssertionError):
+        _agree_on_every_K(gl_zip_datum(n, r))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_matching_shape_is_a_neighbour_in_type_a(n):
+    # W_K is the whole group of block-preserving permutations, so two keys
+    # with one shape are conjugate in W_K: the shape decides the neighbours
+    done = set()
+    for r in range(1, n):
+        for sigma in ("id", "flip"):
+            zd = gl_zip_datum(n, r, sigma=sigma)
+            W = zd.W
+            for K in _subsets(zd.I):
+                restriction = (K, tuple(zd.psi(W.simple(k)).key for k in sorted(K)))
+                if restriction in done:
+                    continue
+                done.add(restriction)
+                labels = W.orbit_labels(K)
+                shapes = {w.key: cycle_shape(compose(w.key, zd._frame), labels)
+                          for w in W.minimal_reps(K)}
+                for w in W.minimal_reps(K):
+                    targets = {cycle_shape(compose(t, zd._frame), labels)
+                               for _, t in W.coatoms(w)}
+                    gamma = set(zd.lower_neighbors(K, w))
+                    for cand in W.minimal_reps_of_length(K, w.length - 1):
+                        assert (shapes[cand.key] in targets) == (cand in gamma), (K, w, cand)
 
 
 @pytest.mark.parametrize("n,r,sigma", [(5, 2, "id"), (5, 3, "flip"), (6, 3, "flip")])
@@ -187,6 +242,24 @@ def test_parabolic_operations_agree_with_w_k_enumerated(datum):
         u, wmin = W.min_coset_rep(K, w)
         assert u * wmin == w and u in members and W.is_minimal_rep(wmin, K)
         assert u.length + wmin.length == w.length
+
+
+@settings(max_examples=40, deadline=None)
+@given(data())
+def test_cycle_shape_is_invariant_under_w_k(datum):
+    zd, K = datum
+    W = zd.W
+    labels = W.orbit_labels(K)
+    members = list(W.parabolic_keys(K))
+    # the labels are the W_K-orbits of the key points: constant on each
+    # orbit, and different on different orbits
+    for i in range(len(labels)):
+        assert {x[i] for x in members} == {j for j, lab in enumerate(labels)
+                                            if lab == labels[i]}
+    for w in W.minimal_reps(K):
+        c = compose(w.key, zd._frame)
+        shape = cycle_shape(c, labels)
+        assert all(cycle_shape(conjugate(x, c), labels) == shape for x in members)
 
 
 # -- group orders from the height product --------------------------------------
