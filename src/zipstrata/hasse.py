@@ -422,9 +422,10 @@ def _witness_from_lambda0(lambda0):
     return HasseWitness(lambda0=lambda0, scaled_integral=scaled, multiplier=mult)
 
 
-def _w_minus_z_rows(zd, w):
-    """Rows of the lattice map lambda_0 |-> w lambda_0 - z lambda_0; the unit
-    vectors and their images under z are kept on the datum."""
+def _w_minus_z_cols(zd, w):
+    """Columns (w - z) e_k of the lattice map lambda_0 |-> w lambda_0 -
+    z lambda_0; the unit vectors and their images under z are kept on the
+    datum."""
     consts = zd._extra.get("hasse_z_columns")
     if consts is None:
         dim = zd.lattice.dim
@@ -432,11 +433,10 @@ def _w_minus_z_rows(zd, w):
         consts = zd._extra["hasse_z_columns"] = (
             units, [zd.z.apply_weight(e, zd.lattice) for e in units])
     units, zcols = consts
-    cols = [
-        [a - b for a, b in zip(w.apply_weight(e, zd.lattice), zk)]
+    return [
+        tuple(a - b for a, b in zip(w.apply_weight(e, zd.lattice), zk))
         for e, zk in zip(units, zcols)
     ]
-    return list(zip(*cols))
 
 
 def hasse_feasible(zd: ZipDatum, w: WeylElement, lam: Sequence[int]) -> HasseResult:
@@ -450,7 +450,7 @@ def hasse_feasible(zd: ZipDatum, w: WeylElement, lam: Sequence[int]) -> HasseRes
         raise ZipDatumError(f"w = {w!r} is not in ^I W")
     _check_L_weight(zd, lam)
     ew = tuple(e_w_set(zd, w))
-    eq_rows = _w_minus_z_rows(zd, w)
+    eq_rows = list(zip(*_w_minus_z_cols(zd, w)))
     eq_rhs = list(lam)
     lambda0, cert = _feasible_lambda0(zd.lattice.dim, eq_rows, eq_rhs, _strict_rows(zd, ew))
     if lambda0 is None:
@@ -471,9 +471,8 @@ def hasse_any_Lweight(zd: ZipDatum, w: WeylElement):
         raise ZipDatumError(f"w = {w!r} is not in ^I W")
     ew = tuple(e_w_set(zd, w))
     dim = zd.lattice.dim
-    wz = _w_minus_z_rows(zd, w)
+    cols = _w_minus_z_cols(zd, w)
     # row k: <(w - z) e_j, alpha_k^vee> for each j, alpha_k simple in I
-    cols = list(zip(*wz))
     eq_rows = [
         [_dot(_coroot_row(zd, zd.rs.simple(k)), col) for col in cols]
         for k in sorted(zd.I)
@@ -484,7 +483,7 @@ def hasse_any_Lweight(zd: ZipDatum, w: WeylElement):
         return None, HasseResult(witness=None, certificate=cert, e_w=ew)
     witness = _witness_from_lambda0(lambda0)
     lam_scaled = tuple(
-        sum(wz[d][k] * witness.scaled_integral[k] for k in range(dim))
+        sum(col[d] * s for col, s in zip(cols, witness.scaled_integral))
         for d in range(dim)
     )
     _check_L_weight(zd, lam_scaled)

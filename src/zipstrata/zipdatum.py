@@ -63,8 +63,10 @@ from .weyl import (
 
 
 # lower_neighbors scans a W_K of at most this order without comparing cycle
-# shapes: on GL_7 and GL_8 data the shape test took twice the scan's time at
-# |W_K| = 2, as long at 4 and 6, and two thirds at 8
+# shapes.  On GL_7 and GL_8 data the shape test took 1.45 times the scan's
+# time at |W_K| = 2, 1.07 at 4, 0.86 at 6 and 0.75 at 8; end to end, the
+# shape test on every W_K made decide-sweep (|W_K| in {1, 4, 8, 16}) 4.6%
+# slower in wall_s (BENCH_10.json)
 _SCAN_ONLY_ORDER = 4
 
 
@@ -156,7 +158,6 @@ class ZipDatum:
     J: frozenset[int]
     _canonical_types: dict = field(default_factory=dict, repr=False)
     _small: dict = field(default_factory=dict, repr=False)
-    _lower_neighbors: dict = field(default_factory=dict, repr=False)
     _extra: dict = field(default_factory=dict, repr=False)
     _frame: tuple = field(init=False, repr=False)
 
@@ -235,7 +236,8 @@ class ZipDatum:
         W = self.W
         if not W.is_minimal_rep(w, K):
             raise ZipDatumError(f"w = {w!r} is not in ^K W for K={sorted(K)}")
-        hit = self._lower_neighbors.get((K, w.key))
+        memo = self._extra.setdefault("lower_neighbors", {})
+        hit = memo.get((K, w.key))
         if hit is not None:
             return list(hit)
         out = []
@@ -271,7 +273,7 @@ class ZipDatum:
                 if found is not None:
                     out.append(cand)
             out.sort(key=lambda v: (v.length, v.word))
-        self._lower_neighbors[(K, w.key)] = tuple(out)
+        memo[(K, w.key)] = tuple(out)
         return out
 
     # -- canonical parabolic type ------------------------------------------------

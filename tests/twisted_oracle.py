@@ -12,7 +12,9 @@ class TwistedScan:
     ^K W is taken by filtering all of W.  A candidate w' is below w iff some
     x w' psi(x)^{-1}, x in W_K in `parabolic_elements` order, is Bruhat-below
     w; each candidate's list of those products is formed once and kept, so
-    that every w shares it.
+    that every w shares it.  The Bruhat order is taken by its definition, the
+    transitive closure of u t < u for the reflections t with l(u t) < l(u),
+    as one table of lower intervals [e, w] shared by every query.
     """
 
     def __init__(self, zd: ZipDatum, K):
@@ -24,13 +26,28 @@ class TwistedScan:
                 self.levels.setdefault(w.length, []).append(w)
         self._pairs = [(x, zd.psi(x).inverse()) for x in W.parabolic_elements(self.K)]
         self._orbits: dict = {}
+        self._intervals: dict = {}
 
     def leq(self, w1: WeylElement, w2: WeylElement) -> bool:
         """w1 <=_K w2: some x in W_K has x w1 psi(x)^{-1} Bruhat-below w2."""
         orbit = self._orbits.get(w1.key)
         if orbit is None:
             orbit = self._orbits[w1.key] = [x * w1 * p for x, p in self._pairs]
-        return any(y.length <= w2.length and self.zd.W.bruhat_leq(y, w2) for y in orbit)
+        below = self._interval(w2)
+        return any(y.key in below for y in orbit)
+
+    def _interval(self, w: WeylElement) -> set:
+        """Keys of the Bruhat interval [e, w]."""
+        below = self._intervals.get(w.key)
+        if below is None:
+            W = self.zd.W
+            below = {w.key}
+            for root in self.zd.rs.positive_roots:
+                u = w * W.reflection(root)
+                if u.length < w.length:
+                    below |= self._interval(u)
+            self._intervals[w.key] = below
+        return below
 
     def lower_neighbors(self, w: WeylElement) -> list[WeylElement]:
         """Gamma_K(w): every w' in ^K W of length l(w) - 1 with w' <=_K w."""
