@@ -17,24 +17,25 @@ Every group operation has one algorithm on keys, shared by GL_n and generic
 data.  |W_K| is the height product prod_{alpha in Phi_K+} (ht alpha + 1) /
 ht alpha (Macdonald, Math. Ann. 199, 1972), so no order is counted by
 enumeration.  Hot loops work on raw key tuples (`compose`, `invert`,
-`conjugate`) and intern only their results: `parabolic_keys` enumerates W_K
-as keys, and `parabolic_elements` interns on top of it; `coatoms` gives
-the Bruhat coatoms w s_alpha (l(w s_alpha) = l(w) - 1) with their roots,
-memoized per key.  `orbit_labels` names the W_K-orbit of each key point,
-and `cycle_shape` writes a key's cycles in those names, which conjugation
-by W_K keeps.
-^K W is closed under prefixes in the right weak order (Deodhar), so
-`minimal_reps_of_length` builds it level by level from {e} along w -> w s,
-and `minimal_reps` never enumerates W.
+`conjugate`) and intern only their results; `coatoms` gives the Bruhat
+coatoms w s_alpha (l(w s_alpha) = l(w) - 1) with their roots, memoized per
+key.  `orbit_labels` names the W_K-orbit of each key point, and
+`cycle_shape` writes a key's cycles in those names, which conjugation by
+W_K keeps.
+
+W_K and ^K W are both built one length level at a time up the right weak
+order from {e}, by one step (`_level_up`): w -> w s for each simple s that
+is no right descent of w.  `parabolic_keys` takes only the moves s_k, k in
+K, and yields W_K lazily as keys (`parabolic_elements` interns on top of
+it).  ^K W is closed under prefixes in the right weak order (Deodhar), so
+`minimal_reps_of_length` takes every move and keeps the keys with no left
+descent in K, and `minimal_reps` never enumerates W (Bjorner-Brenti,
+*Combinatorics of Coxeter Groups*, ch. 3).
 
 The realization is read only where the key layout itself differs: the
 one-line view (`one_line`, `label`, `__repr__`, `from_one_line`), the key
-layout in `__init__`, the coordinate action (`_reflection_key`,
-`twist_points`, `_apply`, `_apply_weight`), and the block product of
-`parabolic_keys`.  That product enumerates W_K in type A as a product of
-block permutations; the breadth-first closure in its place made the
-poset-gl benchmark's wall time 36% longer (median 0.300 -> 0.407 s per
-pass, Python 3.11 on 2 cores).
+layout in `__init__`, and the coordinate action (`_reflection_key`,
+`twist_points`, `_apply`, `_apply_weight`).
 """
 
 from __future__ import annotations
@@ -98,6 +99,27 @@ def cycle_shape(p: tuple, labels: Sequence) -> tuple:
         cycles.append(tuple(word))
     cycles.sort()
     return tuple(cycles)
+
+
+def _level_up(level: Iterable[tuple], moves, K_pairs=()) -> Iterator[tuple]:
+    """The next level of a weak-order search: each w s, w in ``level`` and
+    (pair, s) in ``moves`` (`WeylGroup._simple_moves`) with s no right
+    descent of w, once; with the point pairs ``K_pairs`` of a K, only those
+    without a left descent in K."""
+    seen = set()
+    for p in level:
+        for (a, b), s in moves:
+            if p[a] > p[b]:
+                continue  # s is a right descent of w
+            u = compose(p, s)
+            if u in seen:
+                continue
+            seen.add(u)
+            if K_pairs:
+                q = invert(u)
+                if not all(q[c] < q[d] for c, d in K_pairs):
+                    continue  # u has a left descent in K
+            yield u
 
 
 class BudgetExceeded(RuntimeError):
@@ -429,22 +451,6 @@ class WeylGroup:
 
     # -- parabolic machinery ---------------------------------------------------
 
-    def blocks(self, K: frozenset[int] | set[int]) -> list[tuple[int, int]]:
-        """Half-open 0-based value intervals of the standard parabolic W_K.
-
-        Only meaningful for type A, where K subset of {1..n-1} joins value i
-        with i+1 whenever alpha_i is in K.
-        """
-        K = set(K)
-        out = []
-        start = 0
-        for i in range(1, self.n):
-            if i not in K:
-                out.append((start, i))
-                start = i
-        out.append((start, self.n))
-        return out
-
     def parabolic_order(self, K) -> int:
         """|W_K|."""
         return self._parabolic(K)[0]
@@ -500,50 +506,29 @@ class WeylGroup:
             yield self._intern(key)
 
     def parabolic_keys(self, K) -> Iterator[tuple]:
-        """The keys of `parabolic_elements(K)`, in the same order, uninterned."""
-        if self.rs.realization == TYPE_A_GL:
-            moving = [(lo, hi) for lo, hi in self.blocks(K) if hi - lo > 1]
-            if not moving:
-                return iter([self.identity.key])
-            tail = tuple(range(moving[-1][1], self.n))
-            last = len(moving) - 1
+        """The keys of `parabolic_elements(K)`, in the same order, uninterned:
+        W_K level by level up the right weak order from e, using only the
+        moves s_k, k in K; within a level, in the order the keys are first
+        reached.  At most `budget` keys are yielded.
 
-            # block by block, the first block slowest, so that taking a few
-            # elements never materializes a block's permutations; the points
-            # between the blocks are fixed
-            def rec(i: int, prefix: tuple[int, ...]) -> Iterator[tuple]:
-                lo, hi = moving[i]
-                head = prefix + tuple(range(len(prefix), lo))
-                pieces = itertools.permutations(range(lo, hi))
-                if i == last:
-                    for piece in pieces:
-                        yield head + piece + tail
-                else:
-                    for piece in pieces:
-                        yield from rec(i + 1, head + piece)
-
-            return rec(0, ())
-        return self._closure_keys([self.simple(k).key for k in sorted(K)])
-
-    def _closure_keys(self, gens: list[tuple]) -> Iterator[tuple]:
-        """The subgroup generated by the keys ``gens``, breadth first from e."""
-        seen = {self.identity.key}
-        frontier = [self.identity.key]
+        >>> from zipstrata.rootdata import build_gl
+        >>> W = WeylGroup(build_gl(3, 1)[0])
+        >>> list(W.parabolic_keys({1, 2}))
+        [(0, 1, 2), (1, 0, 2), (0, 2, 1), (1, 2, 0), (2, 0, 1), (2, 1, 0)]
+        """
+        moves = [self._simple_moves[k - 1] for k in sorted(K)]
+        level = [self.identity.key]
         yield self.identity.key
-        while frontier:
+        count = 1
+        while level:
             nxt = []
-            for w in frontier:
-                for g in gens:
-                    u = compose(w, g)
-                    if u not in seen:
-                        if len(seen) >= self.budget:
-                            raise BudgetExceeded(
-                                f"group enumeration exceeds budget {self.budget}"
-                            )
-                        seen.add(u)
-                        nxt.append(u)
-                        yield u
-            frontier = nxt
+            for u in _level_up(level, moves):
+                if count >= self.budget:
+                    raise BudgetExceeded(f"group enumeration exceeds budget {self.budget}")
+                count += 1
+                nxt.append(u)
+                yield u
+            level = nxt
 
     def in_parabolic(self, u: WeylElement, K) -> bool:
         """True iff u lies in W_K: no positive root outside Phi_K goes negative."""
@@ -631,9 +616,9 @@ class WeylGroup:
         """^K W intersected with length ``length``, memoized per (K, length).
 
         ^K W is closed under prefixes in the right weak order (Deodhar), so
-        level l + 1 is the set of w s with w in level l, s not a right descent
-        of w, and w s in ^K W; the search starts from {e} and never builds an
-        element outside ^K W.
+        level l + 1 is `_level_up` of level l over every simple move, kept to
+        ^K W; the search starts from {e} and never interns an element
+        outside ^K W.
         """
         K = frozenset(K)
         memo = self._reps_by_length
@@ -650,17 +635,6 @@ class WeylGroup:
         K_pairs = [self._simple_pairs[k - 1] for k in sorted(K)]
         while top < length:
             top += 1
-            nxt: dict = {}
-            for w in level:
-                p = w.key
-                for (a, b), s in self._simple_moves:
-                    if p[a] > p[b]:
-                        continue  # s is a right descent of w
-                    u = compose(p, s)
-                    if u in nxt:
-                        continue
-                    q = invert(u)
-                    if all(q[c] < q[d] for c, d in K_pairs):  # no left descent in K
-                        nxt[u] = None
-            level = memo[(K, top)] = tuple(self._intern(u, top) for u in nxt)
+            keys = _level_up((w.key for w in level), self._simple_moves, K_pairs)
+            level = memo[(K, top)] = tuple(self._intern(u, top) for u in keys)
         return level

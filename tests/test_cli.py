@@ -81,6 +81,18 @@ def test_lower_neighbour_scan_budget_exit_code(capsys, budget, code):
         assert err == f"budget exceeded: twisted_leq scanned more than {budget} elements of W_K\n"
 
 
+@pytest.mark.parametrize("budget,code", [(3, 3), (4, 0)])
+def test_witness_past_the_budget_exit_code(capsys, budget, code):
+    # GL_5 (2,3), closure of 3,1,2,4,5: I_w = {1,4}, and |W_K| = 4 is
+    # scanned key by key; the candidate 1,2,4,3,5 has no witness, so its
+    # scan draws key 4, which the enumeration of W_K refuses at budget 3
+    argv = ["--gl", "5", "2", "--budget", str(budget), "closure", "3,1,2,4,5"]
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    if code == 3:
+        assert err == f"budget exceeded: group enumeration exceeds budget {budget}\n"
+
+
 def test_generic_budget_caps_the_representatives_not_the_group(capsys, tmp_path):
     # B3, I = {2,3}: |W| = 48, |W_I| = 8, |^I W| = 6; every lower-neighbour
     # scan hits within 7 elements of W_I, and ^I W is searched without

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from zipstrata import fq
 from zipstrata.fq import (
     Fq,
     FqSubspace,
@@ -100,6 +101,18 @@ def test_subspace_preimage():
     # {x : A x in span(e1)} = {x : x3 = 0}
     pre = M.preimage(A)
     assert pre == FqSubspace.from_vectors(F, 3, [(1, 0, 0), (0, 1, 0)])
+
+
+def test_zero_subspace_maps_without_elimination(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("rref was called")
+
+    monkeypatch.setattr(fq, "rref", refuse)
+    F = Fq(2, 2)
+    zero = FqSubspace.zero(F, 3)
+    A = ((0, 1, 0), (2, 0, 1), (1, 0, 0))
+    for m in (0, 1, 2):
+        assert zero.map_semilinear(A, m) == zero
 
 
 def test_enumerate_gl_counts():

@@ -10,8 +10,9 @@ labels are made finer.  In type A a matching shape is a neighbour.  The
 property tests draw random finite-type data and check the weak-order search
 for ^K W, the parabolic operations against W_K enumerated, the length
 lemma l(x w' psi(x)^{-1}) >= l(w') with equal parity, and that the orbit
-labels and the cycle shape are kept by W_K; the height product for |W| is
-checked against the textbook orders, E6-E8 included.
+labels and the cycle shape are kept by W_K, and that Xi fixes ^I W and
+never increases length; the height product for |W| is checked against the
+textbook orders, E6-E8 included.
 """
 
 import itertools
@@ -23,6 +24,7 @@ from hypothesis import strategies as st
 from twisted_oracle import TwistedScan
 from zipstrata import zipdatum
 from zipstrata.rootdata import build_generic
+from zipstrata.strata import xi_of_weyl
 from zipstrata.weyl import BudgetExceeded, WeylGroup, compose, conjugate, cycle_shape
 from zipstrata.zipdatum import BasedAutomorphism, gl_zip_datum, make_zip_datum
 
@@ -232,8 +234,12 @@ def test_twisted_conjugates_never_drop_below_the_representative(datum):
 def test_parabolic_operations_agree_with_w_k_enumerated(datum):
     zd, K = datum
     W = zd.W
-    members = set(W.parabolic_elements(K))
-    assert len(members) == W.parabolic_order(K)
+    drawn = list(W.parabolic_elements(K))
+    members = set(drawn)
+    # identity first, lengths never decreasing, each element once
+    assert drawn[0] == W.identity
+    assert all(u.length <= v.length for u, v in zip(drawn, drawn[1:]))
+    assert len(members) == len(drawn) == W.parabolic_order(K)
     longest = W.longest_element(K)
     assert longest in members
     assert longest.length == sum(1 for r in zd.rs.positive_roots if r.support() <= K)
@@ -260,6 +266,20 @@ def test_cycle_shape_is_invariant_under_w_k(datum):
         c = compose(w.key, zd._frame)
         shape = cycle_shape(c, labels)
         assert all(cycle_shape(conjugate(x, c), labels) == shape for x in members)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data())
+def test_xi_is_a_length_non_increasing_retraction_onto_iw(datum):
+    zd, _ = datum
+    W = zd.W
+    for v in W.minimal_reps(zd.I):
+        assert xi_of_weyl(zd, v) == v
+    step = max(1, W.order() // 60)
+    for w in itertools.islice(W.elements(), 0, None, step):
+        v = xi_of_weyl(zd, w)
+        assert zd.in_IW(v) and v.length <= w.length
+        assert xi_of_weyl(zd, v) == v
 
 
 # -- group orders from the height product --------------------------------------
