@@ -58,10 +58,11 @@ class RunConfig:
                 doc = json.load(fh)
         except OSError as exc:
             raise ZipDatumError(f"cannot read {self.cartan_file}: {exc.strerror}") from None
-        if self.I is not None:
-            doc["I"] = self.I
-        if self.sigma != "id":
-            doc["sigma"] = self.sigma
+        if isinstance(doc, dict):  # zip_datum_from_json refuses anything else
+            if self.I is not None:
+                doc["I"] = self.I
+            if self.sigma != "id":
+                doc["sigma"] = self.sigma
         return zip_datum_from_json(doc, budget=self.budget)
 
 
@@ -284,17 +285,17 @@ COMMANDS = {
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    config = RunConfig(
-        gl=tuple(args.gl) if args.gl else None,
-        cartan_file=args.cartan,
-        sigma=args.sigma,
-        I=[int(x) for x in args.I.split(",")] if args.I else None,
-        m=args.m,
-        q=args.q,
-        fmt=args.fmt,
-        budget=args.budget,
-    )
     try:
+        config = RunConfig(
+            gl=tuple(args.gl) if args.gl else None,
+            cartan_file=args.cartan,
+            sigma=args.sigma,
+            I=[int(x) for x in args.I.split(",")] if args.I else None,
+            m=args.m,
+            q=args.q,
+            fmt=args.fmt,
+            budget=args.budget,
+        )
         out = COMMANDS[args.command](config, args)
     except BudgetExceeded as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)

@@ -30,6 +30,20 @@ class RootDataError(ValueError):
     """Invalid root datum input (bad Cartan matrix, inconsistent lattice...)."""
 
 
+def int_tuple(value, what: str) -> tuple[int, ...]:
+    """``value``, a list from a JSON document, as a tuple of integers."""
+    if isinstance(value, (list, tuple)) and all(type(x) is int for x in value):
+        return tuple(value)
+    raise RootDataError(f"{what} must be integers")
+
+
+def int_matrix(value, what: str) -> tuple[tuple[int, ...], ...]:
+    """``value``, a list of lists from a JSON document, as integer rows."""
+    if not isinstance(value, (list, tuple)):
+        raise RootDataError(f"{what} must be a list of lists of integers")
+    return tuple(int_tuple(row, f"each row of {what}") for row in value)
+
+
 @dataclass(frozen=True)
 class Root:
     """A root as an exact integer vector.
@@ -215,10 +229,10 @@ def build_gl(n: int, r: int):
 # generic finite-type systems from a Cartan matrix
 
 def _validate_cartan(cartan: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
-    m = len(cartan)
-    if m == 0 or any(len(row) != m for row in cartan):
+    C = int_matrix(cartan, "the Cartan matrix")
+    m = len(C)
+    if m == 0 or any(len(row) != m for row in C):
         raise RootDataError("Cartan matrix must be square and nonempty")
-    C = tuple(tuple(int(x) for x in row) for row in cartan)
     for i in range(m):
         if C[i][i] != 2:
             raise RootDataError("Cartan matrix needs 2 on the diagonal")
@@ -337,15 +351,15 @@ def build_generic(cartan: Sequence[Sequence[int]], lattice_spec: dict | None = N
         )
         lattice = CharacterLattice(rank, pair, emb)
     else:
-        lattice = CharacterLattice(
-            int(lattice_spec["dim"]),
-            tuple(tuple(int(x) for x in row) for row in lattice_spec["pairing"]),
-            tuple(tuple(int(x) for x in row) for row in lattice_spec["root_embedding"]),
-        )
-        if len(lattice.coroot_pairing) != lattice.dim:
-            raise RootDataError("coroot_pairing must have `dim` rows")
-        if len(lattice.root_embedding) != rank:
-            raise RootDataError("root_embedding must have `rank` rows")
+        spec = lattice_spec if isinstance(lattice_spec, dict) else {}
+        (dim,) = int_tuple([spec.get("dim")], 'the lattice "dim"')
+        pair = int_matrix(spec.get("pairing"), 'the lattice "pairing"')
+        emb = int_matrix(spec.get("root_embedding"), 'the lattice "root_embedding"')
+        if len(pair) != dim or any(len(row) != rank for row in pair):
+            raise RootDataError("coroot_pairing must have `dim` rows of `rank` entries")
+        if len(emb) != rank or any(len(row) != dim for row in emb):
+            raise RootDataError("root_embedding must have `rank` rows of `dim` entries")
+        lattice = CharacterLattice(dim, pair, emb)
     _check_lattice(C, lattice)
     rs = RootSystem(rank, GENERIC, rank, simples, tuple(positives), C)
     return rs, lattice
@@ -359,6 +373,8 @@ def load_generic_json(doc: str | dict):
     """
     if isinstance(doc, str):
         doc = json.loads(doc)
+    if not isinstance(doc, dict):
+        raise RootDataError("a datum document must be a JSON object")
     if "cartan" not in doc:
         raise RootDataError('a generic datum needs a "cartan" matrix')
     return build_generic(doc["cartan"], doc.get("lattice"))

@@ -15,7 +15,7 @@ import itertools
 from dataclasses import dataclass
 
 from .rootdata import Root, is_compact
-from .weyl import BudgetExceeded, InvariantViolation, WeylElement
+from .weyl import BudgetExceeded, InvariantViolation, WeylElement, compose, conjugate
 from .zipdatum import ZipDatum, ZipDatumError
 
 
@@ -92,11 +92,11 @@ def is_small(zd: ZipDatum, w: WeylElement) -> bool:
     Smallness is independent of the Frobenius exponent, so there is no
     exponent argument.
     """
-    cached = zd._small.get(w.key)
+    memo = zd._extra.setdefault("small", {})
+    cached = memo.get(w.key)
     if cached is None:
         _, n_plus, _ = w_sequences(zd, w * zd.z.inverse())
-        cached = n_plus == w.length
-        zd._small[w.key] = cached
+        cached = memo[w.key] = n_plus == w.length
     return cached
 
 
@@ -108,11 +108,11 @@ def xi_of_weyl(zd: ZipDatum, w: WeylElement) -> WeylElement:
     """The unique v in ^I W whose stratum contains w z^{-1}.
 
     Walks the W_I-orbit of w under the elementary twisted conjugations
-    y |-> s y psi(s), s a simple reflection in I (psi(s) is simple in J).
-    Any length-decreasing step is taken as soon as it is seen; otherwise the
-    equal-length part of the orbit reachable from the current element is
-    explored.  The walk stops at the first y = u v (u in W_I, v in ^I W)
-    with u in the parabolic of the canonical type I_v, and returns v.
+    y |-> s y psi(s) of raw keys, s a simple reflection in I (psi(s) is
+    simple in J).  Any length-decreasing step is taken as soon as it is seen;
+    otherwise the equal-length part of the orbit reachable from the current
+    element is explored.  The walk stops at the first y = u v (u in W_I, v in
+    ^I W) with u in the parabolic of the canonical type I_v, and returns v.
     Every element visited is some x w psi(x)^{-1}, and by X. He's reduction
     (Adv. Math. 2007) a length-non-increasing path of such steps reaches an
     accepted element from any start, so each length level either drops or
@@ -122,20 +122,22 @@ def xi_of_weyl(zd: ZipDatum, w: WeylElement) -> WeylElement:
     order = W.parabolic_order(zd.I)
     if order > W.budget:
         raise BudgetExceeded(f"the Xi walk over |W_I| = {order} exceeds budget {W.budget}")
-    steps = [(W.simple(k), zd.psi(W.simple(k))) for k in sorted(zd.I)]
-    level, seen = [w], {w.key}
+    steps = [(s.key, conjugate(zd._frame, s.key)) for s in map(W.simple, sorted(zd.I))]
+    # every key in the level has the length ``length``
+    level, seen, length = [w.key], {w.key}, w.length
     while level:
         y = level.pop()
-        u, v = W.min_coset_rep(zd.I, y)
+        u, v = W.min_coset_rep(zd.I, W._intern(y, length))
         if W.in_parabolic(u, zd.canonical_type(v)):
             return v
         for s, t in steps:
-            nxt = s * y * t
-            if nxt.length < y.length:
-                level, seen = [nxt], {nxt.key}
+            nxt = compose(compose(s, y), t)
+            nxt_length = W._key_length(nxt)
+            if nxt_length < length:
+                level, seen, length = [nxt], {nxt}, nxt_length
                 break
-            if nxt.length == y.length and nxt.key not in seen:
-                seen.add(nxt.key)
+            if nxt_length == length and nxt not in seen:
+                seen.add(nxt)
                 level.append(nxt)
     raise InvariantViolation(
         f"the Xi walk from {w!r} accepted nothing; the representative theory is violated"

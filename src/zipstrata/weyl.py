@@ -262,6 +262,8 @@ class WeylGroup:
 
     def simple(self, k: int) -> WeylElement:
         """Simple reflection s_k (1-based)."""
+        if k not in self._simples:
+            raise ValueError(f"no simple reflection s{k}: the indices run 1..{self.rs.rank}")
         return self._simples[k]
 
     def from_one_line(self, values: Sequence[int]) -> WeylElement:
@@ -301,14 +303,6 @@ class WeylGroup:
             image = tuple(b - p * a for b, a in zip(beta.simple_coords, alpha))
             key.append(self._root_index[image])
         return tuple(key)
-
-    def twist(self, w: WeylElement, delta_perm: Sequence[int]) -> WeylElement:
-        """sigma(w) for the diagram automorphism alpha_k -> alpha_{delta_perm[k-1]}.
-
-        sigma permutes the points the keys act on, and sigma(w) is w
-        conjugated by that permutation tau: sigma(w)[tau[i]] = tau[w[i]].
-        """
-        return self._intern(conjugate(self.twist_points(delta_perm), w.key), w._length)
 
     def twist_points(self, delta_perm: Sequence[int]) -> tuple:
         """The permutation tau of the key points that sigma induces."""
@@ -516,6 +510,8 @@ class WeylGroup:
         >>> list(W.parabolic_keys({1, 2}))
         [(0, 1, 2), (1, 0, 2), (0, 2, 1), (1, 2, 0), (2, 0, 1), (2, 1, 0)]
         """
+        if self.budget < 1:
+            raise BudgetExceeded(f"group enumeration exceeds budget {self.budget}")
         moves = [self._simple_moves[k - 1] for k in sorted(K)]
         level = [self.identity.key]
         yield self.identity.key

@@ -8,6 +8,10 @@ and a character lattice.  From these it derives
     z = sigma(w_{0,I}) * w_0,      J = z^{-1}(sigma(I)),
     psi : W_I -> W_J,  x |-> z^{-1} sigma(x) z.
 
+With tau the permutation of key points that sigma induces (sigma(x) =
+tau x tau^{-1}) and the frame A = z^{-1} tau, psi(x) = A x A^{-1}; this
+conjugation of raw keys is the one definition of psi that the code uses.
+
 The same frame element z serves every sub-datum attached to a parabolic type
 K inside I, so the twisted order on ^K W is always
 
@@ -20,8 +24,7 @@ Lower neighbours use two facts.  For w' in ^K W and x in W_K, l(x w') =
 l(x) + l(w') and psi preserves length, so l(x w' psi(x)^{-1}) >= l(w'),
 and by the sign character l(x w' psi(x)^{-1}) = l(w') mod 2; hence when
 l(w') = l(w) - 1 a witness has length l(w) - 1 and is a Bruhat coatom of w.
-And with tau the permutation of key points that sigma induces (sigma(x) =
-tau x tau^{-1}) and A = z^{-1} tau, psi(x) = A x A^{-1}, so
+And
 
     x w' psi(x)^{-1} = t   iff   x (w' A) x^{-1} = t A,
 
@@ -36,10 +39,10 @@ matches no target's is not a neighbour.  The shape is only a necessary
 condition; a candidate that passes it is scanned, so every neighbour comes
 with an explicit witness x.  (In type A, W_K is the whole group of
 permutations that keep the labels, so there a matching shape always leads
-to a witness.)  A rejected candidate is charged |W_K| against the budget,
-the exhaustive scan it replaces, so the budget fails exactly where the
-scan would.  A W_K of order at most `_SCAN_ONLY_ORDER` is scanned without
-the shape test, which costs more than such a scan.
+to a witness.)  A candidate without a witness is charged |W_K| against the
+budget, the exhaustive scan it stands for, so the budget fails exactly
+where the scan would.  A W_K of order at most `_SCAN_ONLY_ORDER` is
+scanned without the shape test, which costs more than such a scan.
 """
 
 from __future__ import annotations
@@ -59,6 +62,7 @@ from .weyl import (
     compose,
     conjugate,
     cycle_shape,
+    invert,
 )
 
 
@@ -136,10 +140,12 @@ class BasedAutomorphism:
         return self._root_table[root.coords]
 
     def apply_w(self, W: WeylGroup, w: WeylElement) -> WeylElement:
-        """sigma(w), characterized by sigma(w) . sigma(a) = sigma(w . a)."""
+        """sigma(w), characterized by sigma(w) . sigma(a) = sigma(w . a): the
+        key of w conjugated by the permutation tau of the key points that
+        sigma induces, sigma(w)[tau[i]] = tau[w[i]]."""
         if self.is_identity:
             return w
-        return W.twist(w, self.delta_perm)
+        return W._intern(conjugate(W.twist_points(self.delta_perm), w.key), w._length)
 
     def __repr__(self) -> str:
         return f"BasedAutomorphism({list(self.delta_perm)})"
@@ -156,8 +162,6 @@ class ZipDatum:
     W: WeylGroup
     z: WeylElement
     J: frozenset[int]
-    _canonical_types: dict = field(default_factory=dict, repr=False)
-    _small: dict = field(default_factory=dict, repr=False)
     _extra: dict = field(default_factory=dict, repr=False)
     _frame: tuple = field(init=False, repr=False)
 
@@ -170,8 +174,8 @@ class ZipDatum:
     # -- basic derived maps ----------------------------------------------------
 
     def psi(self, x: WeylElement) -> WeylElement:
-        """The Coxeter isomorphism W_I -> W_J, x |-> z^{-1} sigma(x) z."""
-        return self.z.inverse() * self.sigma.apply_w(self.W, x) * self.z
+        """The Coxeter isomorphism W_I -> W_J, x |-> z^{-1} sigma(x) z = A x A^{-1}."""
+        return self.W._intern(conjugate(self._frame, x.key))
 
     def in_IW(self, w: WeylElement) -> bool:
         return self.W.is_minimal_rep(w, self.I)
@@ -198,7 +202,11 @@ class ZipDatum:
     # -- twisted order -----------------------------------------------------------
 
     def twisted_leq(self, K: Iterable[int], w1: WeylElement, w2: WeylElement) -> bool:
-        """w1 <=_K w2: some x in W_K has x w1 psi(x)^{-1} Bruhat-below w2."""
+        """w1 <=_K w2: some x in W_K has x w1 psi(x)^{-1} Bruhat-below w2.
+
+        Scans the keys of W_K up to the first witness; x w1 psi(x)^{-1} =
+        (x (w1 A) x^{-1}) A^{-1} is interned only when no longer than w2.
+        """
         K = frozenset(K)
         self._check_K_inside_I(K)
         for label, w in (("w'", w1), ("w", w2)):
@@ -209,16 +217,11 @@ class ZipDatum:
         if w1.length > w2.length:
             return False
         W = self.W
-        target_len = w2.length
-        scanned = 0
-        for x in W.parabolic_elements(K):
-            scanned += 1
-            if scanned > W.budget:
-                raise BudgetExceeded(
-                    f"twisted_leq scanned more than {W.budget} elements of W_K"
-                )
-            cand = x * w1 * self.psi(x).inverse()
-            if cand.length <= target_len and W.bruhat_leq(cand, w2):
+        c, frame_inv = compose(w1.key, self._frame), invert(self._frame)
+        for x in W.parabolic_keys(K):
+            y = compose(conjugate(x, c), frame_inv)
+            length = W._key_length(y)
+            if length <= w2.length and W.bruhat_leq(W._intern(y, length), w2):
                 return True
         return False
 
@@ -228,8 +231,8 @@ class ZipDatum:
 
         The witnesses are the Bruhat coatoms of w, tested on keys (see the
         module docstring): x = e by one set lookup, then the cycle shape,
-        then W_K scanned lazily up to the first hit, with the budget of
-        `twisted_leq` per candidate.
+        then W_K scanned lazily up to the first hit; a candidate without a
+        witness is charged |W_K| against the budget.
         """
         K = frozenset(K)
         self._check_K_inside_I(K)
@@ -244,34 +247,29 @@ class ZipDatum:
         if w.length:
             frame = self._frame
             targets = {compose(t, frame) for _, t in W.coatoms(w)}
-            order, budget = W.parabolic_order(K), W.budget
-            # a small W_K is cheaper to scan than to compare shapes with
-            labels = W.orbit_labels(K) if order > _SCAN_ONLY_ORDER else None
-            shapes = None  # of the targets, formed at the first miss of x = e
+            order = W.parabolic_order(K)
+            # the orbit labels and the targets' shapes, formed at the first
+            # miss of x = e, unless W_K is small enough to scan outright
+            labels = shapes = None
             # never advanced itself: each copy replays the keys drawn so far
             # and draws the rest on demand, so W_K is enumerated at most once
             drawn = itertools.tee(W.parabolic_keys(K), 1)[0]
             for cand in W.minimal_reps_of_length(K, w.length - 1):
                 c = compose(cand.key, frame)
-                found = None
-                if c in targets:  # x = e, the first element of the scan
-                    found = 1
-                else:
-                    if labels is not None and shapes is None:
+                if c not in targets:  # x = e, the first element of the scan
+                    if shapes is None and order > _SCAN_ONLY_ORDER:
+                        labels = W.orbit_labels(K)
                         shapes = {cycle_shape(t, labels) for t in targets}
-                    if labels is None or cycle_shape(c, labels) in shapes:
-                        scan = itertools.islice(copy.copy(drawn), budget + 1)
-                        found = next(
-                            (i for i, x in enumerate(scan, 1) if conjugate(x, c) in targets),
-                            None,
-                        )
-                # a candidate without a witness costs the scan of all of W_K
-                if (order if found is None else found) > budget:
-                    raise BudgetExceeded(
-                        f"twisted_leq scanned more than {budget} elements of W_K"
-                    )
-                if found is not None:
-                    out.append(cand)
+                    witnessed = (shapes is None or cycle_shape(c, labels) in shapes) and any(
+                        conjugate(x, c) in targets for x in copy.copy(drawn))
+                    if not witnessed:
+                        # a candidate without a witness costs the scan of all of W_K
+                        if order > W.budget:
+                            raise BudgetExceeded(
+                                f"twisted_leq scanned more than {W.budget} elements of W_K"
+                            )
+                        continue
+                out.append(cand)
             out.sort(key=lambda v: (v.length, v.word))
         memo[(K, w.key)] = tuple(out)
         return out
@@ -291,7 +289,8 @@ class ZipDatum:
         """
         if not self.in_IW(w):
             raise ZipDatumError(f"canonical_type needs w in ^I W, got {w!r}")
-        cached = self._canonical_types.get(w.key)
+        memo = self._extra.setdefault("canonical_type", {})
+        cached = memo.get(w.key)
         if cached is not None:
             return cached
         op = w * self.z.inverse()
@@ -313,7 +312,7 @@ class ZipDatum:
         }
         if img != set(current.keys()):
             raise InvariantViolation("canonical type is not phi_w-stable")
-        self._canonical_types[w.key] = result
+        memo[w.key] = result
         return result
 
 
@@ -380,16 +379,20 @@ def zip_datum_from_json(doc: str | dict, budget: int = DEFAULT_BUDGET) -> ZipDat
     """
     import json
 
-    from .rootdata import load_generic_json
+    from .rootdata import int_tuple, load_generic_json
 
     if isinstance(doc, str):
         doc = json.loads(doc)
+    if not isinstance(doc, dict):
+        raise ZipDatumError("a datum document must be a JSON object")
     sigma_spec = doc.get("sigma", "id")
+    if not isinstance(sigma_spec, str):
+        sigma_spec = int_tuple(sigma_spec, '"sigma"')
     if "gl" in doc:
-        return gl_zip_datum(
-            int(doc["gl"]["n"]), int(doc["gl"]["r"]), sigma=sigma_spec, budget=budget
-        )
+        gl = doc["gl"] if isinstance(doc["gl"], dict) else {}
+        n, r = int_tuple([gl.get("n"), gl.get("r")], 'the n and r of "gl"')
+        return gl_zip_datum(n, r, sigma=sigma_spec, budget=budget)
     rs, lattice = load_generic_json(doc)
     aut = BasedAutomorphism.parse(rs, sigma_spec)
-    return make_zip_datum(rs, frozenset(doc.get("I", [])), aut, lattice, budget=budget)
-
+    I = frozenset(int_tuple(doc.get("I", []), '"I"'))
+    return make_zip_datum(rs, I, aut, lattice, budget=budget)

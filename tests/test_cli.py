@@ -1,3 +1,4 @@
+import copy
 import json
 import os
 import subprocess
@@ -5,6 +6,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import zipstrata
 from zipstrata import hasse
@@ -91,6 +94,15 @@ def test_witness_past_the_budget_exit_code(capsys, budget, code):
     err = capsys.readouterr().err
     if code == 3:
         assert err == f"budget exceeded: group enumeration exceeds budget {budget}\n"
+
+
+@pytest.mark.parametrize("budget", [0, -1])
+def test_budget_below_one_refuses_the_first_key(capsys, budget):
+    # no key of W_K fits, not even e: the first draw from parabolic_keys
+    # is refused, whether or not x = e would have been a witness
+    assert main(["--gl", "4", "2", "--budget", str(budget), "closure", "3,4,1,2"]) == 3
+    assert capsys.readouterr().err == (
+        f"budget exceeded: group enumeration exceeds budget {budget}\n")
 
 
 def test_generic_budget_caps_the_representatives_not_the_group(capsys, tmp_path):
@@ -242,6 +254,9 @@ def test_xi_large_parabolic_runs_without_numpy():
     assert loaded == "False"
 
 
+A2 = [[2, -1], [-1, 2]]
+
+
 def _cartan_file(tmp_path, doc):
     path = tmp_path / "datum.json"
     path.write_text(json.dumps(doc))
@@ -254,8 +269,33 @@ def _cartan_file(tmp_path, doc):
         lambda tmp: ("--cartan", str(tmp / "missing.json"), "strata-list"),
         lambda tmp: ("--cartan", _cartan_file(tmp, {"I": [1]}), "strata-list"),
         lambda tmp: ("--gl", "4", "2", "--I", "1", "strata-list"),
+        lambda tmp: ("--cartan", _cartan_file(tmp, {"cartan": A2}), "--I", "a", "strata-list"),
+        lambda tmp: ("--cartan", _cartan_file(tmp, [1, 2]), "strata-list"),
+        lambda tmp: ("--cartan", _cartan_file(tmp, None), "strata-list"),
+        lambda tmp: ("--cartan", _cartan_file(tmp, {"cartan": 5}), "strata-list"),
+        lambda tmp: ("--cartan", _cartan_file(tmp, {"cartan": [2]}), "strata-list"),
+        lambda tmp: ("--cartan", _cartan_file(tmp, {"cartan": [[2, None], [-1, 2]]}),
+                     "strata-list"),
+        lambda tmp: ("--cartan", _cartan_file(tmp, {"cartan": A2, "I": None}), "strata-list"),
+        lambda tmp: ("--cartan", _cartan_file(tmp, {"cartan": A2, "I": 5}), "strata-list"),
+        lambda tmp: ("--cartan", _cartan_file(tmp, {"cartan": A2, "sigma": 5}), "strata-list"),
+        lambda tmp: ("--cartan", _cartan_file(tmp, {"cartan": A2, "sigma": None}),
+                     "strata-list"),
+        lambda tmp: ("--cartan", _cartan_file(tmp, {"cartan": A2, "lattice": []}),
+                     "strata-list"),
+        lambda tmp: ("--cartan", _cartan_file(tmp, {"cartan": A2, "lattice": {"dim": 2}}),
+                     "strata-list"),
+        lambda tmp: ("--cartan", _cartan_file(tmp, {"cartan": A2, "lattice": {
+            "dim": 2, "pairing": 5, "root_embedding": [[1, 0], [0, 1]]}}), "strata-list"),
+        lambda tmp: ("--gl", "4", "2", "decide", "s9", "s1"),
+        lambda tmp: ("--gl", "4", "2", "decide", "s0", "s1"),
+        lambda tmp: ("--gl", "4", "2", "decide", "s-1", "s1"),
     ],
-    ids=["missing-file", "no-cartan-key", "I-with-gl"],
+    ids=["missing-file", "no-cartan-key", "I-with-gl", "I-not-a-number", "list-document",
+         "null-document", "cartan-number", "cartan-row-number", "cartan-null-entry",
+         "I-null", "I-number", "sigma-number", "sigma-null", "lattice-list",
+         "lattice-without-pairing", "lattice-pairing-number", "simple-index-9",
+         "simple-index-0", "simple-index-negative"],
 )
 def test_bad_datum_input_is_a_precondition_error(tmp_path, capsys, argv):
     code = main(list(argv(tmp_path)))
@@ -263,3 +303,102 @@ def test_bad_datum_input_is_a_precondition_error(tmp_path, capsys, argv):
     assert code == 2
     assert captured.out == ""
     assert captured.err.startswith("error: ")
+
+
+def test_simple_index_out_of_range_names_the_valid_range(capsys):
+    assert main(["--gl", "4", "2", "decide", "s9", "s1"]) == 2
+    assert capsys.readouterr().err == "error: no simple reflection s9: the indices run 1..3\n"
+
+
+def test_decide_checks_its_precondition_by_the_first_witness(capsys):
+    # GL_5 (3,2) at budget 1: |W_I| = 12, but the witness of w' <=_I w is
+    # x = e, so the twisted_leq scan stops before drawing a second key
+    argv = ["--gl", "5", "2", "--budget", "1", "decide", "1,3,4,5,2", "1,3,4,2,5"]
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["smooth"] is True
+
+
+# -- malformed input, drawn: every run exits 0, 2 or 3 ------------------------
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 9) | st.floats(-3, 3) | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=3),
+    max_leaves=8,
+)
+_GENERIC_DOC = {"cartan": A2, "I": [1], "sigma": "flip",
+                "lattice": {"dim": 2, "pairing": A2, "root_embedding": [[1, 0], [0, 1]]}}
+_GL_DOC = {"gl": {"n": 3, "r": 1}, "sigma": "id"}
+# each document with the paths of its fields; () is the whole document
+_DOCUMENTS = [
+    (_GENERIC_DOC, [(), ("cartan",), ("cartan", 0), ("cartan", 0, 1), ("I",), ("I", 0),
+                    ("sigma",), ("lattice",), ("lattice", "dim"), ("lattice", "pairing"),
+                    ("lattice", "pairing", 1), ("lattice", "root_embedding")]),
+    (_GL_DOC, [(), ("gl",), ("gl", "n"), ("gl", "r"), ("sigma",)]),
+]
+_texts = st.text(alphabet="se0123456789, -", max_size=10)
+_elements = _texts | st.sampled_from(["e", "s1", "s2 s1", "s9", "s0", "2,1,3", "3,1,2,4"])
+
+
+@st.composite
+def _documents(draw):
+    """A valid datum document with one field replaced by any JSON value or
+    deleted, or the whole document replaced."""
+    doc, paths = draw(st.sampled_from(_DOCUMENTS))
+    path = draw(st.sampled_from(paths))
+    value = draw(_json_values)
+    if not path:
+        return value
+    doc = copy.deepcopy(doc)
+    parent = doc
+    for step in path[:-1]:
+        parent = parent[step]
+    if isinstance(parent, dict) and draw(st.booleans()):
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return doc
+
+
+@st.composite
+def _argvs(draw, cartan_path):
+    """argv for one run: a small GL datum or a drawn document, then a command
+    with drawn element texts, --I, --m-list, --weight and signatures."""
+    if draw(st.booleans()):
+        with open(cartan_path, "w") as fh:
+            json.dump(draw(_documents()), fh)
+        datum = ["--cartan", cartan_path]
+        if draw(st.booleans()):
+            datum += ["--I", draw(_texts)]
+    else:
+        datum = ["--gl", str(draw(st.integers(-1, 5))), str(draw(st.integers(-1, 5)))]
+    command = draw(st.sampled_from(["decide", "closure", "xi", "hasse", "census",
+                                    "closed-form", "strata-list"]))
+    if command == "decide":
+        tail = [command, draw(_elements), draw(_elements)]
+    elif command in ("closure", "xi"):
+        tail = [command, draw(_elements)]
+    elif command == "hasse":
+        tail = [command, draw(_elements), "--weight", draw(_texts)]
+    elif command == "census":
+        tail = [command, "--m-list", draw(_texts)]
+    elif command == "closed-form":
+        return ["closed-form", str(draw(st.integers(-2, 9))), str(draw(st.integers(-2, 9)))]
+    else:
+        tail = [command]
+    # a small budget keeps every run cheap (the GL_4(F_2) census alone takes
+    # about 18 s); exit 3 is one of the allowed outcomes
+    return ["--budget", "200"] + datum + tail
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_malformed_input_exits_with_a_code_not_a_traceback(tmp_path, capsys, data):
+    argv = data.draw(_argvs(str(tmp_path / "datum.json")))
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse refuses the command line itself
+        code = exc.code
+    capsys.readouterr()
+    assert code in (0, 2, 3), argv

@@ -1,17 +1,19 @@
-"""Lower neighbours from the coatom targets against the `twisted_leq` scan,
-and the facts the scan rests on.
+"""Lower neighbours and the twisted order against the definition, and the
+facts the scans rest on.
 
 `ZipDatum.lower_neighbors` tests each candidate w' against the Bruhat
-coatoms of w, conjugating raw keys by W_K; `twisted_oracle` tests every
-x w' psi(x)^{-1} against w in the Bruhat order, as `twisted_leq` does, over
-^K W taken from all of W.  The two must give the same neighbour lists, also
-with the cycle-shape test on every W_K, and stop agreeing when the orbit
-labels are made finer.  In type A a matching shape is a neighbour.  The
-property tests draw random finite-type data and check the weak-order search
-for ^K W, the parabolic operations against W_K enumerated, the length
-lemma l(x w' psi(x)^{-1}) >= l(w') with equal parity, and that the orbit
-labels and the cycle shape are kept by W_K, and that Xi fixes ^I W and
-never increases length; the height product for |W| is checked against the
+coatoms of w, and `ZipDatum.twisted_leq` tests x w' psi(x)^{-1} against w
+in the Bruhat order, both conjugating raw keys by the frame;
+`twisted_oracle` multiplies out x w' psi(x)^{-1}, with psi from its
+definition z^{-1} sigma(x) z, over ^K W taken from all of W.  They must
+agree, also with the cycle-shape test on every W_K, and stop agreeing when
+the orbit labels are made finer.  In type A a matching shape is a
+neighbour.  The property tests draw random finite-type data and check the
+weak-order search for ^K W, the parabolic operations against W_K
+enumerated, the length lemma l(x w' psi(x)^{-1}) >= l(w') with equal
+parity, that the orbit labels and the cycle shape are kept by W_K, that the
+twisted order is graded by length, and that Xi fixes ^I W and never
+increases length; the height product for |W| is checked against the
 textbook orders, E6-E8 included.
 """
 
@@ -21,7 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twisted_oracle import TwistedScan
+from twisted_oracle import TwistedScan, psi_by_definition
 from zipstrata import zipdatum
 from zipstrata.rootdata import build_generic
 from zipstrata.strata import xi_of_weyl
@@ -32,6 +34,10 @@ A4 = [[2, -1, 0, 0], [-1, 2, -1, 0], [0, -1, 2, -1], [0, 0, -1, 2]]
 B4 = [[2, -1, 0, 0], [-1, 2, -1, 0], [0, -1, 2, -2], [0, 0, -1, 2]]
 C4 = [[2, -1, 0, 0], [-1, 2, -1, 0], [0, -1, 2, -1], [0, 0, -2, 2]]
 D4 = [[2, -1, 0, 0], [-1, 2, -1, -1], [0, -1, 2, 0], [0, -1, 0, 2]]
+
+# Bourbaki numbering: the chain 1-3-4-5-6, with node 2 attached to 4
+E6 = [[2, 0, -1, 0, 0, 0], [0, 2, 0, -1, 0, 0], [-1, 0, 2, -1, 0, 0],
+      [0, -1, -1, 2, -1, 0], [0, 0, 0, -1, 2, -1], [0, 0, 0, 0, -1, 2]]
 
 # the generic data of the golden dumps: (Cartan matrix, I, sigma)
 GOLDEN = {
@@ -57,7 +63,7 @@ def _agree_on_every_K(zd, done=None):
     is skipped."""
     done = set() if done is None else done
     for K in _subsets(zd.I):
-        restriction = (K, tuple(zd.psi(zd.W.simple(k)).key for k in sorted(K)))
+        restriction = (K, tuple(psi_by_definition(zd, zd.W.simple(k)).key for k in sorted(K)))
         if restriction in done:
             continue
         done.add(restriction)
@@ -128,7 +134,8 @@ def test_matching_shape_is_a_neighbour_in_type_a(n):
             zd = gl_zip_datum(n, r, sigma=sigma)
             W = zd.W
             for K in _subsets(zd.I):
-                restriction = (K, tuple(zd.psi(W.simple(k)).key for k in sorted(K)))
+                restriction = (K, tuple(psi_by_definition(zd, W.simple(k)).key
+                                        for k in sorted(K)))
                 if restriction in done:
                     continue
                 done.add(restriction)
@@ -143,11 +150,39 @@ def test_matching_shape_is_a_neighbour_in_type_a(n):
                         assert (shapes[cand.key] in targets) == (cand in gamma), (K, w, cand)
 
 
+def _psi_agrees_with_its_definition(zd):
+    for x in zd.W.parabolic_elements(zd.I):
+        assert zd.psi(x) == psi_by_definition(zd, x), x
+
+
 @pytest.mark.parametrize("n,r,sigma", [(5, 2, "id"), (5, 3, "flip"), (6, 3, "flip")])
 def test_psi_is_conjugation_by_the_frame(n, r, sigma):
-    zd = gl_zip_datum(n, r, sigma=sigma)
-    for x in zd.W.parabolic_elements(zd.I):
-        assert zd.psi(x).key == conjugate(zd._frame, x.key)
+    # zd.psi conjugates keys by the frame A = z^{-1} tau; the oracle
+    # multiplies out z^{-1} sigma(x) z
+    _psi_agrees_with_its_definition(gl_zip_datum(n, r, sigma=sigma))
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN) + ["E6_sigma"])
+def test_psi_is_conjugation_by_the_frame_on_generic_data(name):
+    if name == "E6_sigma":  # the diagram flip 1 <-> 6, 3 <-> 5 of E6
+        cartan, I, sigma = E6, [2, 3, 4, 5], "6,2,5,4,3,1"
+    else:
+        cartan, I, sigma = GOLDEN[name]
+    rs, lat = build_generic(cartan)
+    _psi_agrees_with_its_definition(
+        make_zip_datum(rs, frozenset(I), BasedAutomorphism.parse(rs, sigma), lat))
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_oracle_order_is_twisted_leq_on_golden_generic_data(name):
+    # K = I, where the scan of W_K is longest
+    cartan, I, sigma = GOLDEN[name]
+    rs, lat = build_generic(cartan)
+    zd = make_zip_datum(rs, frozenset(I), BasedAutomorphism.parse(rs, sigma), lat)
+    oracle = TwistedScan(zd, zd.I)
+    reps = [w for level in oracle.levels.values() for w in level]
+    for a, b in itertools.product(reps, repeat=2):
+        assert oracle.leq(a, b) == zd.twisted_leq(zd.I, a, b), (a, b)
 
 
 # -- property tests on random finite-type data -----------------------------
@@ -266,6 +301,22 @@ def test_cycle_shape_is_invariant_under_w_k(datum):
         c = compose(w.key, zd._frame)
         shape = cycle_shape(c, labels)
         assert all(cycle_shape(conjugate(x, c), labels) == shape for x in members)
+
+
+@settings(max_examples=30, deadline=None)
+@given(data())
+def test_twisted_order_is_graded_by_length(datum):
+    # for l(w') <= l(w) - 2: w' <_K w iff w' <=_K v for some v in Gamma_K(w).
+    # twisted_leq accepts by the Bruhat order, lower_neighbors by coatom
+    # membership; "only if" is the grading, "if" is transitivity
+    zd, K = datum
+    reps = zd.W.minimal_reps(K)
+    for w in reps[::max(1, len(reps) // 10)]:
+        gamma = zd.lower_neighbors(K, w)
+        below = [u for u in reps if u.length <= w.length - 2]
+        for wp in below[::max(1, len(below) // 15)]:
+            assert zd.twisted_leq(K, wp, w) == any(zd.twisted_leq(K, wp, v) for v in gamma), (
+                K, w, wp)
 
 
 @settings(max_examples=40, deadline=None)

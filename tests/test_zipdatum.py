@@ -282,22 +282,23 @@ def test_sigma_parse_forms():
 
 
 def test_datum_and_pi_checks_survive_python_O():
-    # under -O: a twist that sends simple reflections to w_0 breaks "psi
-    # maps simples to simples"; an Xi that returns e breaks "pi preserves
-    # length"; an in_parabolic that accepts nothing leaves the Xi walk empty
+    # under -O: a frame built from a point permutation that is no diagram
+    # automorphism (points 1 and 3 of GL_4 swapped under sigma = id) breaks
+    # "psi maps simples to simples"; an Xi that returns e breaks "pi
+    # preserves length"; an in_parabolic that accepts nothing leaves the Xi
+    # walk empty
     script = (
         "from zipstrata import strata\n"
         "from zipstrata.weyl import InvariantViolation, WeylGroup\n"
         "from zipstrata.zipdatum import gl_zip_datum\n"
         "assert False, 'python -O keeps asserts'\n"
-        "twist = WeylGroup.twist\n"
-        "WeylGroup.twist = lambda W, w, p: (\n"
-        "    W.longest_element(W.rs.delta_indices()) if w.length == 1 else twist(W, w, p))\n"
+        "twist_points = WeylGroup.twist_points\n"
+        "WeylGroup.twist_points = lambda W, p: (2, 1, 0, 3)\n"
         "try:\n"
-        "    gl_zip_datum(4, 2, sigma='flip')\n"
+        "    gl_zip_datum(4, 2)\n"
         "except InvariantViolation as exc:\n"
         "    print(exc)\n"
-        "WeylGroup.twist = twist\n"
+        "WeylGroup.twist_points = twist_points\n"
         "zd = gl_zip_datum(4, 2)\n"
         "w = zd.W.from_one_line([1, 3, 2, 4])\n"
         "walk = strata.xi_of_weyl\n"

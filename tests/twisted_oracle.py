@@ -1,18 +1,24 @@
 """The twisted order by its definition, kept as the reference for
-`ZipDatum.lower_neighbors`."""
+`ZipDatum.lower_neighbors` and `ZipDatum.twisted_leq`."""
 
 from zipstrata.weyl import WeylElement
 from zipstrata.zipdatum import ZipDatum
 
 
+def psi_by_definition(zd: ZipDatum, x: WeylElement) -> WeylElement:
+    """psi(x) = z^{-1} sigma(x) z, multiplied out from sigma's action on W
+    rather than taken from the frame that `ZipDatum.psi` conjugates by."""
+    return zd.z.inverse() * zd.sigma.apply_w(zd.W, x) * zd.z
+
+
 class TwistedScan:
-    """Lower neighbours in ^K W for one datum and one K, the way
-    `ZipDatum.twisted_leq` decides them.
+    """Lower neighbours in ^K W for one datum and one K, by the definition
+    of the twisted order.
 
     ^K W is taken by filtering all of W.  A candidate w' is below w iff some
     x w' psi(x)^{-1}, x in W_K in `parabolic_elements` order, is Bruhat-below
-    w; each candidate's list of those products is formed once and kept, so
-    that every w shares it.  The Bruhat order is taken by its definition, the
+    w, with psi from `psi_by_definition`; each candidate's list of those
+    products is formed once and kept, so that every w shares it.  The Bruhat order is taken by its definition, the
     transitive closure of u t < u for the reflections t with l(u t) < l(u),
     as one table of lower intervals [e, w] shared by every query.
     """
@@ -24,7 +30,8 @@ class TwistedScan:
         for w in W.elements():
             if W.is_minimal_rep(w, self.K):
                 self.levels.setdefault(w.length, []).append(w)
-        self._pairs = [(x, zd.psi(x).inverse()) for x in W.parabolic_elements(self.K)]
+        self._pairs = [(x, psi_by_definition(zd, x).inverse())
+                       for x in W.parabolic_elements(self.K)]
         self._orbits: dict = {}
         self._intervals: dict = {}
 
