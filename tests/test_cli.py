@@ -305,11 +305,6 @@ def test_bad_datum_input_is_a_precondition_error(tmp_path, capsys, argv):
     assert captured.err.startswith("error: ")
 
 
-def test_simple_index_out_of_range_names_the_valid_range(capsys):
-    assert main(["--gl", "4", "2", "decide", "s9", "s1"]) == 2
-    assert capsys.readouterr().err == "error: no simple reflection s9: the indices run 1..3\n"
-
-
 def test_decide_checks_its_precondition_by_the_first_witness(capsys):
     # GL_5 (3,2) at budget 1: |W_I| = 12, but the witness of w' <=_I w is
     # x = e, so the twisted_leq scan stops before drawing a second key
