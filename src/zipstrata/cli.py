@@ -1,8 +1,9 @@
 """Command-line surface: batch decisions, poset reports, DOT/JSON/CSV output.
 
 Subcommands: strata-list, decide, sweep-length2, hasse, xi, census,
-closed-form.  Exit codes: 0 success, 2 precondition violation, 3 budget
-exceeded.
+closed-form.  Exit codes: 0 success, 1 standard output closed before the
+report was written (as when piped into ``head``), 2 precondition violation,
+3 budget exceeded.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 from dataclasses import dataclass
 
@@ -303,7 +305,15 @@ def main(argv=None) -> int:
     except (ZipDatumError, RootDataError, ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
-    print(out)
+    try:
+        print(out)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+    except BrokenPipeError:
+        # the recipe of Python's signal docs: the flush at exit then writes
+        # to devnull instead of raising again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
     return EXIT_OK
 
 

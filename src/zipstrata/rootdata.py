@@ -30,6 +30,11 @@ class RootDataError(ValueError):
     """Invalid root datum input (bad Cartan matrix, inconsistent lattice...)."""
 
 
+class InvariantViolation(AssertionError):
+    """A load-bearing invariant failed; raised explicitly, so ``python -O``
+    does not remove the check."""
+
+
 def int_tuple(value, what: str) -> tuple[int, ...]:
     """``value``, a list from a JSON document, as a tuple of integers."""
     if isinstance(value, (list, tuple)) and all(type(x) is int for x in value):
@@ -67,7 +72,7 @@ class Root:
         for c in self.coords:
             if c:
                 return 1 if c > 0 else -1
-        raise AssertionError("unreachable: zero root")
+        raise InvariantViolation("a root has no non-zero coordinate")
 
     @property
     def is_positive(self) -> bool:

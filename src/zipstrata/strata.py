@@ -2,6 +2,12 @@
 representative map Xi, its restriction pi to small elements, and the
 smoothness test for elementary pairs (w, w').
 
+A w-sequence of v is the orbit segment of a non-compact positive root
+under beta |-> v sigma(beta), up to the next non-compact root.  All of them
+come from one walk on root indices along phi_{v z} = root_key(v) sigma
+(`ZipDatum.phi_key`): `is_small` and `orbit_codim` only count the tails
+that are positive, and `w_sequences` turns the indices into `Root`s.
+
 The verdict semantics: ``smooth`` means the elementary two-stratum piece
 U(w, w') is smooth, equivalently normal, and the answer is independent of the
 Frobenius exponent m >= 1.  When the separating condition fails, the verdict
@@ -11,10 +17,9 @@ w', i.e. the flag stratum that breaks the separating cover.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
-from .rootdata import Root, is_compact
+from .rootdata import Root
 from .weyl import BudgetExceeded, InvariantViolation, WeylElement, compose, conjugate
 from .zipdatum import ZipDatum, ZipDatumError
 
@@ -45,33 +50,54 @@ class WSequence:
         return (self.head, *self.body, self.tail)
 
 
+def _ends(zd: ZipDatum, phi: tuple) -> list[tuple[int, int]]:
+    """(head, tail) root indices of every w-sequence of phi, a permutation
+    of the root indices (`ZipDatum.phi_key`): each non-compact positive
+    head is walked along phi to the first non-compact root."""
+    noncompact = zd._noncompact
+    npos = len(phi) // 2
+    bound = 2 * npos + 1
+    ends = []
+    for head in range(npos):
+        if not noncompact[head]:
+            continue
+        cur = head
+        for _ in range(bound):
+            cur = phi[cur]
+            if noncompact[cur]:
+                break
+        else:
+            raise InvariantViolation("w-sequence failed to terminate")
+        ends.append((head, cur))
+    return ends
+
+
+def _signs(zd: ZipDatum, w: WeylElement) -> tuple[int, int]:
+    """(n_plus, n_minus): the w z^{-1}-sequences with a positive tail (root
+    index below N) and with a negative one."""
+    phi = zd.phi_key(w)
+    npos = len(phi) // 2
+    ends = _ends(zd, phi)
+    n_plus = sum(1 for _, tail in ends if tail < npos)
+    return n_plus, len(ends) - n_plus
+
+
 def w_sequences(zd: ZipDatum, v: WeylElement):
     """All w-sequences of the operator beta |-> v sigma(beta).
 
     Returns ``(sequences, n_plus, n_minus)``; there is exactly one sequence
     per non-compact positive root, so n_plus + n_minus is the number of
-    those roots.
+    those roots.  The operator is phi_{v z} (`ZipDatum.phi_key`).
     """
-    rs, sigma = zd.rs, zd.sigma
-    # a root is non-compact iff a simple root outside I occurs in it
-    outside = [k not in zd.I for k in rs.delta_indices()]
-
-    def noncompact(root: Root) -> bool:
-        return any(itertools.compress(root.simple_coords, outside))
-
-    bound = 2 * len(rs.positive_roots) + 1
+    roots = zd.rs.roots
+    phi = zd.phi_key(v * zd.z)
     seqs = []
-    for beta0 in filter(noncompact, rs.positive_roots):
-        body = []
-        cur = beta0
-        for _ in range(bound):
-            cur = v.apply(sigma.apply_root(cur))
-            if noncompact(cur):
-                break
-            body.append(cur)
-        else:
-            raise InvariantViolation("w-sequence failed to terminate")
-        seqs.append(WSequence(beta0, tuple(body), cur))
+    for head, tail in _ends(zd, phi):
+        body, cur = [], phi[head]
+        while cur != tail:
+            body.append(roots[cur])
+            cur = phi[cur]
+        seqs.append(WSequence(roots[head], tuple(body), roots[tail]))
     n_plus = sum(1 for s in seqs if s.sign > 0)
     return seqs, n_plus, len(seqs) - n_plus
 
@@ -82,7 +108,7 @@ def orbit_codim(zd: ZipDatum, w: WeylElement) -> tuple[int, int]:
     The stabilizer dimension is the number of negative w z^{-1}-sequences;
     the excess is the number of positive ones.
     """
-    _, n_plus, n_minus = w_sequences(zd, w * zd.z.inverse())
+    n_plus, n_minus = _signs(zd, w)
     return n_minus, n_plus
 
 
@@ -95,8 +121,7 @@ def is_small(zd: ZipDatum, w: WeylElement) -> bool:
     memo = zd._extra.setdefault("small", {})
     cached = memo.get(w.key)
     if cached is None:
-        _, n_plus, _ = w_sequences(zd, w * zd.z.inverse())
-        cached = memo[w.key] = n_plus == w.length
+        cached = memo[w.key] = _signs(zd, w)[0] == w.length
     return cached
 
 
@@ -205,12 +230,9 @@ def _dim_parabolic(zd: ZipDatum) -> int:
     """dim P = dim T + |Phi+| + |Phi_I+|, counted once per datum."""
     dim = zd._extra.get("dim_parabolic")
     if dim is None:
-        phi_I_plus = sum(
-            1 for a in zd.rs.positive_roots if is_compact(zd.rs, a, zd.I)
-        )
-        dim = zd._extra["dim_parabolic"] = (
-            zd.lattice.dim + len(zd.rs.positive_roots) + phi_I_plus
-        )
+        npos = len(zd.rs.positive_roots)
+        phi_I_plus = npos - sum(zd._noncompact[:npos])
+        dim = zd._extra["dim_parabolic"] = zd.lattice.dim + npos + phi_I_plus
     return dim
 
 

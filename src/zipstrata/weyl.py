@@ -32,10 +32,16 @@ it).  ^K W is closed under prefixes in the right weak order (Deodhar), so
 descent in K, and `minimal_reps` never enumerates W (Bjorner-Brenti,
 *Combinatorics of Coxeter Groups*, ch. 3).
 
+`root_key` is the permutation of the 2N root indices (`RootSystem.roots`
+order) that w induces: the key itself for generic data, and in type A the
+image of e_a - e_b read off a table of root indices by point pair.  The
+action on roots (`WeylElement.apply`) and phi_w (`ZipDatum.phi_key`) are
+indexing into it.
+
 The realization is read only where the key layout itself differs: the
 one-line view (`one_line`, `label`, `__repr__`, `from_one_line`), the key
 layout in `__init__`, and the coordinate action (`_reflection_key`,
-`twist_points`, `_apply`, `_apply_weight`).
+`twist_points`, `root_key`, `_apply_weight`).
 """
 
 from __future__ import annotations
@@ -44,7 +50,7 @@ import itertools
 import math
 from typing import Iterable, Iterator, Sequence
 
-from .rootdata import TYPE_A_GL, CharacterLattice, Root, RootSystem
+from .rootdata import TYPE_A_GL, CharacterLattice, InvariantViolation, Root, RootSystem
 
 DEFAULT_BUDGET = math.factorial(10)
 
@@ -124,11 +130,6 @@ def _level_up(level: Iterable[tuple], moves, K_pairs=()) -> Iterator[tuple]:
 
 class BudgetExceeded(RuntimeError):
     """An enumeration would exceed the configured group-size budget."""
-
-
-class InvariantViolation(AssertionError):
-    """A load-bearing invariant failed; raised explicitly, so ``python -O``
-    does not remove the check."""
 
 
 class WeylElement:
@@ -229,19 +230,27 @@ class WeylGroup:
         # pair of points (a, b): e_a - e_b goes to e_w(a) - e_w(b) in type A,
         # and root a lands below index N iff -root a = root b lands above it.
         positives = rs.positive_roots
+        npos = len(positives)
+        self._roots = rs.roots
+        self._root_index = {r.coords: i for i, r in enumerate(self._roots)}
         if rs.realization == TYPE_A_GL:
             self.n = rs.ambient_dim
             size = self.n
-            pairs = [(r.coords.index(1), r.coords.index(-1)) for r in positives]
+            # the points (a, b) of each root e_a - e_b, and the root index
+            # of e_a - e_b at [a][b]
+            self._root_points = tuple(
+                (r.coords.index(1), r.coords.index(-1)) for r in self._roots
+            )
+            self._root_at = [[0] * size for _ in range(size)]
+            for i, (a, b) in enumerate(self._root_points):
+                self._root_at[a][b] = i
+            pairs = self._root_points[:npos]
         else:
             self.n = rs.rank
-            npos = len(positives)
-            self._roots = rs.roots
-            self._root_index = {r.coords: i for i, r in enumerate(self._roots)}
             size = 2 * npos
             pairs = [(i, i + npos) for i in range(npos)]
         self._positive_pairs = tuple(pairs)
-        self._simple_pairs = tuple(pairs[positives.index(r)] for r in rs.simple_roots)
+        self._simple_pairs = tuple(pairs[self._root_index[r.coords]] for r in rs.simple_roots)
         self.identity = self._intern(tuple(range(size)), 0)
         self._simples = {k: self.reflection(rs.simple(k)) for k in rs.delta_indices()}
         # ((a, b), key of s_k) for k = 1..rank: s_k is a right descent of p
@@ -336,14 +345,22 @@ class WeylGroup:
         return el
 
     def _apply(self, w: WeylElement, root: Root) -> Root:
-        if self.rs.realization == TYPE_A_GL:
-            p = w.key
-            out = [0] * self.n
-            for i, c in enumerate(root.coords):
-                if c:
-                    out[p[i]] = c
-            return self.rs.root_from_coords(tuple(out))
-        return self._roots[w.key[self._root_index[root.coords]]]
+        return self._roots[self.root_key(w)[self._root_index[root.coords]]]
+
+    def root_key(self, w: WeylElement) -> tuple:
+        """The permutation of the root indices (`RootSystem.roots` order)
+        that w induces: w.key itself for generic data; in GL_n, e_a - e_b
+        goes to e_w(a) - e_w(b).
+
+        >>> from zipstrata.rootdata import build_gl
+        >>> W = WeylGroup(build_gl(3, 1)[0])
+        >>> W.root_key(W.simple(1))
+        (3, 2, 1, 0, 5, 4)
+        """
+        if self.rs.realization != TYPE_A_GL:
+            return w.key
+        p, at = w.key, self._root_at
+        return tuple([at[p[a]][p[b]] for a, b in self._root_points])
 
     def _apply_weight(self, w: WeylElement, lam, lattice):
         if self.rs.realization == TYPE_A_GL:

@@ -20,6 +20,19 @@ K inside I, so the twisted order on ^K W is always
 A "re-derived z per K" variant would silently change these orders; do not do
 that.
 
+Canonical types and w-sequences are read from the operator
+
+    phi_w : alpha |-> (w z^{-1}) sigma(alpha)
+
+on root indices (`RootSystem.roots` order): `phi_key(w)` is root_key(w)
+after the root frame root_key(z^{-1}) sigma, which is phi_e, so each
+element costs one permutation of integers.  The datum keeps, next to the
+frame, the root frame, the non-compact flag of each root index (a root is
+non-compact iff a simple root outside I occurs in it; a negative root has
+the flag of its positive) and the root index of each simple root.  J is
+read off the root frame: J = z^{-1} sigma(I).  The canonical type I_w is
+the largest set of I's simple roots that phi_w maps onto itself.
+
 Lower neighbours use two facts.  For w' in ^K W and x in W_K, l(x w') =
 l(x) + l(w') and psi preserves length, so l(x w' psi(x)^{-1}) >= l(w'),
 and by the sign character l(x w' psi(x)^{-1}) = l(w') mod 2; hence when
@@ -161,15 +174,36 @@ class ZipDatum:
     lattice: CharacterLattice
     W: WeylGroup
     z: WeylElement
-    J: frozenset[int]
     _extra: dict = field(default_factory=dict, repr=False)
+    J: frozenset[int] = field(init=False)
     _frame: tuple = field(init=False, repr=False)
+    _root_frame: tuple = field(init=False, repr=False)
+    _noncompact: tuple = field(init=False, repr=False)
+    _simple_index: tuple = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
+        rs, W, zinv = self.rs, self.W, self.z.inverse()
         # A = z^{-1} tau, so that psi(x) = A x A^{-1} (module docstring)
-        self._frame = compose(
-            self.z.inverse().key, self.W.twist_points(self.sigma.delta_perm)
-        )
+        self._frame = compose(zinv.key, W.twist_points(self.sigma.delta_perm))
+        # the tables on root indices (module docstring)
+        self._root_frame = W.root_key(zinv)
+        if not self.sigma.is_identity:
+            on_roots = [W._root_index[self.sigma.apply_root(r).coords] for r in rs.roots]
+            self._root_frame = compose(self._root_frame, on_roots)
+        outside = [k not in self.I for k in rs.delta_indices()]
+        flags = tuple(any(itertools.compress(r.simple_coords, outside)) for r in rs.positive_roots)
+        self._noncompact = flags + flags
+        self._simple_index = tuple(W._root_index[r.coords] for r in rs.simple_roots)
+        simple_at = {i: k for k, i in enumerate(self._simple_index, 1)}
+        J = set()
+        for k in sorted(self.I):
+            j = simple_at.get(self._root_frame[self._simple_index[k - 1]])
+            if j is None:
+                raise ZipDatumError(
+                    f"z^-1 sigma(alpha_{k}) is not simple; inconsistent datum"
+                )
+            J.add(j)
+        self.J = frozenset(J)
 
     # -- basic derived maps ----------------------------------------------------
 
@@ -276,43 +310,39 @@ class ZipDatum:
 
     # -- canonical parabolic type ------------------------------------------------
 
+    def phi_key(self, w: WeylElement) -> tuple:
+        """phi_w : alpha |-> (w z^{-1}) sigma(alpha) as a permutation of the
+        root indices: root_key(w) after the root frame."""
+        return compose(self.W.root_key(w), self._root_frame)
+
     def phi_w(self, w: WeylElement, root: Root) -> Root:
         """The operator phi_w : alpha |-> (w z^{-1}) . sigma(alpha)."""
-        return (w * self.z.inverse()).apply(self.sigma.apply_root(root))
+        return self.rs.roots[self.phi_key(w)[self.W._root_index[root.coords]]]
 
     def canonical_type(self, w: WeylElement) -> frozenset[int]:
         """I_w: the largest I_0 inside I with (w z^{-1}) sigma(I_0) = I_0.
 
-        Computed as the stable intersection of the iterates phi_w^m(I); the
-        iteration S <- I intersect phi_w(S) reaches the greatest fixed point
-        in at most |I| steps.
+        On the root indices of I's simple roots, S <- {i in S : phi_w(i) in
+        S} reaches the greatest S with phi_w(S) inside S in at most |I|
+        steps; phi_w is a permutation, so there phi_w(S) = S.
         """
-        if not self.in_IW(w):
-            raise ZipDatumError(f"canonical_type needs w in ^I W, got {w!r}")
         memo = self._extra.setdefault("canonical_type", {})
         cached = memo.get(w.key)
-        if cached is not None:
+        if cached is not None:  # a memoized key is in ^I W
             return cached
-        op = w * self.z.inverse()
-        current = {self.rs.simple(k).coords: k for k in sorted(self.I)}
+        if not self.in_IW(w):
+            raise ZipDatumError(f"canonical_type needs w in ^I W, got {w!r}")
+        phi = self.phi_key(w)
+        current = {self._simple_index[k - 1]: k for k in self.I}
         while True:
-            images = set()
-            for coords in current:
-                img = op.apply(self.sigma.apply_root(self.rs.root_from_coords(coords)))
-                images.add(img.coords)
-            kept = {c: k for c, k in current.items() if c in images}
+            kept = {i: k for i, k in current.items() if phi[i] in current}
             if len(kept) == len(current):
                 break
             current = kept
-        result = frozenset(current.values())
-        # fixed-point sanity: (w z^{-1}) sigma(I_w) = I_w exactly
-        img = {
-            op.apply(self.sigma.apply_root(self.rs.simple(k))).coords
-            for k in result
-        }
-        if img != set(current.keys()):
+        # phi_w(S) = S exactly: a phi that is not injective on S fails here
+        if {phi[i] for i in current} != current.keys():
             raise InvariantViolation("canonical type is not phi_w-stable")
-        memo[w.key] = result
+        result = memo[w.key] = frozenset(current.values())
         return result
 
 
@@ -344,16 +374,7 @@ def make_zip_datum(
     w0 = W.longest_element(frozenset(rs.delta_indices()))
     w0I = W.longest_element(I)
     z = sigma.apply_w(W, w0I) * w0
-    zinv = z.inverse()
-    J = set()
-    for k in sorted(I):
-        img = zinv.apply(sigma.apply_root(rs.simple(k)))
-        if not img.is_positive or sum(img.simple_coords) != 1:
-            raise ZipDatumError(
-                f"z^-1 sigma(alpha_{k}) is not simple; inconsistent datum"
-            )
-        J.add(img.simple_coords.index(1) + 1)
-    zd = ZipDatum(rs, I, sigma, lattice, W, z, frozenset(J))
+    zd = ZipDatum(rs, I, sigma, lattice, W, z)
     for k in sorted(I):
         if zd.psi(W.simple(k)).length != 1:
             raise InvariantViolation("psi must map simple reflections to simple reflections")
@@ -389,6 +410,8 @@ def zip_datum_from_json(doc: str | dict, budget: int = DEFAULT_BUDGET) -> ZipDat
     if not isinstance(sigma_spec, str):
         sigma_spec = int_tuple(sigma_spec, '"sigma"')
     if "gl" in doc:
+        if "I" in doc:
+            raise ZipDatumError('a "gl" datum takes no "I": I is fixed by r')
         gl = doc["gl"] if isinstance(doc["gl"], dict) else {}
         n, r = int_tuple([gl.get("n"), gl.get("r")], 'the n and r of "gl"')
         return gl_zip_datum(n, r, sigma=sigma_spec, budget=budget)

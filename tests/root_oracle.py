@@ -1,0 +1,50 @@
+"""Canonical types and w-sequences on Root objects, kept as the reference
+for `ZipDatum.canonical_type` and `strata.w_sequences`, which walk
+phi_w as a permutation of root indices (`ZipDatum.phi_key`)."""
+
+import itertools
+
+from zipstrata.strata import WSequence
+from zipstrata.weyl import InvariantViolation, WeylElement
+from zipstrata.zipdatum import ZipDatum
+
+
+def canonical_type(zd: ZipDatum, w: WeylElement) -> frozenset[int]:
+    """I_w as the stable intersection S <- S intersect phi_w(S) over the
+    simple roots of I, each image (w z^{-1}) . sigma(alpha) taken root by
+    root."""
+    op = w * zd.z.inverse()
+    current = {zd.rs.simple(k).coords: k for k in sorted(zd.I)}
+    while True:
+        images = {op.apply(zd.sigma.apply_root(zd.rs.root_from_coords(c))).coords
+                  for c in current}
+        kept = {c: k for c, k in current.items() if c in images}
+        if len(kept) == len(current):
+            return frozenset(current.values())
+        current = kept
+
+
+def w_sequences(zd: ZipDatum, v: WeylElement):
+    """``(sequences, n_plus, n_minus)`` of beta |-> v . sigma(beta), each
+    root read off `WeylElement.apply` and `BasedAutomorphism.apply_root`,
+    compactness off the simple coordinates."""
+    outside = [k not in zd.I for k in zd.rs.delta_indices()]
+
+    def noncompact(root) -> bool:
+        return any(itertools.compress(root.simple_coords, outside))
+
+    bound = 2 * len(zd.rs.positive_roots) + 1
+    seqs = []
+    for beta0 in filter(noncompact, zd.rs.positive_roots):
+        body = []
+        cur = beta0
+        for _ in range(bound):
+            cur = v.apply(zd.sigma.apply_root(cur))
+            if noncompact(cur):
+                break
+            body.append(cur)
+        else:
+            raise InvariantViolation("w-sequence failed to terminate")
+        seqs.append(WSequence(beta0, tuple(body), cur))
+    n_plus = sum(1 for s in seqs if s.sign > 0)
+    return seqs, n_plus, len(seqs) - n_plus

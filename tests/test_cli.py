@@ -254,6 +254,27 @@ def test_xi_large_parabolic_runs_without_numpy():
     assert loaded == "False"
 
 
+def test_closed_stdout_exits_1_without_a_traceback():
+    # the child waits for its stdin to close, so the read end of its stdout
+    # is closed before the report is written
+    script = (
+        "import sys; from zipstrata.cli import main; sys.stdin.read(); "
+        "sys.exit(main(['--gl', '7', '3', 'strata-list']))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(zipstrata.__file__).parent.parent)}
+    proc = subprocess.Popen([sys.executable, "-c", script], stdin=subprocess.PIPE,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()
+    proc.stdin.close()
+    try:
+        err = proc.stderr.read()
+        code = proc.wait(timeout=60)
+    finally:
+        proc.kill()
+        proc.stderr.close()
+    assert (code, err) == (1, b"")
+
+
 A2 = [[2, -1], [-1, 2]]
 
 
@@ -269,6 +290,8 @@ def _cartan_file(tmp_path, doc):
         lambda tmp: ("--cartan", str(tmp / "missing.json"), "strata-list"),
         lambda tmp: ("--cartan", _cartan_file(tmp, {"I": [1]}), "strata-list"),
         lambda tmp: ("--gl", "4", "2", "--I", "1", "strata-list"),
+        lambda tmp: ("--cartan", _cartan_file(tmp, {"gl": {"n": 4, "r": 2}}), "--I", "1",
+                     "strata-list"),
         lambda tmp: ("--cartan", _cartan_file(tmp, {"cartan": A2}), "--I", "a", "strata-list"),
         lambda tmp: ("--cartan", _cartan_file(tmp, [1, 2]), "strata-list"),
         lambda tmp: ("--cartan", _cartan_file(tmp, None), "strata-list"),
@@ -291,8 +314,9 @@ def _cartan_file(tmp_path, doc):
         lambda tmp: ("--gl", "4", "2", "decide", "s0", "s1"),
         lambda tmp: ("--gl", "4", "2", "decide", "s-1", "s1"),
     ],
-    ids=["missing-file", "no-cartan-key", "I-with-gl", "I-not-a-number", "list-document",
-         "null-document", "cartan-number", "cartan-row-number", "cartan-null-entry",
+    ids=["missing-file", "no-cartan-key", "I-with-gl", "I-with-gl-document", "I-not-a-number",
+         "list-document", "null-document", "cartan-number", "cartan-row-number",
+         "cartan-null-entry",
          "I-null", "I-number", "sigma-number", "sigma-null", "lattice-list",
          "lattice-without-pairing", "lattice-pairing-number", "simple-index-9",
          "simple-index-0", "simple-index-negative"],

@@ -1,6 +1,10 @@
 import doctest
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -202,6 +206,28 @@ def test_json_roundtrip_loader():
     rs, lat = load_generic_json(json.dumps(doc))
     assert len(rs.positive_roots) == 3
     assert lat.dim == 2
+
+
+def test_zero_root_sign_raises_under_python_O():
+    # Root refuses the zero vector, so a zero root is made by writing past
+    # the frozen dataclass; its sign is an invariant violation, also under -O
+    script = (
+        "from zipstrata.rootdata import Root\n"
+        "from zipstrata.weyl import InvariantViolation\n"
+        "assert False, 'python -O keeps asserts'\n"
+        "root = Root((1, 0), (1, 0), (1, 0))\n"
+        "object.__setattr__(root, 'coords', (0, 0))\n"
+        "try:\n"
+        "    root.sign\n"
+        "except InvariantViolation as exc:\n"
+        "    print(exc)\n"
+    )
+    src = str(Path(rootdata.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    done = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == ["a root has no non-zero coordinate"]
 
 
 def test_module_doctests():

@@ -15,6 +15,12 @@ parity, that the orbit labels and the cycle shape are kept by W_K, that the
 twisted order is graded by length, and that Xi fixes ^I W and never
 increases length; the height product for |W| is checked against the
 textbook orders, E6-E8 included.
+
+Canonical types, w-sequences, smallness and phi_w, all read from phi_w as
+a permutation of root indices, are compared with `root_oracle`, which
+applies w z^{-1} and sigma to one Root at a time: on GL_2..GL_7, the golden
+generic data and the random data, and with a root frame built from z in
+place of z^{-1}, where the comparison must fail.
 """
 
 import itertools
@@ -23,11 +29,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import root_oracle
 from twisted_oracle import TwistedScan, psi_by_definition
 from zipstrata import zipdatum
 from zipstrata.rootdata import build_generic
-from zipstrata.strata import xi_of_weyl
-from zipstrata.weyl import BudgetExceeded, WeylGroup, compose, conjugate, cycle_shape
+from zipstrata.strata import is_small, orbit_codim, w_sequences, xi_of_weyl
+from zipstrata.weyl import (
+    BudgetExceeded,
+    InvariantViolation,
+    WeylGroup,
+    compose,
+    conjugate,
+    cycle_shape,
+)
 from zipstrata.zipdatum import BasedAutomorphism, gl_zip_datum, make_zip_datum
 
 A4 = [[2, -1, 0, 0], [-1, 2, -1, 0], [0, -1, 2, -1], [0, 0, -1, 2]]
@@ -331,6 +345,57 @@ def test_xi_is_a_length_non_increasing_retraction_onto_iw(datum):
         v = xi_of_weyl(zd, w)
         assert zd.in_IW(v) and v.length <= w.length
         assert xi_of_weyl(zd, v) == v
+
+
+# -- phi_w on root indices against the Root-level definition -----------------
+
+
+def _agrees_with_root_oracle(zd, step=1):
+    """canonical_type, w_sequences, is_small, orbit_codim and phi_w against
+    `root_oracle` on every ``step``-th element of ^I W."""
+    zinv = zd.z.inverse()
+    for w in zd.minimal_reps()[::step]:
+        assert zd.canonical_type(w) == root_oracle.canonical_type(zd, w), w
+        v = w * zinv
+        seqs, n_plus, n_minus = root_oracle.w_sequences(zd, v)
+        assert w_sequences(zd, v) == (seqs, n_plus, n_minus), w
+        assert is_small(zd, w) == (n_plus == w.length), w
+        assert orbit_codim(zd, w) == (n_minus, n_plus), w
+        for root in zd.rs.roots:
+            assert zd.phi_w(w, root) == v.apply(zd.sigma.apply_root(root)), (w, root)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
+def test_phi_w_on_root_indices_matches_the_root_oracle_on_gl(n):
+    for r in range(1, n):
+        for sigma in ("id", "flip"):
+            _agrees_with_root_oracle(gl_zip_datum(n, r, sigma=sigma))
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_phi_w_on_root_indices_matches_the_root_oracle_on_golden_generic_data(name):
+    cartan, I, sigma = GOLDEN[name]
+    rs, lat = build_generic(cartan)
+    _agrees_with_root_oracle(make_zip_datum(rs, frozenset(I), BasedAutomorphism.parse(rs, sigma),
+                                            lat))
+
+
+@pytest.mark.parametrize("n,r,sigma", [(3, 2, "id"), (5, 3, "flip"), (7, 2, "id"), (7, 4, "flip")])
+def test_a_root_frame_from_z_breaks_the_comparison(n, r, sigma):
+    zd = gl_zip_datum(n, r, sigma=sigma)
+    assert zd.z * zd.z != zd.W.identity  # else z = z^{-1} and the frame is unchanged
+    # root_key(z^2) root_key(z^{-1}) sigma = root_key(z) sigma
+    zd._root_frame = compose(zd.W.root_key(zd.z * zd.z), zd._root_frame)
+    with pytest.raises(AssertionError) as failed:
+        _agrees_with_root_oracle(zd)
+    assert not isinstance(failed.value, InvariantViolation)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data())
+def test_phi_w_on_root_indices_matches_the_root_oracle(datum):
+    zd, _ = datum
+    _agrees_with_root_oracle(zd, step=max(1, len(zd.minimal_reps()) // 40))
 
 
 # -- group orders from the height product --------------------------------------

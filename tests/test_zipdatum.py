@@ -160,10 +160,11 @@ def test_canonical_type_rejects_non_minimal(zd22):
 
 
 def test_canonical_type_is_phi_w_fixed(zd32):
-    # (w z^-1) sigma(I_w) = I_w exactly
+    # (w z^-1) sigma(I_w) = I_w exactly, each image taken root by root
     for w in zd32.minimal_reps():
         Iw = zd32.canonical_type(w)
-        images = {zd32.phi_w(w, zd32.rs.simple(k)).coords for k in Iw}
+        op = w * zd32.z.inverse()
+        images = {op.apply(zd32.sigma.apply_root(zd32.rs.simple(k))).coords for k in Iw}
         assert images == {zd32.rs.simple(k).coords for k in Iw}
 
 
@@ -286,7 +287,8 @@ def test_datum_and_pi_checks_survive_python_O():
     # automorphism (points 1 and 3 of GL_4 swapped under sigma = id) breaks
     # "psi maps simples to simples"; an Xi that returns e breaks "pi
     # preserves length"; an in_parabolic that accepts nothing leaves the Xi
-    # walk empty
+    # walk empty; a root_key that sends every root to root 0 (alpha_1) makes
+    # phi_w collapse alpha_1 and alpha_3 of I = {1, 3}
     script = (
         "from zipstrata import strata\n"
         "from zipstrata.weyl import InvariantViolation, WeylGroup\n"
@@ -312,6 +314,12 @@ def test_datum_and_pi_checks_survive_python_O():
         "    walk(zd, w)\n"
         "except InvariantViolation as exc:\n"
         "    print(str(exc).split(' from ')[0])\n"
+        "WeylGroup.root_key = lambda W, w: (0,) * len(W._roots)\n"
+        "zd = gl_zip_datum(4, 2)\n"
+        "try:\n"
+        "    zd.canonical_type(zd.W.identity)\n"
+        "except InvariantViolation as exc:\n"
+        "    print(exc)\n"
     )
     src = str(Path(make_zip_datum.__code__.co_filename).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
@@ -322,4 +330,5 @@ def test_datum_and_pi_checks_survive_python_O():
         "psi must map simple reflections to simple reflections",
         "pi must preserve length on small elements",
         "the Xi walk",
+        "canonical type is not phi_w-stable",
     ]
