@@ -25,7 +25,7 @@ from .glnzip import (
     verify_length2,
     xi_classify,
 )
-from .hasse import hasse_feasible, hasse_report
+from .hasse import hasse_feasible_at_zero, hasse_report
 from .rootdata import TYPE_A_GL, RootDataError
 from .strata import closure_codim1, decide_smooth, is_small, xi_of_weyl
 from .weyl import DEFAULT_BUDGET, BudgetExceeded, WeylElement
@@ -93,7 +93,7 @@ def cmd_strata_list(config: RunConfig) -> str:
     nodes = []
     covers = []
     for w in reps:
-        feasible0 = hasse_feasible(zd, w, [0] * zd.lattice.dim).feasible
+        feasible0 = hasse_feasible_at_zero(zd, w).feasible
         nodes.append(
             {
                 "w": w.label(),

@@ -20,6 +20,29 @@ raises `InvariantViolation`, so it also runs under ``python -O``.  Scaling
 the rational witness to an integer one is sound because the geometric
 statement allows passing to a positive power of the line bundle; no
 minimality of the multiplier is claimed.
+
+At lambda = 0, the query `strata-list` makes for every stratum,
+`hasse_feasible_at_zero` eliminates no equality.  Let u = z^{-1} w.  Then
+(w - z) lambda_0 = 0 says exactly that u fixes lambda_0, and for such a
+lambda_0 the pairing <lambda_0, beta^vee> = <u lambda_0, (u beta)^vee> is
+constant on each u-orbit O of roots.  So the strict rows become one row per
+u-orbit O that meets E_w, the orbit sum c_O = sum_{beta in O} beta^vee,
+which u fixes; columns equal in every row are merged into one variable (in
+GL_n one per cycle of u), and Fourier-Motzkin decides <t, c_O> < 0 for t
+anywhere in X*(T).
+
+- Averaging.  If t solves the orbit rows, lambda_0 = the sum of the u-orbit
+  of t (a positive multiple of sum_{k < ord u} u^k t) is fixed by u, and
+  <lambda_0, c_O> is a positive multiple of <t, c_O> < 0; by the constancy
+  above every strict row of E_w holds.  Conversely a u-fixed solution is
+  such a t, so the two systems are feasible together.
+- Telescoping.  By the W-invariance of the pairing, beta^vee - (u beta)^vee
+  = (row of (w beta)^vee) (w - z).  Summed along the orbit alpha, u alpha,
+  ..., u^{m-1} alpha of alpha in E_w, this gives c_O = m alpha^vee -
+  sum_{i < m} (m - 1 - i) (row of (w u^i alpha)^vee) (w - z).  So
+  multipliers y_O >= 0 with sum_O y_O c_O = 0 become the strict multiplier
+  m y_O on alpha and integer equality multipliers, a certificate for the
+  original system that replays like any other.
 """
 
 from __future__ import annotations
@@ -151,18 +174,25 @@ def _dot(row, vec) -> int:
     return sum(a * b for a, b in zip(row, vec) if a)
 
 
-def _coroot_row(zd: ZipDatum, alpha: Root) -> tuple[int, ...]:
-    """(<e_d, alpha^vee>)_d, read off the coroot expansion of alpha^vee and
-    the lattice's simple coroot pairings; memoized per root on the datum."""
-    rows = zd._extra.setdefault("hasse_coroot_rows", {})
-    row = rows.get(alpha.coords)
-    if row is None:
+def _coroot_rows(zd: ZipDatum) -> tuple[tuple[int, ...], ...]:
+    """(<e_d, beta^vee>)_d for every root index beta (`RootSystem.roots`
+    order), read off the coroot expansion of beta^vee and the lattice's
+    simple coroot pairings; one table per datum."""
+    rows = zd._extra.get("hasse_coroot_rows")
+    if rows is None:
         cp = zd.lattice.coroot_pairing
-        nz = [(j, c) for j, c in enumerate(alpha.coroot_coords) if c]
-        row = rows[alpha.coords] = tuple(
-            sum(c * cp[d][j] for j, c in nz) for d in range(zd.lattice.dim)
+        rows = zd._extra["hasse_coroot_rows"] = tuple(
+            tuple(
+                sum(c * cp[d][j] for j, c in enumerate(beta.coroot_coords) if c)
+                for d in range(zd.lattice.dim)
+            )
+            for beta in zd.rs.roots
         )
-    return row
+    return rows
+
+
+def _coroot_row(zd: ZipDatum, alpha: Root) -> tuple[int, ...]:
+    return _coroot_rows(zd)[zd.W._root_index[alpha.coords]]
 
 
 # ---------------------------------------------------------------------------
@@ -489,6 +519,76 @@ def hasse_any_Lweight(zd: ZipDatum, w: WeylElement):
     _check_L_weight(zd, lam_scaled)
     _verify_witness(zd, w, lam_scaled, witness, ew, lam_multiplier=1)
     return lam_scaled, HasseResult(witness=witness, certificate=None, e_w=ew)
+
+
+def hasse_feasible_at_zero(zd: ZipDatum, w: WeylElement) -> HasseResult:
+    """`hasse_feasible(zd, w, 0)` decided on u-orbit sums of coroots,
+    u = z^{-1} w, with no equality elimination (module docstring).
+
+    Gives the verdict and E_w of `hasse_feasible` at lambda = 0; the witness
+    and the certificate are its own, and both are re-checked.
+    """
+    if not zd.in_IW(w):
+        raise ZipDatumError(f"w = {w!r} is not in ^I W")
+    ew = tuple(e_w_set(zd, w))
+    W, dim = zd.W, zd.lattice.dim
+    coroots = _coroot_rows(zd)
+    u = zd.z.inverse() * w
+    on_roots = W.root_key(u)
+    # the u-orbit u^i alpha (i < |O|) of the first root of E_w in each orbit
+    orbits, reps, seen = [], [], set()
+    for j, alpha in enumerate(ew):
+        a = W._root_index[alpha.coords]
+        if a in seen:
+            continue
+        orbit = [a]
+        b = on_roots[a]
+        while b != a:
+            orbit.append(b)
+            b = on_roots[b]
+        seen.update(orbit)
+        orbits.append(orbit)
+        reps.append(j)
+    sums = [[sum(coroots[b][d] for b in orbit) for d in range(dim)] for orbit in orbits]
+    # columns equal in every row share one variable, kept at the first of
+    # them; t is 0 on the others and on the zero columns
+    first = {}
+    for k, col in enumerate(zip(*sums)):
+        if any(col):
+            first.setdefault(col, k)
+    keep = list(first.values())
+    status, payload = _fourier_motzkin([[row[k] for k in keep] for row in sums], [0] * len(sums))
+    if status == "infeasible":
+        # sum y_O c_O = 0 with c_O = |O| alpha^vee - sum_i (|O| - 1 - i)
+        # (row of (w u^i alpha)^vee) (w - z): the telescoped orbit sum
+        strict_mults = [0] * len(ew)
+        eq_mults = [0] * dim
+        on_w = W.root_key(w)
+        for y, orbit, j in zip(payload, orbits, reps):
+            if not y:
+                continue
+            m = len(orbit)
+            strict_mults[j] = y * m
+            for i, b in enumerate(orbit[:-1]):
+                f = y * (m - 1 - i)
+                for d, x in enumerate(coroots[on_w[b]]):
+                    eq_mults[d] -= f * x
+        cert = _certificate(list(zip(*_w_minus_z_cols(zd, w))), [0] * dim,
+                            _strict_rows(zd, ew), eq_mults, strict_mults)
+        return HasseResult(witness=None, certificate=cert, e_w=ew)
+    # lambda_0 = the sum of the u-orbit of t, on the integer numerators of t
+    tden = lcm(*(tv.denominator for tv in payload))
+    t = [0] * dim
+    for k, tv in zip(keep, payload):
+        t[k] = tv.numerator * (tden // tv.denominator)
+    t = tuple(t)
+    total, v = list(t), u.apply_weight(t, zd.lattice)
+    while v != t:
+        total = [x + y for x, y in zip(total, v)]
+        v = u.apply_weight(v, zd.lattice)
+    witness = _witness_from_lambda0(tuple(Fraction(x, tden) for x in total))
+    _verify_witness(zd, w, [0] * dim, witness, ew)
+    return HasseResult(witness=witness, certificate=None, e_w=ew)
 
 
 def _strict_rows(zd, ew):

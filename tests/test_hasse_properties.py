@@ -8,8 +8,9 @@ from dataclasses import replace
 
 from hypothesis import given, settings
 
+from test_hasse_solver import agrees_at_zero
 from test_twisted_scan import data
-from zipstrata.hasse import e_w_set, hasse_any_Lweight, hasse_feasible
+from zipstrata.hasse import e_w_set, hasse_any_Lweight, hasse_feasible, hasse_feasible_at_zero
 
 
 @settings(max_examples=30, deadline=None)
@@ -48,9 +49,18 @@ def _failures(zd):
         result = hasse_feasible(zd, w, [0] * zd.lattice.dim)
         if not result.feasible:
             yield result.certificate
+        result = hasse_feasible_at_zero(zd, w)
+        if not result.feasible:
+            yield result.certificate
         lam, result = hasse_any_Lweight(zd, w)
         if lam is None:
             yield result.certificate
+
+
+@settings(max_examples=30, deadline=None)
+@given(data())
+def test_weight_zero_path_matches_hasse_feasible(datum):
+    agrees_at_zero(datum[0])
 
 
 @settings(max_examples=30, deadline=None)

@@ -19,8 +19,9 @@ from hypothesis import strategies as st
 
 import hasse_oracle
 from zipstrata import hasse
+from test_golden import GOLDEN
 from zipstrata.rootdata import build_generic
-from zipstrata.zipdatum import gl_zip_datum, make_zip_datum
+from zipstrata.zipdatum import BasedAutomorphism, gl_zip_datum, make_zip_datum
 
 entries = st.integers(min_value=-3, max_value=3)
 
@@ -99,23 +100,100 @@ def test_hasse_matches_fraction_solver_on_every_stratum(name, zd, monkeypatch):
             assert r.feasible or r.certificate.replay()
 
 
+def _gl_data(n):
+    for r in range(1, n):
+        for sigma in ("id", "flip"):
+            yield f"GL{n}({r},{n - r}) {sigma}", gl_zip_datum(n, r, sigma=sigma)
+
+
+def _golden_data():
+    for name, (cartan, I, sigma) in sorted(GOLDEN.items()):
+        rs, lat = build_generic(cartan)
+        yield name, make_zip_datum(rs, frozenset(I), BasedAutomorphism.parse(rs, sigma), lat)
+
+
+def agrees_at_zero(zd):
+    """`hasse_feasible_at_zero` gives the verdict and E_w of
+    `hasse_feasible` at weight 0 on every stratum, and its witness and
+    certificate check out."""
+    zero = [0] * zd.lattice.dim
+    for w in zd.minimal_reps():
+        ref = hasse.hasse_feasible(zd, w, zero)
+        got = hasse.hasse_feasible_at_zero(zd, w)
+        assert (got.feasible, got.e_w) == (ref.feasible, ref.e_w), w
+        if got.feasible:
+            hasse._verify_witness(zd, w, zero, got.witness, got.e_w)
+        else:
+            assert got.certificate.replay(), w
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_weight_zero_matches_hasse_feasible_on_gl(n):
+    for _, zd in _gl_data(n):
+        agrees_at_zero(zd)
+
+
+@pytest.mark.parametrize("name,zd", [*_data(), *_golden_data()],
+                         ids=lambda v: v if isinstance(v, str) else "")
+def test_weight_zero_matches_hasse_feasible_on_generic_data(name, zd):
+    agrees_at_zero(zd)
+
+
+@pytest.mark.parametrize("name,zd", [*_gl_data(5), *_golden_data()],
+                         ids=lambda v: v if isinstance(v, str) else "")
+def test_weight_zero_rows_are_one_per_u_orbit(name, zd, monkeypatch):
+    # Fourier-Motzkin gets one row per u-orbit of E_w and distinct nonzero
+    # columns; the orbits are walked here with WeylElement.apply
+    calls = []
+    fm = hasse._fourier_motzkin
+    monkeypatch.setattr(hasse, "_fourier_motzkin",
+                        lambda rows, rhs: calls.append(rows) or fm(rows, rhs))
+    for w in zd.minimal_reps():
+        ew = hasse.hasse_feasible_at_zero(zd, w).e_w
+        rows = calls.pop()
+        u = zd.z.inverse() * w
+        orbits = set()
+        for alpha in ew:
+            orbit, beta = [alpha.coords], u.apply(alpha)
+            while beta != alpha:
+                orbit.append(beta.coords)
+                beta = u.apply(beta)
+            orbits.add(frozenset(orbit))
+        assert len(rows) == len(orbits), w
+        cols = list(zip(*rows))
+        assert all(map(any, cols)) and len(set(cols)) == len(cols), w
+
+
 def test_certificate_check_survives_python_O():
-    # replay forced to fail: the infeasible query must still raise under -O
+    # replay forced to fail: both infeasible queries must still raise under
+    # -O; a witness moved off the u-fixed weights must fail its re-check
     script = (
         "from zipstrata import hasse\n"
         "from zipstrata.weyl import InvariantViolation\n"
         "from zipstrata.zipdatum import gl_zip_datum\n"
         "assert False, 'python -O keeps asserts'\n"
+        "def expect_violation(query):\n"
+        "    try:\n"
+        "        query()\n"
+        "    except InvariantViolation as exc:\n"
+        "        print(exc)\n"
         "hasse.InfeasibilityCertificate.replay = lambda self: False\n"
         "zd = gl_zip_datum(4, 2)\n"
-        "try:\n"
-        "    hasse.hasse_feasible(zd, zd.W.from_one_line([1, 3, 2, 4]), [0, 0, 0, 0])\n"
-        "except InvariantViolation:\n"
-        "    print('raised')\n"
+        "w = zd.W.from_one_line([1, 3, 2, 4])\n"
+        "expect_violation(lambda: hasse.hasse_feasible(zd, w, [0, 0, 0, 0]))\n"
+        "expect_violation(lambda: hasse.hasse_feasible_at_zero(zd, w))\n"
+        "scale = hasse._witness_from_lambda0\n"
+        "hasse._witness_from_lambda0 = lambda l0: scale((l0[0] + 1, *l0[1:]))\n"
+        "w = zd.W.from_one_line([1, 3, 4, 2])\n"
+        "expect_violation(lambda: hasse.hasse_feasible_at_zero(zd, w))\n"
     )
     src = str(Path(hasse.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
     done = subprocess.run([sys.executable, "-O", "-c", script], env=env,
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "raised"
+    assert done.stdout.splitlines() == [
+        "infeasibility certificate failed to replay",
+        "infeasibility certificate failed to replay",
+        "witness fails the weight equation",
+    ]
