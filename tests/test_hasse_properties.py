@@ -1,7 +1,8 @@
 """Properties of the Hasse check over random finite-type data (the `data()`
 strategy of `test_twisted_scan`): E_w is the set of roots of the Bruhat
-coatoms, every failed query carries a certificate that replays, and a
-tampered certificate does not.
+coatoms, the weight-0 path on u-orbit sums agrees with `hasse_feasible`,
+every failed query carries a certificate that replays, and a tampered
+certificate does not.
 """
 
 from dataclasses import replace

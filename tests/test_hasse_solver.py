@@ -4,6 +4,12 @@
 that `zipstrata.hasse` replaced.  Both must reach the same verdict and the
 same lambda_0 on every system; certificates may differ by a scale factor,
 so they are compared by replaying them.
+
+`hasse_feasible` is in turn the reference for `hasse_feasible_at_zero`,
+the weight-0 path on u-orbit sums that `strata-list` takes: the same
+verdict and E_w on every stratum of GL_2..GL_8 and of the generic data,
+one Fourier-Motzkin row per u-orbit of E_w, and its checks raise under
+``python -O``.
 """
 
 import itertools
@@ -18,8 +24,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hasse_oracle
-from zipstrata import hasse
 from test_golden import GOLDEN
+from zipstrata import hasse
 from zipstrata.rootdata import build_generic
 from zipstrata.zipdatum import BasedAutomorphism, gl_zip_datum, make_zip_datum
 
@@ -65,11 +71,15 @@ def test_fixed_systems():
         _same_outcome(hasse._feasible_lambda0(*system), hasse_oracle._feasible_lambda0(*system))
 
 
+def _gl_data(n):
+    for r in range(1, n):
+        for sigma in ("id", "flip"):
+            yield f"GL{n}({r},{n - r}) {sigma}", gl_zip_datum(n, r, sigma=sigma)
+
+
 def _data():
     for n in (4, 5):
-        for r in range(1, n):
-            for sigma in ("id", "flip"):
-                yield f"GL{n}({r},{n - r}) {sigma}", gl_zip_datum(n, r, sigma=sigma)
+        yield from _gl_data(n)
     b3 = [[2, -1, 0], [-1, 2, -2], [0, -1, 2]]
     for name, cartan in (("G2", [[2, -1], [-3, 2]]), ("B3", b3)):
         rs, lat = build_generic(cartan)
@@ -98,12 +108,6 @@ def test_hasse_matches_fraction_solver_on_every_stratum(name, zd, monkeypatch):
         assert lam == lam_o and any_res.witness == any_res_o.witness, (name, w)
         for r in (res, any_res):
             assert r.feasible or r.certificate.replay()
-
-
-def _gl_data(n):
-    for r in range(1, n):
-        for sigma in ("id", "flip"):
-            yield f"GL{n}({r},{n - r}) {sigma}", gl_zip_datum(n, r, sigma=sigma)
 
 
 def _golden_data():
