@@ -16,7 +16,7 @@ import os
 import sys
 from dataclasses import dataclass
 
-from .fq import Fq, mat_inv
+from .fq import Fq
 from .glnzip import (
     Signature,
     _factor_prime_power,
@@ -200,7 +200,6 @@ def cmd_xi(config: RunConfig, w_text: str | None, matrix_text: str | None) -> st
     if F.k != 1:
         raise ZipDatumError("matrix entries are reduced mod p; use a prime q")
     f = tuple(tuple(entries[i * n + j] for j in range(n)) for i in range(n))
-    mat_inv(F, f)  # raises on singular input
     out = xi_classify(zd, F, f, config.m)
     return _emit({"matrix": entries, "m": config.m, "xi": out.label()}, config.fmt)
 

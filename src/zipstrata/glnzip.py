@@ -7,13 +7,17 @@ semilinear operators F = a sigma^m and V = b sigma^{-m}; the coarsest F- and
 V^{-1}-stable filtration, compared with 0 < V(D) < D, recovers the stratum
 label of f z^{-1}.  Since b is zero above row r and has rank s,
 V(D) = span(e_r, ..., e_{n-1}), so that comparison is read off the echelon
-pivots of the filtration, with no further elimination.  The classifiers here
+pivots of the filtration, with no further elimination.  Both maps of the
+filtration are images under f z^{-1} alone (`canonical_filtration`), so the
+classifier inverts no matrix and takes no preimage or kernel; `phi_map`
+still builds (a, b) for the checks that use them.  The classifiers here
 and the combinatorial map on W are developed independently and
 cross-validated on permutation matrices.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from collections import Counter
@@ -32,6 +36,7 @@ from .fq import (
     mat_identity,
     mat_inv,
     mat_mul,
+    mat_transpose,
     rank,
 )
 from .rootdata import TYPE_A_GL
@@ -128,19 +133,85 @@ def phi_map(F, f: Matrix, sig: Signature, m: int = 1) -> tuple[Matrix, Matrix]:
     return a, b
 
 
-def canonical_filtration(F, a: Matrix, b: Matrix, m: int = 1) -> list[FqSubspace]:
-    """The coarsest filtration stable under F and V^{-1}, as an ascending chain.
+def canonical_filtration(F, g: Matrix, r: int, m: int = 1) -> list[FqSubspace]:
+    """The coarsest filtration stable under F and V^{-1}, as an ascending chain,
+    for the Dieudonne pair (a, b) = (g p_1, sigma^{-m}(p_2 g^{-1})) of the
+    invertible matrix g with parabolic cut r (`_phi_pair`).
 
-    Closes {0, D} under M |-> span(a sigma^m M) and M |-> sigma^m{y : b y in M}
-    with a worklist, so each member of the family is mapped once.  The family
-    must be totally ordered, so it has at most n + 1 members.
+    Both maps are images under g.  Let W_1 = span(e_0, ..., e_{r-1}),
+    W_2 = span(e_r, ..., e_{n-1}) and N = sigma^m(M).  Then a = g p_1 gives
+
+        F M = a sigma^m(M) = g(p_1 N),
+
+    and sigma^m(b) = p_2 g^{-1}, so y = sigma^m(x) with b x in M means
+    p_2 g^{-1} y in N, that is g^{-1} y in W_1 + (N /\\ W_2):
+
+        V^{-1} M = sigma^m{x : b x in M} = g(W_1 + (N /\\ W_2)).
+
+    sigma^m keeps echelon rows echelon.  In echelon form N /\\ W_2 is spanned
+    by the k' rows of N with pivot >= r, and p_1 N by the k rows with pivot
+    < r cut off at column r; so each map is one elimination of at most n
+    vectors g v, with no inverse, preimage or kernel.  g is injective, so
+    dim F M = k and dim V^{-1} M = r + k' before eliminating, and the ends
+    need none: F M = 0 for k = 0, F M = g(W_1) for k = r, V^{-1} M = g(W_1)
+    for k' = 0 and V^{-1} M = D for k' = n - r.  In particular F(0) = 0,
+    V^{-1}(D) = D and F(D) = V^{-1}(0) = g(W_1), which is computed once.
+
+    Raises ZeroDivisionError when g is singular; `_close_chain` enforces
+    that the family is a chain of at most n + 1 members.
     """
-    n = len(a)
-    todo = [FqSubspace.zero(F, n), FqSubspace.full(F, n)]
+    if det(F, g) == F.zero:
+        raise ZeroDivisionError("matrix is singular")
+    ends = FqSubspace.zero(F, len(g)), FqSubspace.full(F, len(g))
+    return _close_chain(ends, _image_maps(F, g, r, m, ends))
+
+
+def _image_maps(F, g: Matrix, r: int, m: int, ends: tuple[FqSubspace, FqSubspace]):
+    """M |-> (F M, V^{-1} M) as images under g (see `canonical_filtration`);
+    ``ends`` is (0, D)."""
+    n = len(g)
+    cols = mat_transpose(g)  # cols[j] = g e_j, so mat_mul(v, cols) = g v
+    low_cols, high_cols = cols[:r], cols[r:]
+    zero, full = ends
+    gw1 = FqSubspace.from_vectors(F, n, low_cols)
+    one = F.one
+
+    def step(sp: FqSubspace) -> tuple[FqSubspace, FqSubspace]:
+        rows = sp.apply_frobenius(m).rows
+        # echelon rows come in pivot order: those with pivot < r first
+        k = 0
+        while k < len(rows) and rows[k].index(one) < r:
+            k += 1
+        if k == 0:
+            f_img = zero
+        elif k == r:
+            f_img = gw1
+        else:  # mat_mul pairs only the first r entries of a row with low_cols
+            f_img = FqSubspace.from_vectors(F, n, mat_mul(F, rows[:k], low_cols))
+        if k == len(rows):
+            v_img = gw1
+        elif len(rows) - k == n - r:
+            v_img = full
+        else:
+            high = mat_mul(F, [row[r:] for row in rows[k:]], high_cols)
+            v_img = FqSubspace.from_vectors(F, n, gw1.rows + high)
+        return f_img, v_img
+
+    return step
+
+
+def _close_chain(ends: tuple[FqSubspace, FqSubspace], step) -> list[FqSubspace]:
+    """Close ends = (0, D) under the two maps M |-> step(M) with a worklist,
+    so each member of the family is mapped once.  The family must be
+    totally ordered, so it has at most n + 1 members; both conditions raise
+    InvariantViolation.
+    """
+    n = ends[1].dim
+    todo = list(ends)
     family = {sp.rows: sp for sp in todo}
     while todo:
         sp = todo.pop()
-        for cand in (sp.map_semilinear(a, m), sp.preimage(b).apply_frobenius(m)):
+        for cand in step(sp):
             if cand.rows not in family:
                 if len(family) > n:
                     raise InvariantViolation(
@@ -166,12 +237,10 @@ def _stratum_invariant(zd: ZipDatum, F, g: Matrix, m: int) -> tuple:
     in it iff its coefficients on the echelon rows with pivot < rr vanish, so
     dim(V(D) /\\ D_i) is the number of echelon rows of D_i with pivot >= rr.
     """
-    n = zd.rs.ambient_dim
     (rr,) = sorted(set(zd.rs.delta_indices()) - zd.I)
-    a, b = _phi_pair(F, g, n, rr, m)
     return tuple(
         (c.dim, sum(row.index(F.one) >= rr for row in c.rows))
-        for c in canonical_filtration(F, a, b, m)
+        for c in canonical_filtration(F, g, rr, m)
     )
 
 
@@ -216,6 +285,12 @@ def xi_classify(zd: ZipDatum, F, f: Matrix, m: int = 1) -> WeylElement:
         raise ZipDatumError("the matrix classifier needs sigma = id (split case)")
     if m < 1:
         raise ZipDatumError("the Frobenius exponent m must be >= 1")
+    n = zd.rs.ambient_dim
+    if len(f) != n or any(len(row) != n for row in f):
+        raise ZipDatumError(f"the matrix must be {n} x {n} for this GL_{n} datum")
+    entries = list(itertools.chain.from_iterable(f))
+    if set(map(type, entries)) != {int} or min(entries) < 0 or max(entries) >= F.q:
+        raise ZipDatumError(f"matrix entries must be elements of F_{F.q}: integers 0..{F.q - 1}")
     # g = f perm_matrix(z^{-1}): column j of g is column z^{-1}(j) of f
     cols = [i - 1 for i in zd.z.inverse().one_line()]
     g = tuple(tuple(row[j] for j in cols) for row in f)

@@ -27,9 +27,10 @@ At lambda = 0, the query `strata-list` makes for every stratum,
 lambda_0 the pairing <lambda_0, beta^vee> = <u lambda_0, (u beta)^vee> is
 constant on each u-orbit O of roots.  So the strict rows become one row per
 u-orbit O that meets E_w, the orbit sum c_O = sum_{beta in O} beta^vee,
-which u fixes; columns equal in every row are merged into one variable (in
-GL_n one per cycle of u), and Fourier-Motzkin decides <t, c_O> < 0 for t
-anywhere in X*(T).
+which u fixes.  Distinct orbits often share a sum; each distinct sum is one
+row, kept with the first orbit that has it.  Columns equal in every row are
+merged into one variable (in GL_n one per cycle of u), and Fourier-Motzkin
+decides <t, c_O> < 0 for t anywhere in X*(T).
 
 - Averaging.  If t solves the orbit rows, lambda_0 = the sum of the u-orbit
   of t (a positive multiple of sum_{k < ord u} u^k t) is fixed by u, and
@@ -535,8 +536,9 @@ def hasse_feasible_at_zero(zd: ZipDatum, w: WeylElement) -> HasseResult:
     coroots = _coroot_rows(zd)
     u = zd.z.inverse() * w
     on_roots = W.root_key(u)
-    # the u-orbit u^i alpha (i < |O|) of the first root of E_w in each orbit
-    orbits, reps, seen = [], [], set()
+    # the u-orbit u^i alpha (i < |O|) of the first root of E_w in each orbit;
+    # orbits with the same sum give one row, kept with the first of them
+    by_sum, seen = {}, set()
     for j, alpha in enumerate(ew):
         a = W._root_index[alpha.coords]
         if a in seen:
@@ -547,9 +549,8 @@ def hasse_feasible_at_zero(zd: ZipDatum, w: WeylElement) -> HasseResult:
             orbit.append(b)
             b = on_roots[b]
         seen.update(orbit)
-        orbits.append(orbit)
-        reps.append(j)
-    sums = [[sum(coroots[b][d] for b in orbit) for d in range(dim)] for orbit in orbits]
+        by_sum.setdefault(tuple(map(sum, zip(*[coroots[b] for b in orbit]))), (orbit, j))
+    sums = list(by_sum)
     # columns equal in every row share one variable, kept at the first of
     # them; t is 0 on the others and on the zero columns
     first = {}
@@ -564,7 +565,7 @@ def hasse_feasible_at_zero(zd: ZipDatum, w: WeylElement) -> HasseResult:
         strict_mults = [0] * len(ew)
         eq_mults = [0] * dim
         on_w = W.root_key(w)
-        for y, orbit, j in zip(payload, orbits, reps):
+        for y, (orbit, j) in zip(payload, by_sum.values()):
             if not y:
                 continue
             m = len(orbit)

@@ -173,6 +173,16 @@ def test_xi_singular_matrix_rejected(capsys):
     assert code == 2
 
 
+def test_xi_singular_matrix_with_independent_column_blocks_rejected(capsys):
+    # columns e_0, e_1, e_2, e_0 + e_2: each pair of columns that z permutes
+    # into the first r = 2 is independent, so only the rank check catches it
+    rows = ((1, 0, 0, 1), (0, 1, 0, 0), (0, 0, 1, 1), (0, 0, 0, 0))
+    entries = ",".join(str(x) for row in rows for x in row)
+    code = main(["--gl", "4", "2", "xi", "--matrix", entries])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (2, "", "error: matrix is singular\n")
+
+
 def test_census_csv(capsys):
     code, out = run(capsys, "--gl", "3", "2", "--q", "2", "--format", "csv",
                     "census", "--m-list", "1,2")

@@ -3,6 +3,10 @@ the entry-by-entry reference in `fq_oracle`, on seeded random inputs over
 F_2, F_3, F_4, F_8 and F_9 with Frobenius exponents m = 1, 2, 3 (on the
 extension fields sigma^m is the identity for some m and not for others);
 and the pivot-count stratum profile against intersections of subspaces.
+
+The filtration takes both maps as images under g; the reference closes the
+pair (a, b) of `_phi_pair` with preimages, round by round.  With the cut of
+V^{-1} moved by one, the comparison must fail.
 """
 
 import random
@@ -22,7 +26,9 @@ from zipstrata.fq import (
     mat_mul,
     rref,
 )
+from zipstrata import glnzip
 from zipstrata.glnzip import _phi_pair, _stratum_invariant, canonical_filtration
+from zipstrata.weyl import InvariantViolation
 from zipstrata.zipdatum import gl_zip_datum
 
 FIELDS = [(2, 1), (3, 1), (2, 2), (2, 3), (3, 2)]
@@ -108,16 +114,45 @@ def test_inverse_and_determinant(field):
                 mat_inv(F, g)
 
 
-@pytest.mark.parametrize("m", EXPONENTS)
-@pytest.mark.parametrize("field", FIELDS, ids=_ids)
-def test_filtration_matches_round_based_reference(field, m):
+def _filtration_against_reference(field, m):
+    """(chain, reference chain) on seeded invertible g with n = 2..5 and every
+    cut r; the reference closes the pair (a, b) of `_phi_pair` round by round
+    with preimages.  A chain the closure rejects is None."""
     F = Fq(*field)
     rng = random.Random(field[0] * 7 + field[1] * 3 + m)
     for _ in range(40):
-        n = rng.randint(2, 4)
-        a, b = _phi_pair(F, _rand_invertible(F, rng, n), n, rng.randint(1, n - 1), m)
-        chain = [sp.rows for sp in canonical_filtration(F, a, b, m)]
-        assert chain == fq_oracle.canonical_filtration(F, a, b, m), (a, b)
+        n = rng.randint(2, 5)
+        r = rng.randint(1, n - 1)
+        g = _rand_invertible(F, rng, n)
+        try:
+            chain = [sp.rows for sp in canonical_filtration(F, g, r, m)]
+        except InvariantViolation:
+            chain = None
+        yield chain, fq_oracle.canonical_filtration(F, *_phi_pair(F, g, n, r, m), m)
+
+
+@pytest.mark.parametrize("m", EXPONENTS)
+@pytest.mark.parametrize("field", FIELDS, ids=_ids)
+def test_filtration_matches_round_based_reference(field, m):
+    for chain, want in _filtration_against_reference(field, m):
+        assert chain == want
+
+
+@pytest.mark.parametrize("shift", [-1, 1])
+@pytest.mark.parametrize("m", EXPONENTS)
+@pytest.mark.parametrize("field", FIELDS, ids=_ids)
+def test_a_moved_v_inverse_cut_breaks_the_comparison(monkeypatch, field, m, shift):
+    # V^{-1} M = g(W_1 + (N /\ W_2)) taken with the cut at r - 1 (mostly a
+    # family the chain check rejects) or r + 1 (mostly a wrong chain)
+    image_maps = glnzip._image_maps
+
+    def moved(F, g, r, m, ends):
+        f_map = image_maps(F, g, r, m, ends)
+        v_map = image_maps(F, g, min(r + shift, len(g) - 1), m, ends)
+        return lambda sp: (f_map(sp)[0], v_map(sp)[1])
+
+    monkeypatch.setattr(glnzip, "_image_maps", moved)
+    assert any(chain != want for chain, want in _filtration_against_reference(field, m))
 
 
 def test_rational_rows_match_reference():
@@ -135,12 +170,12 @@ def test_rational_rows_match_reference():
 def _reference_profile(F, g, n, r, m):
     """(dim D_i, dim(V(D) /\\ D_i)) with V(D) the echelon form of b's columns
     and each intersection dimension through the sum of subspaces."""
-    a, b = _phi_pair(F, g, n, r, m)
+    _, b = _phi_pair(F, g, n, r, m)
     vd = FqSubspace.from_vectors(F, n, zip(*b))
     # the fact the pivot count rests on: V(D) = span(e_r, ..., e_{n-1})
     assert vd.rows == mat_identity(F, n)[r:]
     return tuple((c.dim, vd.dim + c.dim - vd.sum(c).dim)
-                 for c in canonical_filtration(F, a, b, m))
+                 for c in canonical_filtration(F, g, r, m))
 
 
 def _rand_near_monomial(F, rng, n):

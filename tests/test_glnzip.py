@@ -8,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from zipstrata.fq import Fq, QQ, enumerate_gl, mat_identity, mat_mul, mat_inv
+import fq_oracle
+from zipstrata.fq import Fq, FqSubspace, QQ, enumerate_gl, mat_identity, mat_mul, mat_inv
 from zipstrata.glnzip import (
     Signature,
     blocks_of,
@@ -31,6 +32,7 @@ from zipstrata.glnzip import (
 )
 from zipstrata.strata import pi_small, is_small, xi_of_weyl
 from zipstrata.weyl import BudgetExceeded
+from zipstrata.zipdatum import ZipDatumError
 
 F2 = Fq(2)
 F3 = Fq(3)
@@ -99,44 +101,54 @@ def test_phi_map_rank_is_r():
 
 
 def test_canonical_filtration_identity_and_antidiagonal():
-    sig = Signature(1, 1)
-    a, b = phi_map(F2, mat_identity(F2, 2), sig)
-    chain = canonical_filtration(F2, a, b)
+    chain = canonical_filtration(F2, mat_identity(F2, 2), 1)
     assert [c.rows for c in chain] == [(), ((1, 0),), ((1, 0), (0, 1))]
-    a, b = phi_map(F2, ((0, 1), (1, 0)), sig)
-    chain = canonical_filtration(F2, a, b)
+    chain = canonical_filtration(F2, ((0, 1), (1, 0)), 1)
     assert [c.rows for c in chain] == [(), ((0, 1),), ((1, 0), (0, 1))]
 
 
 def test_filtration_endpoints_and_stability():
-    # every step is F-stable and V^{-1}-stable; endpoints are 0 and D
+    # every step is F-stable and V^{-1}-stable, by the reference maps of
+    # fq_oracle on the pair phi_map builds; endpoints are 0 and D
     rng = random.Random(5)
     sig = Signature(2, 2)
     mats = list(enumerate_gl(F2, 4))
     for f in rng.sample(mats, 30):
         a, b = phi_map(F2, f, sig)
-        chain = canonical_filtration(F2, a, b)
+        chain = canonical_filtration(F2, f, 2)
         assert chain[0].dim == 0 and chain[-1].dim == 4
         for step in chain:
-            assert step.map_semilinear(a, 1) <= step
+            assert FqSubspace(F2, 4, fq_oracle.map_semilinear(F2, step.rows, a, 1)) <= step
             # V^{-1}-stability: step <= sigma({y : b y in step})
-            assert step <= step.preimage(b).apply_frobenius(1)
+            assert step <= FqSubspace(F2, 4, fq_oracle.apply_frobenius(
+                F2, fq_oracle.preimage(F2, step.rows, 4, b), 1))
 
 
 def test_filtration_checks_survive_python_O():
-    # a = b = e_1 e_1^T: on F_2^3 the family {0, <e1>, <e2,e3>, D} has n + 1
-    # members but is no chain; on F_2^2, {0, <e1>, <e2>, D} exceeds n + 1
+    # the closure fed a = b = e_1 e_1^T, as F M = a sigma(M) and
+    # V^{-1} M = sigma{y : b y in M}: on F_2^3 the family {0, <e1>, <e2,e3>,
+    # D} has n + 1 members but is no chain; on F_2^2, {0, <e1>, <e2>, D}
+    # exceeds n + 1.  The maps of a matrix g give a chain (and over F_2 with
+    # n <= 3 they do so even for singular g), so the closure is fed these
+    # maps directly, and the singular-matrix rejection is checked on its own.
     script = (
-        "from zipstrata.fq import Fq\n"
-        "from zipstrata.glnzip import canonical_filtration\n"
+        "from zipstrata.fq import Fq, FqSubspace\n"
+        "from zipstrata.glnzip import _close_chain, canonical_filtration\n"
         "from zipstrata.weyl import InvariantViolation\n"
         "assert False, 'python -O keeps asserts'\n"
+        "F = Fq(2)\n"
         "for n in (3, 2):\n"
         "    e11 = tuple(tuple(int(i == j == 0) for j in range(n)) for i in range(n))\n"
+        "    def step(sp):\n"
+        "        return sp.map_semilinear(e11, 1), sp.preimage(e11).apply_frobenius(1)\n"
         "    try:\n"
-        "        canonical_filtration(Fq(2), e11, e11)\n"
+        "        _close_chain((FqSubspace.zero(F, n), FqSubspace.full(F, n)), step)\n"
         "    except InvariantViolation as exc:\n"
         "        print(exc)\n"
+        "try:\n"
+        "    canonical_filtration(F, ((1, 1), (1, 1)), 1)\n"
+        "except ZeroDivisionError as exc:\n"
+        "    print(exc)\n"
     )
     src = str(Path(canonical_filtration.__code__.co_filename).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
@@ -146,6 +158,7 @@ def test_filtration_checks_survive_python_O():
     assert done.stdout.splitlines() == [
         "canonical family is not a chain; implementation bug",
         "canonical family exceeds n + 1 = 3 subspaces; it is not a chain",
+        "matrix is singular",
     ]
 
 
@@ -216,6 +229,30 @@ def test_xi_classify_m_independent_pointwise_over_prime_field(zd22):
     for f in rng.sample(mats, 25):
         labels = {xi_classify(zd22, F2, f, m).key for m in (1, 2, 3)}
         assert len(labels) == 1
+
+
+@pytest.mark.parametrize("f,message", [
+    (mat_identity(F2, 5), "the matrix must be 4 x 4 for this GL_4 datum"),
+    (mat_identity(F2, 3), "the matrix must be 4 x 4 for this GL_4 datum"),
+    (((1, 0, 0, 0), (0, 1, 0), (0, 0, 1, 0), (0, 0, 0, 1)),
+     "the matrix must be 4 x 4 for this GL_4 datum"),
+    (((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 2)),
+     "matrix entries must be elements of F_2: integers 0..1"),
+    (((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, -1)),
+     "matrix entries must be elements of F_2: integers 0..1"),
+    (((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1.0)),
+     "matrix entries must be elements of F_2: integers 0..1"),
+])
+def test_xi_classify_rejects_malformed_matrices(zd22, f, message):
+    # each used to escape as ZeroDivisionError, IndexError or KeyError
+    with pytest.raises(ZipDatumError) as exc:
+        xi_classify(zd22, F2, f)
+    assert str(exc.value) == message
+
+
+def test_xi_classify_rejects_singular_matrices(zd22):
+    with pytest.raises(ZeroDivisionError, match="^matrix is singular$"):
+        xi_classify(zd22, F4, ((1, 2, 3, 0),) * 4)
 
 
 # ---------------------------------------------------------------------------

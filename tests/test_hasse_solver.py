@@ -8,8 +8,8 @@ so they are compared by replaying them.
 `hasse_feasible` is in turn the reference for `hasse_feasible_at_zero`,
 the weight-0 path on u-orbit sums that `strata-list` takes: the same
 verdict and E_w on every stratum of GL_2..GL_8 and of the generic data,
-one Fourier-Motzkin row per u-orbit of E_w, and its checks raise under
-``python -O``.
+one Fourier-Motzkin row per distinct u-orbit sum over E_w, and its checks
+raise under ``python -O``.
 """
 
 import itertools
@@ -146,24 +146,27 @@ def test_weight_zero_matches_hasse_feasible_on_generic_data(name, zd):
 @pytest.mark.parametrize("name,zd", [*_gl_data(5), *_golden_data()],
                          ids=lambda v: v if isinstance(v, str) else "")
 def test_weight_zero_rows_are_one_per_u_orbit(name, zd, monkeypatch):
-    # Fourier-Motzkin gets one row per u-orbit of E_w and distinct nonzero
-    # columns; the orbits are walked here with WeylElement.apply
+    # Fourier-Motzkin gets one row per distinct u-orbit sum of coroots over
+    # E_w, and distinct nonzero columns; the orbits are walked here with
+    # WeylElement.apply and summed with CharacterLattice.pairing
     calls = []
     fm = hasse._fourier_motzkin
     monkeypatch.setattr(hasse, "_fourier_motzkin",
                         lambda rows, rhs: calls.append(rows) or fm(rows, rhs))
+    units = [tuple(int(i == d) for i in range(zd.lattice.dim)) for d in range(zd.lattice.dim)]
     for w in zd.minimal_reps():
         ew = hasse.hasse_feasible_at_zero(zd, w).e_w
         rows = calls.pop()
         u = zd.z.inverse() * w
-        orbits = set()
+        orbits, sums = set(), set()
         for alpha in ew:
-            orbit, beta = [alpha.coords], u.apply(alpha)
+            orbit, beta = [alpha], u.apply(alpha)
             while beta != alpha:
-                orbit.append(beta.coords)
+                orbit.append(beta)
                 beta = u.apply(beta)
-            orbits.add(frozenset(orbit))
-        assert len(rows) == len(orbits), w
+            orbits.add(frozenset(beta.coords for beta in orbit))
+            sums.add(tuple(sum(zd.lattice.pairing(e, beta) for beta in orbit) for e in units))
+        assert len(rows) == len(set(map(tuple, rows))) == len(sums) <= len(orbits), w
         cols = list(zip(*rows))
         assert all(map(any, cols)) and len(set(cols)) == len(cols), w
 
