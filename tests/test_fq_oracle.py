@@ -15,6 +15,7 @@ from fractions import Fraction
 import pytest
 
 import fq_oracle
+from zipstrata import glnzip
 from zipstrata.fq import (
     QQ,
     Fq,
@@ -26,7 +27,6 @@ from zipstrata.fq import (
     mat_mul,
     rref,
 )
-from zipstrata import glnzip
 from zipstrata.glnzip import _phi_pair, _stratum_invariant, canonical_filtration
 from zipstrata.weyl import InvariantViolation
 from zipstrata.zipdatum import gl_zip_datum
