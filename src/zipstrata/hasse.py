@@ -193,7 +193,7 @@ def _coroot_rows(zd: ZipDatum) -> tuple[tuple[int, ...], ...]:
 
 
 def _coroot_row(zd: ZipDatum, alpha: Root) -> tuple[int, ...]:
-    return _coroot_rows(zd)[zd.W._root_index[alpha.coords]]
+    return _coroot_rows(zd)[zd.rs.root_index[alpha.coords]]
 
 
 # ---------------------------------------------------------------------------
@@ -540,7 +540,7 @@ def hasse_feasible_at_zero(zd: ZipDatum, w: WeylElement) -> HasseResult:
     # orbits with the same sum give one row, kept with the first of them
     by_sum, seen = {}, set()
     for j, alpha in enumerate(ew):
-        a = W._root_index[alpha.coords]
+        a = zd.rs.root_index[alpha.coords]
         if a in seen:
             continue
         orbit = [a]

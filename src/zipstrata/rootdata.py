@@ -9,7 +9,9 @@ matrix.  Everything is exact integer arithmetic; no floats anywhere.
 ``RootSystem.roots`` lists the positive roots in their fixed order followed
 by their negatives in the same order; for generic systems a Weyl element is
 keyed by the permutation it induces on these 2N indices (see ``weyl``), so
-that order is part of the element representation.
+that order is part of the element representation.  ``RootSystem.root_index``
+is the one map from coordinates to these indices, and a generic system keeps
+the simple reflections its root generation applied as permutations of them.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
+from operator import mul
 from typing import Sequence
 
 TYPE_A_GL = "TYPE_A_GL"
@@ -144,19 +147,21 @@ class RootSystem:
     simple_roots: tuple[Root, ...]
     positive_roots: tuple[Root, ...]
     cartan: tuple[tuple[int, ...], ...]  # cartan[i][j] = <alpha_i, alpha_j^vee>
-    _by_coords: dict = field(repr=False, hash=False, compare=False, default_factory=dict)
+    # generic systems only: s_1..s_rank as permutations of the root indices
+    simple_images: tuple[tuple[int, ...], ...] = field(default=(), repr=False, compare=False)
     # the positive roots, then their negatives in the same order
     roots: tuple[Root, ...] = field(init=False, repr=False, hash=False, compare=False)
+    # coords -> index into ``roots``
+    root_index: dict = field(init=False, repr=False, hash=False, compare=False)
 
     def __post_init__(self) -> None:
         roots = self.positive_roots + tuple(-r for r in self.positive_roots)
         object.__setattr__(self, "roots", roots)
-        for r in roots:
-            self._by_coords[r.coords] = r
+        object.__setattr__(self, "root_index", {r.coords: i for i, r in enumerate(roots)})
 
     def root_from_coords(self, coords: Sequence[int]) -> Root:
         try:
-            return self._by_coords[tuple(coords)]
+            return self.roots[self.root_index[tuple(coords)]]
         except KeyError:
             raise RootDataError(f"{tuple(coords)} is not a root") from None
 
@@ -167,17 +172,6 @@ class RootSystem:
     def simple(self, k: int) -> Root:
         """The simple root alpha_k (1-based)."""
         return self.simple_roots[k - 1]
-
-
-def is_compact(rs: RootSystem, root: Root, I: frozenset[int] | set[int]) -> bool:
-    """True iff the root lies in Phi_I, i.e. its simple support is inside I."""
-    if root.coords not in rs._by_coords:
-        raise RootDataError(f"{root.coords} is not a root of this system")
-    return root.support() <= frozenset(I)
-
-
-def pairing(lattice: CharacterLattice, lam, root: Root):
-    return lattice.pairing(lam, root)
 
 
 # ---------------------------------------------------------------------------
@@ -283,38 +277,45 @@ def _validate_cartan(cartan: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], 
     return C
 
 
-def _generate_positive_roots(C) -> list[Root]:
+def _generate_roots(C) -> tuple[list[Root], tuple[tuple[int, ...], ...]]:
+    """The positive roots, sorted by (height, simple coordinates), and each
+    s_j as a permutation of the root indices: the closure of the simple roots
+    under s_j(beta) = beta - <beta, alpha_j^vee> alpha_j applies every s_j
+    to every root once, and keeps each image by its place in the closure."""
     rank = len(C)
-    simples = {}
-    for k in range(rank):
-        e = tuple(1 if i == k else 0 for i in range(rank))
-        simples[e] = Root(e, e, e)
-    # close under simple reflections, tracking root and coroot coordinates
-    seen = dict(simples)
-    frontier = list(simples.values())
-    while frontier:
-        nxt = []
-        for root in frontier:
-            for j in range(rank):
-                p = sum(c * C[k][j] for k, c in enumerate(root.simple_coords))
-                new = list(root.simple_coords)
-                new[j] -= p
-                key = tuple(new)
-                if key in seen:
-                    continue
-                q = sum(c * C[j][k] for k, c in enumerate(root.coroot_coords))
+    columns = [tuple(row[j] for row in C) for j in range(rank)]
+    units = [tuple(int(i == k) for i in range(rank)) for k in range(rank)]
+    roots = [Root(e, e, e) for e in units]
+    at = {r.coords: g for g, r in enumerate(roots)}
+    images = []  # images[g][j]: the place of s_j(roots[g]) in the closure
+    for g, root in enumerate(roots):  # the loop reaches the roots it appends
+        row = []
+        for j in range(rank):
+            p = sum(map(mul, root.simple_coords, columns[j]))
+            if not p:
+                row.append(g)
+                continue
+            new = list(root.simple_coords)
+            new[j] -= p
+            key = tuple(new)
+            h = at.get(key)
+            if h is None:
                 cnew = list(root.coroot_coords)
-                cnew[j] -= q
-                r = Root(key, key, tuple(cnew))
-                seen[key] = r
-                nxt.append(r)
-                if len(seen) > _MAX_ROOTS:
+                cnew[j] -= sum(map(mul, root.coroot_coords, C[j]))
+                h = at[key] = len(roots)
+                roots.append(Root(key, key, tuple(cnew)))
+                if len(roots) > _MAX_ROOTS:
                     raise RootDataError("root generation exceeded budget")
-        frontier = nxt
-    return sorted(
-        (r for r in seen.values() if r.is_positive),
-        key=lambda r: (sum(r.simple_coords), r.simple_coords),
+            row.append(h)
+        images.append(row)
+    positives = sorted(
+        (g for g, r in enumerate(roots) if r.is_positive),
+        key=lambda g: (sum(roots[g].coords), roots[g].coords),
     )
+    order = positives + [at[tuple(-c for c in roots[g].coords)] for g in positives]
+    place = {g: i for i, g in enumerate(order)}
+    simple_images = tuple(tuple(place[images[g][j]] for g in order) for j in range(rank))
+    return [roots[g] for g in positives], simple_images
 
 
 def _check_lattice(cartan, lattice: CharacterLattice) -> None:
@@ -344,11 +345,8 @@ def build_generic(cartan: Sequence[Sequence[int]], lattice_spec: dict | None = N
     """
     C = _validate_cartan(cartan)
     rank = len(C)
-    positives = _generate_positive_roots(C)
-    by_coords = {r.simple_coords: r for r in positives}
-    simples = tuple(
-        by_coords[tuple(1 if i == k else 0 for i in range(rank))] for k in range(rank)
-    )
+    positives, simple_images = _generate_roots(C)
+    simples = tuple(positives[:rank])[::-1]  # height 1, sorted by coordinates
     if lattice_spec is None:
         pair = tuple(tuple(C[d]) for d in range(rank))
         emb = tuple(
@@ -356,17 +354,18 @@ def build_generic(cartan: Sequence[Sequence[int]], lattice_spec: dict | None = N
         )
         lattice = CharacterLattice(rank, pair, emb)
     else:
-        spec = lattice_spec if isinstance(lattice_spec, dict) else {}
-        (dim,) = int_tuple([spec.get("dim")], 'the lattice "dim"')
-        pair = int_matrix(spec.get("pairing"), 'the lattice "pairing"')
-        emb = int_matrix(spec.get("root_embedding"), 'the lattice "root_embedding"')
+        if not isinstance(lattice_spec, dict):
+            raise RootDataError('the "lattice" block must be a JSON object')
+        (dim,) = int_tuple([lattice_spec.get("dim")], 'the lattice "dim"')
+        pair = int_matrix(lattice_spec.get("pairing"), 'the lattice "pairing"')
+        emb = int_matrix(lattice_spec.get("root_embedding"), 'the lattice "root_embedding"')
         if len(pair) != dim or any(len(row) != rank for row in pair):
             raise RootDataError("coroot_pairing must have `dim` rows of `rank` entries")
         if len(emb) != rank or any(len(row) != dim for row in emb):
             raise RootDataError("root_embedding must have `rank` rows of `dim` entries")
         lattice = CharacterLattice(dim, pair, emb)
     _check_lattice(C, lattice)
-    rs = RootSystem(rank, GENERIC, rank, simples, tuple(positives), C)
+    rs = RootSystem(rank, GENERIC, rank, simples, tuple(positives), C, simple_images)
     return rs, lattice
 
 

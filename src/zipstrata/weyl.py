@@ -36,11 +36,13 @@ descent in K, and `minimal_reps` never enumerates W (Bjorner-Brenti,
 order) that w induces: the key itself for generic data, and in type A the
 image of e_a - e_b read off a table of root indices by point pair.  The
 action on roots (`WeylElement.apply`) and phi_w (`ZipDatum.phi_key`) are
-indexing into it.
+indexing into it.  Generic reflections need no Cartan arithmetic: the
+simple keys are the images root generation recorded, and every other
+s_alpha is one conjugation of a lower one (`_reflection_at`).
 
 The realization is read only where the key layout itself differs: the
 one-line view (`one_line`, `label`, `__repr__`, `from_one_line`), the key
-layout in `__init__`, and the coordinate action (`_reflection_key`,
+layout in `__init__`, and the coordinate action (`_reflection_at`,
 `twist_points`, `root_key`, `_apply_weight`).
 """
 
@@ -224,22 +226,18 @@ class WeylGroup:
         self._parabolics: dict = {}
         self._by_length: dict = {}
         self._reps_by_length: dict = {}
-        self._twist_points: dict = {}
         self._reflections: dict = {}
         # A positive root goes negative under w iff key[a] > key[b] for its
         # pair of points (a, b): e_a - e_b goes to e_w(a) - e_w(b) in type A,
         # and root a lands below index N iff -root a = root b lands above it.
-        positives = rs.positive_roots
-        npos = len(positives)
-        self._roots = rs.roots
-        self._root_index = {r.coords: i for i, r in enumerate(self._roots)}
+        npos = self._npos = len(rs.positive_roots)
         if rs.realization == TYPE_A_GL:
             self.n = rs.ambient_dim
             size = self.n
             # the points (a, b) of each root e_a - e_b, and the root index
             # of e_a - e_b at [a][b]
             self._root_points = tuple(
-                (r.coords.index(1), r.coords.index(-1)) for r in self._roots
+                (r.coords.index(1), r.coords.index(-1)) for r in rs.roots
             )
             self._root_at = [[0] * size for _ in range(size)]
             for i, (a, b) in enumerate(self._root_points):
@@ -250,9 +248,10 @@ class WeylGroup:
             size = 2 * npos
             pairs = [(i, i + npos) for i in range(npos)]
         self._positive_pairs = tuple(pairs)
-        self._simple_pairs = tuple(pairs[self._root_index[r.coords]] for r in rs.simple_roots)
+        simple_index = [rs.root_index[r.coords] for r in rs.simple_roots]
+        self._simple_pairs = tuple(pairs[i] for i in simple_index)
         self.identity = self._intern(tuple(range(size)), 0)
-        self._simples = {k: self.reflection(rs.simple(k)) for k in rs.delta_indices()}
+        self._simples = {k: self._reflection_at(i) for k, i in enumerate(simple_index, 1)}
         # ((a, b), key of s_k) for k = 1..rank: s_k is a right descent of p
         # iff p[a] > p[b]
         self._simple_moves = tuple(
@@ -289,50 +288,47 @@ class WeylGroup:
         return w
 
     def reflection(self, root: Root) -> WeylElement:
-        """The reflection s_alpha for an arbitrary root alpha, memoized."""
-        el = self._reflections.get(root.coords)
+        """The reflection s_alpha = s_{-alpha} for an arbitrary root alpha."""
+        return self._reflection_at(self.rs.root_index[root.coords] % self._npos)
+
+    def _reflection_at(self, i: int) -> WeylElement:
+        """s_alpha for the i-th positive root alpha, memoized.  GL_n: the
+        transposition of alpha's points.  Generic: s_k is
+        `RootSystem.simple_images`[k - 1], and alpha_k is the one positive
+        root it negates; any other alpha > 0 has a k with beta = s_k(alpha) a
+        positive root of lower height, so of smaller index, and s_alpha =
+        s_k s_beta s_k (Humphreys, *Reflection Groups and Coxeter Groups*,
+        1990, §1.2)."""
+        el = self._reflections.get(i)
         if el is None:
-            el = self._reflections[root.coords] = self._intern(self._reflection_key(root))
+            if self.rs.realization == TYPE_A_GL:
+                a, b = self._root_points[i]
+                key = tuple(b if v == a else a if v == b else v for v in range(self.n))
+            else:
+                for s in self.rs.simple_images:
+                    j = s[i]
+                    if j >= self._npos:  # alpha is alpha_k
+                        key = s
+                        break
+                    if j < i:
+                        key = conjugate(s, self._reflection_at(j).key)
+                        break
+                else:
+                    raise InvariantViolation(
+                        f"no simple reflection negates or lowers the root {self.rs.roots[i]}"
+                    )
+            el = self._reflections[i] = self._intern(key)
         return el
 
-    def _reflection_key(self, root: Root) -> tuple:
-        if self.rs.realization == TYPE_A_GL:
-            i = root.coords.index(1)
-            j = root.coords.index(-1)
-            p = list(range(self.n))
-            p[i], p[j] = p[j], p[i]
-            return tuple(p)
-        # s_alpha(beta) = beta - <beta, alpha^vee> alpha in simple-root coordinates
-        C = self.rs.cartan
-        alpha = root.simple_coords
-        col = [sum(c * C[j][k] for k, c in enumerate(root.coroot_coords)) for j in range(self.n)]
-        key = []
-        for beta in self._roots:
-            p = sum(b * c for b, c in zip(beta.simple_coords, col))
-            image = tuple(b - p * a for b, a in zip(beta.simple_coords, alpha))
-            key.append(self._root_index[image])
-        return tuple(key)
-
-    def twist_points(self, delta_perm: Sequence[int]) -> tuple:
-        """The permutation tau of the key points that sigma induces."""
-        delta_perm = tuple(delta_perm)
-        tau = self._twist_points.get(delta_perm)
-        if tau is None:
-            if self.rs.realization == TYPE_A_GL:
-                # the one non-trivial automorphism of A_{n-1} is conjugation
-                # by w_0, which reverses the coordinates
-                flip = delta_perm != tuple(self.rs.delta_indices())
-                tau = tuple(range(self.n))[::-1] if flip else tuple(range(self.n))
-            else:
-                tau = []
-                for root in self._roots:
-                    img = [0] * self.n
-                    for k, c in enumerate(root.simple_coords):
-                        img[delta_perm[k] - 1] = c
-                    tau.append(self._root_index[tuple(img)])
-                tau = tuple(tau)
-            self._twist_points[delta_perm] = tau
-        return tau
+    def twist_points(self, sigma) -> tuple:
+        """The permutation tau of the key points that the diagram automorphism
+        sigma induces: for generic data its table ``sigma.root_perm``."""
+        if self.rs.realization != TYPE_A_GL:
+            return sigma.root_perm
+        # the one non-trivial automorphism of A_{n-1} is conjugation by w_0,
+        # which reverses the coordinates
+        points = tuple(range(self.n))
+        return points if sigma.is_identity else points[::-1]
 
     # -- primitive operations -----------------------------------------------
 
@@ -345,7 +341,7 @@ class WeylGroup:
         return el
 
     def _apply(self, w: WeylElement, root: Root) -> Root:
-        return self._roots[self.root_key(w)[self._root_index[root.coords]]]
+        return self.rs.roots[self.root_key(w)[self.rs.root_index[root.coords]]]
 
     def root_key(self, w: WeylElement) -> tuple:
         """The permutation of the root indices (`RootSystem.roots` order)
@@ -452,9 +448,9 @@ class WeylGroup:
         if hit is None:
             below = w.length - 1
             out = []
-            for (a, b), root in zip(self._positive_pairs, self.rs.positive_roots):
+            for i, ((a, b), root) in enumerate(zip(self._positive_pairs, self.rs.positive_roots)):
                 if p[a] > p[b]:  # w sends root negative: l(w s_root) < l(w)
-                    u = compose(p, self.reflection(root).key)
+                    u = compose(p, self._reflection_at(i).key)
                     if self._key_length(u) == below:
                         out.append((root, u))
             hit = self._coatoms[p] = tuple(out)

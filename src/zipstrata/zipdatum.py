@@ -94,8 +94,10 @@ class ZipDatumError(ValueError):
 class BasedAutomorphism:
     """An automorphism of the based root datum, given by a permutation of Delta.
 
-    Acts on roots (table-driven) and on the Weyl group; must preserve the
-    Cartan pairing and hence Phi+.
+    Acts on roots by one table on the root indices, ``root_perm``, built once
+    here and read by `apply_root`, the root frame of `ZipDatum` and the
+    generic `WeylGroup.twist_points`; acts on the Weyl group by conjugating
+    keys.  Must preserve the Cartan pairing and hence Phi+.
     """
 
     def __init__(self, rs: RootSystem, delta_perm: Sequence[int]):
@@ -114,7 +116,22 @@ class BasedAutomorphism:
                         "delta_perm does not preserve the Cartan pairing"
                     )
         self.is_identity = self.delta_perm == tuple(rs.delta_indices())
-        self._root_table = self._build_root_table()
+        # sigma on the roots as a permutation of the root indices
+        # (`RootSystem.roots` order): alpha_k -> alpha_{delta_perm[k]},
+        # extended linearly
+        self.root_perm = tuple(range(len(rs.roots)))
+        if not self.is_identity:
+            at = {r.simple_coords: i for i, r in enumerate(rs.roots)}
+            perm = []
+            for r in rs.roots:
+                img = [0] * rs.rank
+                for k, c in enumerate(r.simple_coords):
+                    img[self.delta_perm[k] - 1] = c
+                perm.append(at[tuple(img)])
+            npos = len(rs.positive_roots)
+            if any((i < npos) != (j < npos) for i, j in enumerate(perm)):
+                raise InvariantViolation("sigma must fix Phi+")
+            self.root_perm = tuple(perm)
 
     @classmethod
     def identity(cls, rs: RootSystem) -> "BasedAutomorphism":
@@ -136,21 +153,8 @@ class BasedAutomorphism:
             spec = spec.split(",")
         return cls(rs, [int(x) for x in spec])
 
-    def _build_root_table(self) -> dict:
-        by_simple = {r.simple_coords: r for r in self.rs.roots}
-        table = {}
-        for r in self.rs.roots:
-            img = [0] * self.rs.rank
-            for k, c in enumerate(r.simple_coords):
-                img[self.delta_perm[k] - 1] = c
-            table[r.coords] = by_simple[tuple(img)]
-        for r in self.rs.roots:
-            if table[r.coords].is_positive != r.is_positive:
-                raise InvariantViolation("sigma must fix Phi+")
-        return table
-
     def apply_root(self, root: Root) -> Root:
-        return self._root_table[root.coords]
+        return self.rs.roots[self.root_perm[self.rs.root_index[root.coords]]]
 
     def apply_w(self, W: WeylGroup, w: WeylElement) -> WeylElement:
         """sigma(w), characterized by sigma(w) . sigma(a) = sigma(w . a): the
@@ -158,7 +162,7 @@ class BasedAutomorphism:
         sigma induces, sigma(w)[tau[i]] = tau[w[i]]."""
         if self.is_identity:
             return w
-        return W._intern(conjugate(W.twist_points(self.delta_perm), w.key), w._length)
+        return W._intern(conjugate(W.twist_points(self), w.key), w._length)
 
     def __repr__(self) -> str:
         return f"BasedAutomorphism({list(self.delta_perm)})"
@@ -184,16 +188,13 @@ class ZipDatum:
     def __post_init__(self) -> None:
         rs, W, zinv = self.rs, self.W, self.z.inverse()
         # A = z^{-1} tau, so that psi(x) = A x A^{-1} (module docstring)
-        self._frame = compose(zinv.key, W.twist_points(self.sigma.delta_perm))
+        self._frame = compose(zinv.key, W.twist_points(self.sigma))
         # the tables on root indices (module docstring)
-        self._root_frame = W.root_key(zinv)
-        if not self.sigma.is_identity:
-            on_roots = [W._root_index[self.sigma.apply_root(r).coords] for r in rs.roots]
-            self._root_frame = compose(self._root_frame, on_roots)
+        self._root_frame = compose(W.root_key(zinv), self.sigma.root_perm)
         outside = [k not in self.I for k in rs.delta_indices()]
         flags = tuple(any(itertools.compress(r.simple_coords, outside)) for r in rs.positive_roots)
         self._noncompact = flags + flags
-        self._simple_index = tuple(W._root_index[r.coords] for r in rs.simple_roots)
+        self._simple_index = tuple(rs.root_index[r.coords] for r in rs.simple_roots)
         simple_at = {i: k for k, i in enumerate(self._simple_index, 1)}
         J = set()
         for k in sorted(self.I):
@@ -317,7 +318,7 @@ class ZipDatum:
 
     def phi_w(self, w: WeylElement, root: Root) -> Root:
         """The operator phi_w : alpha |-> (w z^{-1}) . sigma(alpha)."""
-        return self.rs.roots[self.phi_key(w)[self.W._root_index[root.coords]]]
+        return self.rs.roots[self.phi_key(w)[self.rs.root_index[root.coords]]]
 
     def canonical_type(self, w: WeylElement) -> frozenset[int]:
         """I_w: the largest I_0 inside I with (w z^{-1}) sigma(I_0) = I_0.

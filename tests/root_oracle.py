@@ -1,9 +1,13 @@
 """Canonical types and w-sequences on Root objects, kept as the reference
 for `ZipDatum.canonical_type` and `strata.w_sequences`, which walk
-phi_w as a permutation of root indices (`ZipDatum.phi_key`)."""
+phi_w as a permutation of root indices (`ZipDatum.phi_key`); and the Cartan
+formula for a reflection on the root indices, kept as the reference for the
+simple images of root generation and for `WeylGroup.reflection`, which
+conjugates a simple reflection."""
 
 import itertools
 
+from zipstrata.rootdata import Root, RootSystem
 from zipstrata.strata import WSequence
 from zipstrata.weyl import InvariantViolation, WeylElement
 from zipstrata.zipdatum import ZipDatum
@@ -48,3 +52,19 @@ def w_sequences(zd: ZipDatum, v: WeylElement):
         seqs.append(WSequence(beta0, tuple(body), cur))
     n_plus = sum(1 for s in seqs if s.sign > 0)
     return seqs, n_plus, len(seqs) - n_plus
+
+
+def reflection_by_cartan(rs: RootSystem, root: Root) -> tuple:
+    """s_alpha as a permutation of the root indices (`RootSystem.roots`
+    order): s_alpha(beta) = beta - <beta, alpha^vee> alpha in simple-root
+    coordinates, with <beta, alpha^vee> summed over alpha's coroot
+    coordinates; the same for GL_n and generic systems."""
+    C = rs.cartan
+    at = {r.simple_coords: i for i, r in enumerate(rs.roots)}
+    alpha = root.simple_coords
+    col = [sum(c * C[j][k] for k, c in enumerate(root.coroot_coords)) for j in range(rs.rank)]
+    key = []
+    for beta in rs.roots:
+        p = sum(b * c for b, c in zip(beta.simple_coords, col))
+        key.append(at[tuple(b - p * a for b, a in zip(beta.simple_coords, alpha))])
+    return tuple(key)

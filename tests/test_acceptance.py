@@ -28,7 +28,6 @@ from zipstrata.glnzip import (
     xi_classify,
 )
 from zipstrata.hasse import hasse_any_Lweight, hasse_feasible, e_w_set
-from zipstrata.rootdata import pairing
 from zipstrata.strata import decide_smooth, is_small, pi_small, w_sequences, xi_of_weyl
 from zipstrata.zipdatum import gl_zip_datum
 
@@ -124,7 +123,7 @@ def test_criterion_4_hasse_catalogs():
             )
             assert moved == (0,) * n
             for alpha in e_w_set(zd, xi):
-                assert pairing(zd.lattice, wit.scaled_integral, alpha) < 0
+                assert zd.lattice.pairing(wit.scaled_integral, alpha) < 0
     zd22 = gl_zip_datum(4, 2)
     outcomes = {
         tuple(w.one_line()): hasse_any_Lweight(zd22, w)[1].feasible

@@ -339,6 +339,14 @@ def test_bad_datum_input_is_a_precondition_error(tmp_path, capsys, argv):
     assert captured.err.startswith("error: ")
 
 
+def test_a_lattice_block_that_is_no_object_is_named(tmp_path, capsys):
+    path = _cartan_file(tmp_path, {"cartan": A2, "lattice": [1]})
+    assert main(["--cartan", path, "strata-list"]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (
+        "", 'error: the "lattice" block must be a JSON object\n')
+
+
 def test_decide_checks_its_precondition_by_the_first_witness(capsys):
     # GL_5 (3,2) at budget 1: |W_I| = 12, but the witness of w' <=_I w is
     # x = e, so the twisted_leq scan stops before drawing a second key

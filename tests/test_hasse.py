@@ -10,7 +10,6 @@ from zipstrata.hasse import (
     hasse_feasible,
     hasse_report,
 )
-from zipstrata.rootdata import pairing
 from zipstrata.zipdatum import ZipDatumError, gl_zip_datum
 
 
@@ -68,7 +67,7 @@ def test_paper_witness_validates_n_minus_1_1():
             )
             assert moved == (0,) * n
             for alpha in e_w_set(zd, xi):
-                assert pairing(zd.lattice, lam_i, alpha) < 0
+                assert zd.lattice.pairing(lam_i, alpha) < 0
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
@@ -89,7 +88,7 @@ def test_x0_21_explicit():
     # the witness need not equal the paper's (0,1,1), but must satisfy the
     # same exact conditions
     for alpha in e_w_set(zd, x_element(sig, 0)):
-        assert pairing(zd.lattice, w.scaled_integral, alpha) < 0
+        assert zd.lattice.pairing(w.scaled_integral, alpha) < 0
 
 
 def test_infeasible_1324_at_zero(zd22):
@@ -107,7 +106,7 @@ def test_any_Lweight_22_catalog(zd22):
         if res.feasible:
             # lambda is a genuine L-weight hit by (w - z) lambda_0
             for k in sorted(zd22.I):
-                assert pairing(zd22.lattice, lam, zd22.rs.simple(k)) == 0
+                assert zd22.lattice.pairing(lam, zd22.rs.simple(k)) == 0
         else:
             assert res.certificate.replay()
     assert outcomes == {
@@ -212,6 +211,6 @@ def test_feasibility_sweep_53_random_weights():
             )
             assert moved == tuple(wit.multiplier * v for v in lam)
             for alpha in e_w_set(zd, w):
-                assert pairing(zd.lattice, wit.scaled_integral, alpha) < 0
+                assert zd.lattice.pairing(wit.scaled_integral, alpha) < 0
         else:
             assert res.certificate.replay()

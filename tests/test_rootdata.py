@@ -13,9 +13,7 @@ from zipstrata.rootdata import (
     RootDataError,
     build_generic,
     build_gl,
-    is_compact,
     load_generic_json,
-    pairing,
 )
 
 
@@ -132,8 +130,8 @@ def test_pairing_gl_examples():
     rs, lat, _ = build_gl(3, 2)
     e12 = rs.root_from_coords((1, -1, 0))
     e13 = rs.root_from_coords((1, 0, -1))
-    assert pairing(lat, (0, 1, 1), e12) == -1
-    assert pairing(lat, (0, 1, 1), e13) == -1
+    assert lat.pairing((0, 1, 1), e12) == -1
+    assert lat.pairing((0, 1, 1), e13) == -1
 
 
 def test_pairing_negates_and_is_additive():
@@ -143,9 +141,9 @@ def test_pairing_negates_and_is_additive():
         lam = tuple(rng.randrange(-5, 6) for _ in range(4))
         mu = tuple(rng.randrange(-5, 6) for _ in range(4))
         root = rng.choice(rs.roots)
-        assert pairing(lat, lam, -root) == -pairing(lat, lam, root)
+        assert lat.pairing(lam, -root) == -lat.pairing(lam, root)
         both = tuple(a + b for a, b in zip(lam, mu))
-        assert pairing(lat, both, root) == pairing(lat, lam, root) + pairing(lat, mu, root)
+        assert lat.pairing(both, root) == lat.pairing(lam, root) + lat.pairing(mu, root)
 
 
 def test_pairing_matches_coordinate_difference():
@@ -154,27 +152,27 @@ def test_pairing_matches_coordinate_difference():
     for root in rs.positive_roots:
         i = root.coords.index(1)
         j = root.coords.index(-1)
-        assert pairing(lat, lam, root) == lam[i] - lam[j]
+        assert lat.pairing(lam, root) == lam[i] - lam[j]
 
 
 def test_is_compact_22(zd22):
     rs = zd22.rs
     alpha1 = rs.simple(1)
     e13 = rs.root_from_coords((1, 0, -1, 0))
-    assert is_compact(rs, alpha1, zd22.I)
-    assert not is_compact(rs, e13, zd22.I)
+    assert alpha1.support() <= zd22.I
+    assert not e13.support() <= zd22.I
 
 
 def test_nothing_compact_for_empty_I():
     rs, _, _ = build_gl(3, 1)
     for root in rs.roots:
-        assert not is_compact(rs, root, frozenset())
+        assert not root.support() <= frozenset()
 
 
 def test_noncompact_positive_count_is_rs():
     for n, r in [(4, 2), (5, 2), (5, 3), (6, 1)]:
         rs, _, I = build_gl(n, r)
-        noncompact = [a for a in rs.positive_roots if not is_compact(rs, a, I)]
+        noncompact = [a for a in rs.positive_roots if not a.support() <= I]
         assert len(noncompact) == r * (n - r)
 
 

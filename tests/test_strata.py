@@ -4,7 +4,6 @@ import random
 import pytest
 
 from xi_oracle import xi_scan
-from zipstrata.rootdata import is_compact
 from zipstrata.strata import (
     NotSmallError,
     closure_codim1,
@@ -44,9 +43,9 @@ def test_sequences_body_is_compact_head_noncompact(zd32):
     v = zd32.W.from_one_line([2, 4, 1, 5, 3]) * zd32.z.inverse()
     seqs, _, _ = w_sequences(zd32, v)
     for s in seqs:
-        assert s.head.is_positive and not is_compact(zd32.rs, s.head, zd32.I)
-        assert all(is_compact(zd32.rs, b, zd32.I) for b in s.body)
-        assert not is_compact(zd32.rs, s.tail, zd32.I)
+        assert s.head.is_positive and not s.head.support() <= zd32.I
+        assert all(b.support() <= zd32.I for b in s.body)
+        assert not s.tail.support() <= zd32.I
         # the recursion beta_{i+1} = v sigma(beta_i) holds along the sequence
         roots = s.roots
         for a, b in zip(roots, roots[1:]):
@@ -90,14 +89,14 @@ def _two_condition_smallness(zd, w):
     # orbits of v sigma entirely inside Phi_L
     seen = set()
     for a in zd.rs.roots:
-        if a.coords in seen or not is_compact(zd.rs, a, zd.I):
+        if a.coords in seen or not a.support() <= zd.I:
             continue
         orbit = []
         cur = a
         while cur.coords not in {o.coords for o in orbit}:
             orbit.append(cur)
             cur = v.apply(zd.sigma.apply_root(cur))
-        if all(is_compact(zd.rs, o, zd.I) for o in orbit):
+        if all(o.support() <= zd.I for o in orbit):
             signs = {o.is_positive for o in orbit}
             if len(signs) > 1:
                 return False

@@ -314,7 +314,7 @@ def test_datum_and_pi_checks_survive_python_O():
         "    walk(zd, w)\n"
         "except InvariantViolation as exc:\n"
         "    print(str(exc).split(' from ')[0])\n"
-        "WeylGroup.root_key = lambda W, w: (0,) * len(W._roots)\n"
+        "WeylGroup.root_key = lambda W, w: (0,) * len(W.rs.roots)\n"
         "zd = gl_zip_datum(4, 2)\n"
         "try:\n"
         "    zd.canonical_type(zd.W.identity)\n"
