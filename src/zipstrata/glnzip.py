@@ -22,7 +22,6 @@ import math
 import random
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Sequence
 
 from .fq import (
@@ -40,7 +39,7 @@ from .fq import (
     rank,
 )
 from .rootdata import TYPE_A_GL
-from .weyl import BudgetExceeded, InvariantViolation, WeylElement
+from .weyl import DEFAULT_BUDGET, BudgetExceeded, InvariantViolation, WeylElement
 from .zipdatum import ZipDatum, ZipDatumError, gl_zip_datum
 
 
@@ -66,10 +65,8 @@ class Signature:
     def n(self) -> int:
         return self.r + self.s
 
-    def zip_datum(self, budget: int | None = None) -> ZipDatum:
-        return _gl_datum_cached(self.n, self.r) if budget is None else gl_zip_datum(
-            self.n, self.r, budget=budget
-        )
+    def zip_datum(self, budget: int = DEFAULT_BUDGET) -> ZipDatum:
+        return gl_zip_datum(self.n, self.r, budget=budget)
 
     @property
     def w_prime(self) -> WeylElement:
@@ -91,11 +88,6 @@ class Signature:
             raise ValueError("w2 needs r >= 2")
         W = self.zip_datum().W
         return W.simple(self.r) * W.simple(self.r - 1)
-
-
-@lru_cache(maxsize=None)
-def _gl_datum_cached(n: int, r: int) -> ZipDatum:
-    return gl_zip_datum(n, r)
 
 
 def perm_matrix(F, w: WeylElement) -> Matrix:
@@ -547,11 +539,10 @@ def length2_closed_form(sig: Signature) -> dict:
     return report
 
 
-def verify_length2(sig: Signature, budget: int | None = None) -> dict:
+def verify_length2(sig: Signature, budget: int = DEFAULT_BUDGET) -> dict:
     """Cross-check the closed form against the general decision procedure.
 
-    ``budget`` is the group budget of the datum decided on; None uses the
-    memoized default-budget datum.
+    ``budget`` is the group budget of the datum decided on.
     """
     from .strata import decide_smooth
 

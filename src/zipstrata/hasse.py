@@ -175,14 +175,20 @@ def _dot(row, vec) -> int:
     return sum(a * b for a, b in zip(row, vec) if a)
 
 
+# (root system, lattice) -> `_coroot_rows`, kept for the life of the process
+_COROOT_ROWS: dict = {}
+
+
 def _coroot_rows(zd: ZipDatum) -> tuple[tuple[int, ...], ...]:
     """(<e_d, beta^vee>)_d for every root index beta (`RootSystem.roots`
     order), read off the coroot expansion of beta^vee and the lattice's
-    simple coroot pairings; one table per datum."""
-    rows = zd._extra.get("hasse_coroot_rows")
+    simple coroot pairings; one table per root datum, shared by its zip
+    data."""
+    key = (zd.rs, zd.lattice)
+    rows = _COROOT_ROWS.get(key)
     if rows is None:
         cp = zd.lattice.coroot_pairing
-        rows = zd._extra["hasse_coroot_rows"] = tuple(
+        rows = _COROOT_ROWS[key] = tuple(
             tuple(
                 sum(c * cp[d][j] for j, c in enumerate(beta.coroot_coords) if c)
                 for d in range(zd.lattice.dim)

@@ -12,6 +12,11 @@ keyed by the permutation it induces on these 2N indices (see ``weyl``), so
 that order is part of the element representation.  ``RootSystem.root_index``
 is the one map from coordinates to these indices, and a generic system keeps
 the simple reflections its root generation applied as permutations of them.
+
+`build_gl` and `build_generic` build each root system and character lattice
+once per process: equal inputs return the same objects, which callers share
+and must not mutate.  The checks on the input run on every call; only input
+that passed them is kept.
 """
 
 from __future__ import annotations
@@ -27,6 +32,14 @@ TYPE_A_GL = "TYPE_A_GL"
 GENERIC = "GENERIC"
 
 _MAX_ROOTS = 10_000
+
+# the data built so far (module docstring): n -> (root system, lattice) of
+# GL_n; a Cartan matrix that passed `_validate_cartan` -> its root system;
+# (Cartan matrix, lattice block or None) -> the lattice that passed
+# `_check_lattice`
+_GL_DATA: dict = {}
+_GENERIC_SYSTEMS: dict = {}
+_GENERIC_LATTICES: dict = {}
 
 
 class RootDataError(ValueError):
@@ -122,22 +135,6 @@ class CharacterLattice:
             if c
         )
 
-    def embed_root(self, root: Root) -> tuple:
-        """The root as a lattice vector (needed for reflections on X*(T))."""
-        vec = [0] * self.dim
-        for k, c in enumerate(root.simple_coords):
-            if c:
-                emb = self.root_embedding[k]
-                for d in range(self.dim):
-                    vec[d] += c * emb[d]
-        return tuple(vec)
-
-    def reflect(self, lam, root: Root) -> tuple:
-        """s_alpha(lam) = lam - <lam, alpha^vee> alpha."""
-        p = self.pairing(lam, root)
-        alpha = self.embed_root(root)
-        return tuple(lam[d] - p * alpha[d] for d in range(self.dim))
-
 
 @dataclass(frozen=True)
 class RootSystem:
@@ -158,6 +155,11 @@ class RootSystem:
         roots = self.positive_roots + tuple(-r for r in self.positive_roots)
         object.__setattr__(self, "roots", roots)
         object.__setattr__(self, "root_index", {r.coords: i for i, r in enumerate(roots)})
+
+    def __hash__(self) -> int:
+        # equal systems have equal Cartan matrices; hashing every root would
+        # cost each lookup in the caches keyed on a root system
+        return hash((self.realization, self.cartan))
 
     def root_from_coords(self, coords: Sequence[int]) -> Root:
         try:
@@ -203,6 +205,14 @@ def build_gl(n: int, r: int):
         raise RootDataError(f"need n >= 2, got n={n}")
     if not 1 <= r < n:
         raise RootDataError(f"need 1 <= r < n, got r={r}, n={n}")
+    hit = _GL_DATA.get(n)
+    if hit is None:
+        hit = _GL_DATA[n] = _gl_root_datum(n)
+    rs, lattice = hit
+    return rs, lattice, frozenset(k for k in range(1, n) if k != r)
+
+
+def _gl_root_datum(n: int) -> tuple[RootSystem, CharacterLattice]:
     simples = tuple(_gl_root(n, i, i + 1) for i in range(n - 1))
     positives = tuple(_gl_root(n, i, j) for i in range(n) for j in range(i + 1, n))
     cartan = tuple(
@@ -219,16 +229,14 @@ def build_gl(n: int, r: int):
     )
     lattice = CharacterLattice(n, pair, emb)
     _check_lattice(cartan, lattice)
-    rs = RootSystem(n - 1, TYPE_A_GL, n, simples, positives, cartan)
-    I = frozenset(k for k in range(1, n) if k != r)
-    return rs, lattice, I
+    return RootSystem(n - 1, TYPE_A_GL, n, simples, positives, cartan), lattice
 
 
 # ---------------------------------------------------------------------------
 # generic finite-type systems from a Cartan matrix
 
-def _validate_cartan(cartan: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
-    C = int_matrix(cartan, "the Cartan matrix")
+def _validate_cartan(C: tuple[tuple[int, ...], ...]) -> None:
+    """Reject an integer matrix that is no finite-type Cartan matrix."""
     m = len(C)
     if m == 0 or any(len(row) != m for row in C):
         raise RootDataError("Cartan matrix must be square and nonempty")
@@ -274,7 +282,6 @@ def _validate_cartan(cartan: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], 
             for j in range(k + 1, m):
                 S[i][j] = (S[i][j] * pivot - S[i][k] * S[k][j]) // prev
         prev = pivot
-    return C
 
 
 def _generate_roots(C) -> tuple[list[Root], tuple[tuple[int, ...], ...]]:
@@ -343,17 +350,17 @@ def build_generic(cartan: Sequence[Sequence[int]], lattice_spec: dict | None = N
     >>> len(rs.positive_roots)
     3
     """
-    C = _validate_cartan(cartan)
-    rank = len(C)
-    positives, simple_images = _generate_roots(C)
-    simples = tuple(positives[:rank])[::-1]  # height 1, sorted by coordinates
-    if lattice_spec is None:
-        pair = tuple(tuple(C[d]) for d in range(rank))
-        emb = tuple(
-            tuple(1 if d == k else 0 for d in range(rank)) for k in range(rank)
-        )
-        lattice = CharacterLattice(rank, pair, emb)
-    else:
+    C = int_matrix(cartan, "the Cartan matrix")
+    rs = _GENERIC_SYSTEMS.get(C)
+    if rs is None:
+        _validate_cartan(C)
+        rank = len(C)
+        positives, simple_images = _generate_roots(C)
+        simples = tuple(positives[:rank])[::-1]  # height 1, sorted by coordinates
+        rs = _GENERIC_SYSTEMS[C] = RootSystem(
+            rank, GENERIC, rank, simples, tuple(positives), C, simple_images)
+    rank, spec = rs.rank, None
+    if lattice_spec is not None:
         if not isinstance(lattice_spec, dict):
             raise RootDataError('the "lattice" block must be a JSON object')
         (dim,) = int_tuple([lattice_spec.get("dim")], 'the lattice "dim"')
@@ -363,9 +370,16 @@ def build_generic(cartan: Sequence[Sequence[int]], lattice_spec: dict | None = N
             raise RootDataError("coroot_pairing must have `dim` rows of `rank` entries")
         if len(emb) != rank or any(len(row) != dim for row in emb):
             raise RootDataError("root_embedding must have `rank` rows of `dim` entries")
-        lattice = CharacterLattice(dim, pair, emb)
-    _check_lattice(C, lattice)
-    rs = RootSystem(rank, GENERIC, rank, simples, tuple(positives), C, simple_images)
+        spec = (dim, pair, emb)
+    lattice = _GENERIC_LATTICES.get((C, spec))
+    if lattice is None:
+        if spec is None:  # the root lattice
+            units = tuple(tuple(int(d == k) for d in range(rank)) for k in range(rank))
+            lattice = CharacterLattice(rank, C, units)
+        else:
+            lattice = CharacterLattice(*spec)
+        _check_lattice(C, lattice)
+        _GENERIC_LATTICES[(C, spec)] = lattice
     return rs, lattice
 
 

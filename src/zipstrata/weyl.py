@@ -366,9 +366,16 @@ class WeylGroup:
             return tuple(lam[q[k]] for k in range(self.n))
         if lattice is None:
             raise ValueError("generic elements need an explicit lattice to act on weights")
+        if len(lam) != lattice.dim:
+            raise ValueError("weight has wrong dimension")
+        # s_k(lam) = lam - <lam, alpha_k^vee> alpha_k: column k - 1 of the
+        # coroot pairings, and alpha_k as a lattice vector
+        pairing, embedding = lattice.coroot_pairing, lattice.root_embedding
         out = tuple(lam)
         for k in reversed(w.word):
-            out = lattice.reflect(out, self.rs.simple(k))
+            p = sum(x * row[k - 1] for x, row in zip(out, pairing))
+            if p:
+                out = tuple(x - p * a for x, a in zip(out, embedding[k - 1]))
         return out
 
     def _length(self, w: WeylElement) -> int:

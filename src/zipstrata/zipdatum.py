@@ -56,6 +56,17 @@ to a witness.)  A candidate without a witness is charged |W_K| against the
 budget, the exhaustive scan it stands for, so the budget fails exactly
 where the scan would.  A W_K of order at most `_SCAN_ONLY_ORDER` is
 scanned without the shape test, which costs more than such a scan.
+
+Data are built once per process.  `make_zip_datum` keeps one `WeylGroup`
+per (root system, budget) and one `ZipDatum` per (root system, lattice, I,
+sigma, budget), and `rootdata` keeps one root system and lattice per input,
+so every call with equal inputs gets the same objects and the memos they
+have gathered: Bruhat pairs, coatoms, reflections and levels of ^K W on the
+group, lower neighbours and canonical types on the datum.  All of these are
+shared, and must be treated as immutable.  A memo is stored only once its
+value is complete, and that value depends on the datum and its budget
+alone, so a `BudgetExceeded` leaves nothing that would change a later
+call's result; a datum under another budget has a Weyl group of its own.
 """
 
 from __future__ import annotations
@@ -86,6 +97,12 @@ from .weyl import (
 # slower in wall_s (BENCH_10.json)
 _SCAN_ONLY_ORDER = 4
 
+# the Weyl groups and zip data built so far (module docstring):
+# (root system, budget) -> WeylGroup and (root system, lattice, I,
+# sigma.delta_perm, budget) -> ZipDatum
+_WEYL_GROUPS: dict = {}
+_ZIP_DATA: dict = {}
+
 
 class ZipDatumError(ValueError):
     """Invalid zip datum input (bad sigma, K not inside I, w not minimal...)."""
@@ -107,20 +124,20 @@ class BasedAutomorphism:
                 f"delta_perm must be a permutation of 1..{rs.rank}: {list(delta_perm)}"
             )
         self.delta_perm = tuple(delta_perm)
-        C = rs.cartan
-        for i in range(rs.rank):
-            for j in range(rs.rank):
-                si, sj = self.delta_perm[i] - 1, self.delta_perm[j] - 1
-                if C[si][sj] != C[i][j]:
-                    raise ZipDatumError(
-                        "delta_perm does not preserve the Cartan pairing"
-                    )
         self.is_identity = self.delta_perm == tuple(rs.delta_indices())
         # sigma on the roots as a permutation of the root indices
         # (`RootSystem.roots` order): alpha_k -> alpha_{delta_perm[k]},
         # extended linearly
         self.root_perm = tuple(range(len(rs.roots)))
-        if not self.is_identity:
+        if not self.is_identity:  # the identity preserves everything below
+            C = rs.cartan
+            for i in range(rs.rank):
+                for j in range(rs.rank):
+                    si, sj = self.delta_perm[i] - 1, self.delta_perm[j] - 1
+                    if C[si][sj] != C[i][j]:
+                        raise ZipDatumError(
+                            "delta_perm does not preserve the Cartan pairing"
+                        )
             at = {r.simple_coords: i for i, r in enumerate(rs.roots)}
             perm = []
             for r in rs.roots:
@@ -354,7 +371,8 @@ def make_zip_datum(
     lattice: CharacterLattice | None = None,
     budget: int = DEFAULT_BUDGET,
 ) -> ZipDatum:
-    """Assemble a zip datum and verify its structural invariants.
+    """Assemble a zip datum and verify its structural invariants, or return
+    the datum an earlier call assembled from equal inputs.
 
     >>> rs, lat, I = build_gl(4, 2)
     >>> zd = make_zip_datum(rs, I, lattice=lat)
@@ -371,14 +389,20 @@ def make_zip_datum(
         raise ZipDatumError("sigma was built for a different root system")
     if lattice is None:
         raise ZipDatumError("a character lattice is required")
-    W = WeylGroup(rs, budget=budget)
-    w0 = W.longest_element(frozenset(rs.delta_indices()))
-    w0I = W.longest_element(I)
-    z = sigma.apply_w(W, w0I) * w0
-    zd = ZipDatum(rs, I, sigma, lattice, W, z)
-    for k in sorted(I):
-        if zd.psi(W.simple(k)).length != 1:
-            raise InvariantViolation("psi must map simple reflections to simple reflections")
+    key = (rs, lattice, I, sigma.delta_perm, budget)
+    zd = _ZIP_DATA.get(key)
+    if zd is None:
+        W = _WEYL_GROUPS.get((rs, budget))
+        if W is None:
+            W = _WEYL_GROUPS[(rs, budget)] = WeylGroup(rs, budget=budget)
+        w0 = W.longest_element(frozenset(rs.delta_indices()))
+        w0I = W.longest_element(I)
+        z = sigma.apply_w(W, w0I) * w0
+        zd = ZipDatum(rs, I, sigma, lattice, W, z)
+        for k in sorted(I):
+            if zd.psi(W.simple(k)).length != 1:
+                raise InvariantViolation("psi must map simple reflections to simple reflections")
+        _ZIP_DATA[key] = zd
     return zd
 
 

@@ -1,6 +1,26 @@
 import pytest
 
+from zipstrata import hasse, rootdata, zipdatum
 from zipstrata.zipdatum import gl_zip_datum
+
+# every table the library keeps for the life of the process
+PROCESS_CACHES = (
+    rootdata._GL_DATA,
+    rootdata._GENERIC_SYSTEMS,
+    rootdata._GENERIC_LATTICES,
+    zipdatum._WEYL_GROUPS,
+    zipdatum._ZIP_DATA,
+    hasse._COROOT_ROWS,
+)
+
+
+@pytest.fixture(autouse=True)
+def private_data():
+    """Each test starts from empty process caches, so it builds its own root
+    data, Weyl groups and zip data: some tests mutate a datum, or patch a
+    method whose results a shared datum would already hold in its memos."""
+    for cache in PROCESS_CACHES:
+        cache.clear()
 
 
 @pytest.fixture(scope="session")

@@ -1,13 +1,16 @@
 """Canonical types and w-sequences on Root objects, kept as the reference
 for `ZipDatum.canonical_type` and `strata.w_sequences`, which walk
-phi_w as a permutation of root indices (`ZipDatum.phi_key`); and the Cartan
+phi_w as a permutation of root indices (`ZipDatum.phi_key`); the Cartan
 formula for a reflection on the root indices, kept as the reference for the
 simple images of root generation and for `WeylGroup.reflection`, which
-conjugates a simple reflection."""
+conjugates a simple reflection; and reflections of weights through the
+pairing with an arbitrary root, kept as the reference for the generic
+`WeylElement.apply_weight`, which reads one column of the lattice per
+letter."""
 
 import itertools
 
-from zipstrata.rootdata import Root, RootSystem
+from zipstrata.rootdata import CharacterLattice, Root, RootSystem
 from zipstrata.strata import WSequence
 from zipstrata.weyl import InvariantViolation, WeylElement
 from zipstrata.zipdatum import ZipDatum
@@ -68,3 +71,30 @@ def reflection_by_cartan(rs: RootSystem, root: Root) -> tuple:
         p = sum(b * c for b, c in zip(beta.simple_coords, col))
         key.append(at[tuple(b - p * a for b, a in zip(beta.simple_coords, alpha))])
     return tuple(key)
+
+
+def embed_root(lattice: CharacterLattice, root: Root) -> tuple:
+    """The root as a lattice vector: its simple coordinates applied to the
+    simple roots' embeddings."""
+    vec = [0] * lattice.dim
+    for k, c in enumerate(root.simple_coords):
+        if c:
+            emb = lattice.root_embedding[k]
+            for d in range(lattice.dim):
+                vec[d] += c * emb[d]
+    return tuple(vec)
+
+
+def reflect(lattice: CharacterLattice, lam, root: Root) -> tuple:
+    """s_alpha(lam) = lam - <lam, alpha^vee> alpha."""
+    p = lattice.pairing(lam, root)
+    alpha = embed_root(lattice, root)
+    return tuple(lam[d] - p * alpha[d] for d in range(lattice.dim))
+
+
+def apply_weight(w: WeylElement, lam, lattice: CharacterLattice) -> tuple:
+    """w lam, one `reflect` per letter of w's word, the rightmost first."""
+    out = tuple(lam)
+    for k in reversed(w.word):
+        out = reflect(lattice, out, w.group.rs.simple(k))
+    return out

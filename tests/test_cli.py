@@ -84,6 +84,23 @@ def test_lower_neighbour_scan_budget_exit_code(capsys, budget, code):
         assert err == f"budget exceeded: twisted_leq scanned more than {budget} elements of W_K\n"
 
 
+@pytest.mark.parametrize("budgets", [(35, 36), (36, 35)])
+def test_lower_neighbour_scan_budget_exit_code_in_one_process(capsys, budgets):
+    # the budgets share the root datum of GL_6, and each has a Weyl group and
+    # datum of its own; whichever runs first, a refusal at 35 leaves nothing
+    # that changes the run at 36, and the run at 36 nothing that lifts the
+    # refusal at 35
+    seen = {}
+    for budget in budgets + budgets:
+        code = main(["--gl", "6", "3", "--budget", str(budget), "strata-list"])
+        seen.setdefault(budget, set()).add((code, *capsys.readouterr()))
+    assert seen[35] == {(3, "", "budget exceeded: twisted_leq scanned more than 35 "
+                                "elements of W_K\n")}
+    assert len(seen[36]) == 1
+    code, out, err = next(iter(seen[36]))
+    assert (code, err) == (0, "") and len(json.loads(out)["nodes"]) == 20
+
+
 @pytest.mark.parametrize("budget,code", [(3, 3), (4, 0)])
 def test_witness_past_the_budget_exit_code(capsys, budget, code):
     # GL_5 (2,3), closure of 3,1,2,4,5: I_w = {1,4}, and |W_K| = 4 is
@@ -345,6 +362,27 @@ def test_a_lattice_block_that_is_no_object_is_named(tmp_path, capsys):
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == (
         "", 'error: the "lattice" block must be a JSON object\n')
+
+
+def test_a_bad_cartan_document_after_a_good_one_still_exits_2(tmp_path, capsys):
+    # the same Cartan matrix with a lattice that contradicts it, then a matrix
+    # of no finite type: the root system kept from the good document must not
+    # let either pass, and a bad document keeps nothing for the next run
+    lattice = {"dim": 2, "pairing": A2, "root_embedding": [[1, 0], [0, 1]]}
+    docs = [
+        ({"cartan": A2, "lattice": lattice}, 0, ""),
+        ({"cartan": A2, "lattice": dict(lattice, root_embedding=[[1, 0], [0, 2]])}, 2,
+         "error: lattice is inconsistent: root_embedding o coroot_pairing gives -2 at "
+         "(2,1), Cartan says -1\n"),
+        ({"cartan": [[2, -2], [-2, 2]]}, 2, "error: Cartan matrix is not of finite type\n"),
+        ({"cartan": [[2, -2], [-2, 2]]}, 2, "error: Cartan matrix is not of finite type\n"),
+        ({"cartan": A2, "lattice": lattice}, 0, ""),
+    ]
+    for doc, code, err in docs:
+        path = tmp_path / "datum.json"
+        path.write_text(json.dumps(doc))
+        assert main(["--cartan", str(path), "--I", "1", "strata-list"]) == code, doc
+        assert capsys.readouterr().err == err
 
 
 def test_decide_checks_its_precondition_by_the_first_witness(capsys):

@@ -10,7 +10,7 @@ import itertools
 import pytest
 
 from xi_oracle import xi_scan
-from zipstrata.hasse import e_w_set, hasse_any_Lweight, hasse_feasible
+from zipstrata.hasse import e_w_set, hasse_any_Lweight, hasse_feasible, hasse_feasible_at_zero
 from zipstrata.rootdata import build_generic
 from zipstrata.strata import (
     decide_smooth,
@@ -113,6 +113,25 @@ def test_b2_hasse_witnesses_validate(zd_b2):
                 assert zd_b2.lattice.pairing(wit.scaled_integral, alpha) < 0
         else:
             assert res.certificate.replay()
+
+
+def test_two_lattices_of_one_root_system_keep_their_own_coroot_tables():
+    # A_2 on the lattice Z^3 of GL_3, then on its root lattice: the two zip
+    # data share the root system and the Weyl group, and each weight-0
+    # witness is a weight of its own lattice, fixed by w z^{-1} and strictly
+    # negative on E_w
+    A2 = [[2, -1], [-1, 2]]
+    rs, root_lattice = build_generic(A2)
+    _, z3 = build_generic(A2, {"dim": 3, "pairing": [[1, 0], [-1, 1], [0, -1]],
+                               "root_embedding": [[1, -1, 0], [0, 1, -1]]})
+    for lattice in (z3, root_lattice):
+        zd = make_zip_datum(rs, frozenset({1}), lattice=lattice)
+        for w in zd.minimal_reps():
+            res = hasse_feasible_at_zero(zd, w)
+            wit = res.witness.scaled_integral
+            assert len(wit) == lattice.dim
+            assert w.apply_weight(wit, lattice) == zd.z.apply_weight(wit, lattice)
+            assert all(lattice.pairing(wit, alpha) < 0 for alpha in res.e_w)
 
 
 def test_a2_flip_small_locus_and_xi(zd_a2_flip):

@@ -1,9 +1,12 @@
 import itertools
 import math
+import random
 import tracemalloc
 
 import pytest
 
+import root_oracle
+from test_golden import GOLDEN
 from zipstrata.rootdata import build_generic, build_gl
 from zipstrata.weyl import WeylGroup
 
@@ -283,6 +286,27 @@ def test_apply_weight_permutes_coordinates():
     # (w lam)_k = lam_{w^{-1}(k)}
     q = w.inverse().one_line()
     assert list(moved) == [lam[q[k] - 1] for k in range(4)]
+
+
+# every golden generic datum of tests/test_golden.py on its root lattice, and
+# A2 on the lattice Z^3 of GL_3, whose simple roots are not a basis
+_WEIGHT_DATA = {name: (cartan, None) for name, (cartan, _, _) in GOLDEN.items()}
+_WEIGHT_DATA["A2 in Z^3"] = ([[2, -1], [-1, 2]], {
+    "dim": 3, "pairing": [[1, 0], [-1, 1], [0, -1]],
+    "root_embedding": [[1, -1, 0], [0, 1, -1]]})
+
+
+@pytest.mark.parametrize("name", sorted(_WEIGHT_DATA))
+def test_generic_weight_action_matches_reflections_by_root(name):
+    rs, lattice = build_generic(*_WEIGHT_DATA[name])
+    W = WeylGroup(rs)
+    rng = random.Random(name)
+    weights = [tuple(rng.randint(-9, 9) for _ in range(lattice.dim)) for _ in range(3)]
+    weights.append(tuple(int(d == 0) for d in range(lattice.dim)))
+    for w in W.elements():
+        for lam in weights:
+            assert w.apply_weight(lam, lattice) == root_oracle.apply_weight(w, lam, lattice), (
+                name, w, lam)
 
 
 def test_words_are_reduced_and_greedy():

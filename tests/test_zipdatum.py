@@ -13,6 +13,7 @@ from zipstrata.zipdatum import (
     ZipDatumError,
     gl_zip_datum,
     make_zip_datum,
+    zip_datum_from_json,
 )
 
 _A4 = [[2, -1, 0, 0], [-1, 2, -1, 0], [0, -1, 2, -1], [0, 0, -1, 2]]
@@ -253,6 +254,46 @@ def test_zip_datum_from_json_forms():
     assert zd3.z.one_line() == [3, 4, 1, 2]
 
 
+def test_equal_inputs_return_the_same_objects():
+    zd = gl_zip_datum(5, 2)
+    rs, lattice, I = build_gl(5, 2)
+    assert (rs, lattice, I) == (zd.rs, zd.lattice, zd.I)
+    assert rs is zd.rs and lattice is zd.lattice
+    assert gl_zip_datum(5, 2) is zd
+    assert make_zip_datum(rs, set(I), BasedAutomorphism.identity(rs), lattice) is zd
+    assert zip_datum_from_json({"gl": {"n": 5, "r": 2}}) is zd
+    # a generic Cartan matrix given as lists or as tuples is the same input
+    grs, glat = build_generic(_A4)
+    assert build_generic(tuple(map(tuple, _A4))) == (grs, glat)
+    assert build_generic(tuple(map(tuple, _A4)))[0] is grs
+    doc = {"cartan": _A4, "I": [1, 2, 4], "sigma": "flip"}
+    assert zip_datum_from_json(doc) is zip_datum_from_json(dict(doc, sigma=[4, 3, 2, 1]))
+
+
+def test_each_input_keys_a_datum_of_its_own():
+    base = gl_zip_datum(5, 2)
+    flip = gl_zip_datum(5, 2, sigma="flip")
+    other_I = gl_zip_datum(5, 3)
+    budget = gl_zip_datum(5, 2, budget=100)
+    data = [base, flip, other_I, budget]
+    assert len({id(zd) for zd in data}) == len(data)
+    # one root system; the group is shared exactly when the budget is
+    assert all(zd.rs is base.rs for zd in data)
+    assert flip.W is base.W and other_I.W is base.W
+    assert budget.W is not base.W and budget.W.budget == 100
+    assert gl_zip_datum(5, 3, budget=100).W is budget.W
+    # two lattices of A_2: the root lattice and Z^3
+    rs, root_lattice = build_generic([[2, -1], [-1, 2]])
+    rs3, z3 = build_generic([[2, -1], [-1, 2]], {
+        "dim": 3, "pairing": [[1, 0], [-1, 1], [0, -1]],
+        "root_embedding": [[1, -1, 0], [0, 1, -1]]})
+    assert rs3 is rs and z3 != root_lattice
+    on_roots = make_zip_datum(rs, {1}, lattice=root_lattice)
+    on_z3 = make_zip_datum(rs, {1}, lattice=z3)
+    assert on_roots is not on_z3 and on_roots.W is on_z3.W
+    assert (on_roots.lattice, on_z3.lattice) == (root_lattice, z3)
+
+
 @pytest.mark.parametrize(
     "make",
     [
@@ -290,7 +331,7 @@ def test_datum_and_pi_checks_survive_python_O():
     # walk empty; a root_key that sends every root to root 0 (alpha_1) makes
     # phi_w collapse alpha_1 and alpha_3 of I = {1, 3}
     script = (
-        "from zipstrata import strata\n"
+        "from zipstrata import strata, zipdatum\n"
         "from zipstrata.weyl import InvariantViolation, WeylGroup\n"
         "from zipstrata.zipdatum import gl_zip_datum\n"
         "assert False, 'python -O keeps asserts'\n"
@@ -315,6 +356,10 @@ def test_datum_and_pi_checks_survive_python_O():
         "except InvariantViolation as exc:\n"
         "    print(str(exc).split(' from ')[0])\n"
         "WeylGroup.root_key = lambda W, w: (0,) * len(W.rs.roots)\n"
+        "# a group and datum of their own: the group above has a patched\n"
+        "# in_parabolic, and the frame must come from the patched root_key\n"
+        "zipdatum._WEYL_GROUPS.clear()\n"
+        "zipdatum._ZIP_DATA.clear()\n"
         "zd = gl_zip_datum(4, 2)\n"
         "try:\n"
         "    zd.canonical_type(zd.W.identity)\n"
