@@ -28,7 +28,7 @@ from .glnzip import (
 from .hasse import hasse_feasible_at_zero, hasse_report
 from .rootdata import TYPE_A_GL, RootDataError
 from .strata import closure_codim1, decide_smooth, is_small, xi_of_weyl
-from .weyl import DEFAULT_BUDGET, BudgetExceeded, WeylElement
+from .weyl import BUDGET, DEFAULT_BUDGET, BudgetExceeded, WeylElement, budget_scope
 from .zipdatum import ZipDatum, ZipDatumError, gl_zip_datum, zip_datum_from_json
 
 EXIT_OK = 0
@@ -45,14 +45,13 @@ class RunConfig:
     m: int = 1
     q: int = 2
     fmt: str = "json"
-    budget: int = DEFAULT_BUDGET
 
     def datum(self) -> ZipDatum:
         if self.gl is not None:
             if self.I is not None:
                 raise ZipDatumError("--I is for --cartan data; with --gl N R, I is fixed by R")
             n, r = self.gl
-            return gl_zip_datum(n, r, sigma=self.sigma, budget=self.budget)
+            return gl_zip_datum(n, r, sigma=self.sigma)
         if self.cartan_file is None:
             raise ZipDatumError("specify a datum with --gl N R or --cartan FILE")
         try:
@@ -65,7 +64,7 @@ class RunConfig:
                 doc["I"] = self.I
             if self.sigma != "id":
                 doc["sigma"] = self.sigma
-        return zip_datum_from_json(doc, budget=self.budget)
+        return zip_datum_from_json(doc)
 
 
 def _parse_element(zd: ZipDatum, text: str) -> WeylElement:
@@ -155,7 +154,7 @@ def cmd_sweep_length2(config: RunConfig, n_max: int, verify: bool) -> str:
         for s in range(2, n // 2 + 1):
             sig = Signature(n - s, s)
             rows.append(
-                verify_length2(sig, config.budget) if verify else length2_closed_form(sig)
+                verify_length2(sig) if verify else length2_closed_form(sig)
             )
     if config.fmt == "csv":
         return _sweep_csv(rows)
@@ -212,7 +211,7 @@ def cmd_census(config: RunConfig, m_list: list[int]) -> str:
     sig = Signature(max(r, s), min(r, s))
     if sig.r != r:
         raise ZipDatumError("census expects r >= s; swap the signature")
-    report = fp_point_census(sig, config.q, m_list, budget=config.budget)
+    report = fp_point_census(sig, config.q, m_list, budget=BUDGET.get())
     if config.fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
@@ -295,9 +294,9 @@ def main(argv=None) -> int:
             m=args.m,
             q=args.q,
             fmt=args.fmt,
-            budget=args.budget,
         )
-        out = COMMANDS[args.command](config, args)
+        with budget_scope(args.budget):
+            out = COMMANDS[args.command](config, args)
     except BudgetExceeded as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET

@@ -39,7 +39,7 @@ from .fq import (
     rank,
 )
 from .rootdata import TYPE_A_GL
-from .weyl import DEFAULT_BUDGET, BudgetExceeded, InvariantViolation, WeylElement
+from .weyl import BudgetExceeded, InvariantViolation, WeylElement
 from .zipdatum import ZipDatum, ZipDatumError, gl_zip_datum
 
 
@@ -65,8 +65,8 @@ class Signature:
     def n(self) -> int:
         return self.r + self.s
 
-    def zip_datum(self, budget: int = DEFAULT_BUDGET) -> ZipDatum:
-        return gl_zip_datum(self.n, self.r, budget=budget)
+    def zip_datum(self) -> ZipDatum:
+        return gl_zip_datum(self.n, self.r)
 
     @property
     def w_prime(self) -> WeylElement:
@@ -242,11 +242,12 @@ def _model_table(zd: ZipDatum) -> dict:
     The models have 0/1 entries fixed by every Frobenius power, so one table
     (computed over F_2) serves all fields and exponents.
     """
+    reps = zd.minimal_reps()  # checks the budget before the memo is read
     table = zd._extra.get("xi_model_table")
     if table is None:
         F2 = Fq(2)
         table = {}
-        for w in zd.minimal_reps():
+        for w in reps:
             inv = _stratum_invariant(zd, F2, perm_matrix(F2, w * zd.z.inverse()), 1)
             if inv in table:
                 raise InvariantViolation(
@@ -539,15 +540,12 @@ def length2_closed_form(sig: Signature) -> dict:
     return report
 
 
-def verify_length2(sig: Signature, budget: int = DEFAULT_BUDGET) -> dict:
-    """Cross-check the closed form against the general decision procedure.
-
-    ``budget`` is the group budget of the datum decided on.
-    """
+def verify_length2(sig: Signature) -> dict:
+    """Cross-check the closed form against the general decision procedure."""
     from .strata import decide_smooth
 
     closed = length2_closed_form(sig)
-    zd = sig.zip_datum(budget)
+    zd = sig.zip_datum()
     # w', w1 and w2 (see Signature) in the Weyl group of this datum
     simple = zd.W.simple
     w_prime = simple(sig.r)

@@ -48,6 +48,8 @@ layout in `__init__`, and the coordinate action (`_reflection_at`,
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import itertools
 import math
 from typing import Iterable, Iterator, Sequence
@@ -55,6 +57,18 @@ from typing import Iterable, Iterator, Sequence
 from .rootdata import TYPE_A_GL, CharacterLattice, InvariantViolation, Root, RootSystem
 
 DEFAULT_BUDGET = math.factorial(10)
+# the group-size budget of the running request, not of a group (`budget_scope`)
+BUDGET: contextvars.ContextVar[int] = contextvars.ContextVar("budget", default=DEFAULT_BUDGET)
+
+
+@contextlib.contextmanager
+def budget_scope(budget: int) -> Iterator[None]:
+    """Run the enclosed calls under ``budget``; the previous one returns on exit."""
+    token = BUDGET.set(budget)
+    try:
+        yield
+    finally:
+        BUDGET.reset(token)
 
 
 def compose(u: tuple, v: tuple) -> tuple:
@@ -215,9 +229,8 @@ class WeylElement:
 class WeylGroup:
     """The Weyl group of a root system, with memoized order computations."""
 
-    def __init__(self, rs: RootSystem, budget: int = DEFAULT_BUDGET):
+    def __init__(self, rs: RootSystem):
         self.rs = rs
-        self.budget = budget
         self._elements: dict = {}
         self._bruhat: dict = {}
         self._coatoms: dict = {}
@@ -523,15 +536,16 @@ class WeylGroup:
         """The keys of `parabolic_elements(K)`, in the same order, uninterned:
         W_K level by level up the right weak order from e, using only the
         moves s_k, k in K; within a level, in the order the keys are first
-        reached.  At most `budget` keys are yielded.
+        reached.  At most `BUDGET` keys are yielded, read at the first draw.
 
         >>> from zipstrata.rootdata import build_gl
         >>> W = WeylGroup(build_gl(3, 1)[0])
         >>> list(W.parabolic_keys({1, 2}))
         [(0, 1, 2), (1, 0, 2), (0, 2, 1), (1, 2, 0), (2, 0, 1), (2, 1, 0)]
         """
-        if self.budget < 1:
-            raise BudgetExceeded(f"group enumeration exceeds budget {self.budget}")
+        budget = BUDGET.get()
+        if budget < 1:
+            raise BudgetExceeded(f"group enumeration exceeds budget {budget}")
         moves = [self._simple_moves[k - 1] for k in sorted(K)]
         level = [self.identity.key]
         yield self.identity.key
@@ -539,8 +553,8 @@ class WeylGroup:
         while level:
             nxt = []
             for u in _level_up(level, moves):
-                if count >= self.budget:
-                    raise BudgetExceeded(f"group enumeration exceeds budget {self.budget}")
+                if count >= budget:
+                    raise BudgetExceeded(f"group enumeration exceeds budget {budget}")
                 count += 1
                 nxt.append(u)
                 yield u
@@ -585,13 +599,13 @@ class WeylGroup:
         return all(not self.has_left_descent(w, k) for k in K)
 
     def minimal_reps(self, K) -> list[WeylElement]:
-        """All of ^K W, sorted by (length, canonical word)."""
-        key = frozenset(K)
+        """All of ^K W sorted by (length, canonical word); the budget is checked first."""
+        key, budget = frozenset(K), BUDGET.get()
+        if self.order() // self.parabolic_order(key) > budget:
+            raise BudgetExceeded(f"|^K W| exceeds budget {budget}")
         cached = self._minimal_reps.get(key)
         if cached is not None:
             return cached
-        if self.order() // self.parabolic_order(key) > self.budget:
-            raise BudgetExceeded(f"|^K W| exceeds budget {self.budget}")
         out = []
         for length in itertools.count():
             level = self.minimal_reps_of_length(key, length)
@@ -608,11 +622,11 @@ class WeylGroup:
         return self.parabolic_order(self.rs.delta_indices())
 
     def elements(self) -> Iterator[WeylElement]:
-        """All of W, identity first, as `parabolic_elements` of Delta."""
-        order = self.order()
-        if order > self.budget:
-            raise BudgetExceeded(f"|W| = {order} exceeds budget {self.budget}")
-        yield from self.parabolic_elements(self.rs.delta_indices())
+        """All of W, identity first; the budget is checked at the call."""
+        order, budget = self.order(), BUDGET.get()
+        if order > budget:
+            raise BudgetExceeded(f"|W| = {order} exceeds budget {budget}")
+        return self.parabolic_elements(self.rs.delta_indices())
 
     def elements_of_length(self, length: int) -> tuple[WeylElement, ...]:
         """All w with l(w) = length, from one enumeration of W bucketed by
@@ -620,10 +634,11 @@ class WeylGroup:
         weak-order search of `minimal_reps_of_length`); the span tracer of
         `perfbench/tracing.py` still wraps it by name.
         """
+        everything = self.elements()  # checks the budget before the memo is read
         memo = self._by_length
         if not memo:
             buckets: dict = {}
-            for w in self.elements():
+            for w in everything:
                 buckets.setdefault(w.length, []).append(w)
             memo.update((k, tuple(v)) for k, v in buckets.items())
         return memo.get(length, ())

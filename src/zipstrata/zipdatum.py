@@ -58,15 +58,13 @@ where the scan would.  A W_K of order at most `_SCAN_ONLY_ORDER` is
 scanned without the shape test, which costs more than such a scan.
 
 Data are built once per process.  `make_zip_datum` keeps one `WeylGroup`
-per (root system, budget) and one `ZipDatum` per (root system, lattice, I,
-sigma, budget), and `rootdata` keeps one root system and lattice per input,
-so every call with equal inputs gets the same objects and the memos they
-have gathered: Bruhat pairs, coatoms, reflections and levels of ^K W on the
-group, lower neighbours and canonical types on the datum.  All of these are
-shared, and must be treated as immutable.  A memo is stored only once its
-value is complete, and that value depends on the datum and its budget
-alone, so a `BudgetExceeded` leaves nothing that would change a later
-call's result; a datum under another budget has a Weyl group of its own.
+per root system and one `ZipDatum` per (root system, lattice, I, sigma),
+`BasedAutomorphism.parse` one sigma per (root system, permutation), and
+`rootdata` one root system and lattice per input, so equal inputs get the
+same objects and their memos, which must be treated as immutable.  The
+budget is the request's (`weyl.budget_scope`), not the datum's: a memo is
+stored only once complete, and one whose answer depends on the budget
+checks it first or keys on it, so no result depends on earlier budgets.
 """
 
 from __future__ import annotations
@@ -78,8 +76,8 @@ from typing import Iterable, Sequence
 
 from .rootdata import CharacterLattice, Root, RootSystem, build_gl
 from .weyl import (
+    BUDGET,
     BudgetExceeded,
-    DEFAULT_BUDGET,
     InvariantViolation,
     WeylElement,
     WeylGroup,
@@ -97,10 +95,11 @@ from .weyl import (
 # slower in wall_s (BENCH_10.json)
 _SCAN_ONLY_ORDER = 4
 
-# the Weyl groups and zip data built so far (module docstring):
-# (root system, budget) -> WeylGroup and (root system, lattice, I,
-# sigma.delta_perm, budget) -> ZipDatum
+# the Weyl groups, sigmas and zip data built so far (module docstring):
+# root system -> WeylGroup, (root system, delta_perm) -> BasedAutomorphism
+# and (root system, lattice, I, sigma.delta_perm) -> ZipDatum
 _WEYL_GROUPS: dict = {}
+_SIGMAS: dict = {}
 _ZIP_DATA: dict = {}
 
 
@@ -125,50 +124,49 @@ class BasedAutomorphism:
             )
         self.delta_perm = tuple(delta_perm)
         self.is_identity = self.delta_perm == tuple(rs.delta_indices())
+        C = rs.cartan
+        for i in range(rs.rank):
+            for j in range(rs.rank):
+                si, sj = self.delta_perm[i] - 1, self.delta_perm[j] - 1
+                if C[si][sj] != C[i][j]:
+                    raise ZipDatumError(
+                        "delta_perm does not preserve the Cartan pairing"
+                    )
         # sigma on the roots as a permutation of the root indices
         # (`RootSystem.roots` order): alpha_k -> alpha_{delta_perm[k]},
         # extended linearly
-        self.root_perm = tuple(range(len(rs.roots)))
-        if not self.is_identity:  # the identity preserves everything below
-            C = rs.cartan
-            for i in range(rs.rank):
-                for j in range(rs.rank):
-                    si, sj = self.delta_perm[i] - 1, self.delta_perm[j] - 1
-                    if C[si][sj] != C[i][j]:
-                        raise ZipDatumError(
-                            "delta_perm does not preserve the Cartan pairing"
-                        )
-            at = {r.simple_coords: i for i, r in enumerate(rs.roots)}
-            perm = []
-            for r in rs.roots:
-                img = [0] * rs.rank
-                for k, c in enumerate(r.simple_coords):
-                    img[self.delta_perm[k] - 1] = c
-                perm.append(at[tuple(img)])
-            npos = len(rs.positive_roots)
-            if any((i < npos) != (j < npos) for i, j in enumerate(perm)):
-                raise InvariantViolation("sigma must fix Phi+")
-            self.root_perm = tuple(perm)
+        at = {r.simple_coords: i for i, r in enumerate(rs.roots)}
+        perm = []
+        for r in rs.roots:
+            img = [0] * rs.rank
+            for k, c in enumerate(r.simple_coords):
+                img[self.delta_perm[k] - 1] = c
+            perm.append(at[tuple(img)])
+        npos = len(rs.positive_roots)
+        if any((i < npos) != (j < npos) for i, j in enumerate(perm)):
+            raise InvariantViolation("sigma must fix Phi+")
+        self.root_perm = tuple(perm)
 
     @classmethod
     def identity(cls, rs: RootSystem) -> "BasedAutomorphism":
-        return cls(rs, list(rs.delta_indices()))
+        return cls.parse(rs, "id")
 
     @classmethod
     def flip(cls, rs: RootSystem) -> "BasedAutomorphism":
         """The order-reversing diagram automorphism (type A duality)."""
-        return cls(rs, list(reversed(list(rs.delta_indices()))))
+        return cls.parse(rs, "flip")
 
     @classmethod
     def parse(cls, rs: RootSystem, spec: str | Sequence[int]) -> "BasedAutomorphism":
-        """sigma from "id", "flip", a comma-separated permutation "2,1", or a sequence."""
-        if spec == "id":
-            return cls.identity(rs)
-        if spec == "flip":
-            return cls.flip(rs)
-        if isinstance(spec, str):
-            spec = spec.split(",")
-        return cls(rs, [int(x) for x in spec])
+        """sigma from "id", "flip", "2,1" or a sequence; one per (rs, permutation)."""
+        if spec in ("id", "flip"):
+            perm = tuple(rs.delta_indices())[:: 1 if spec == "id" else -1]
+        else:
+            perm = tuple(int(x) for x in (spec.split(",") if isinstance(spec, str) else spec))
+        sigma = _SIGMAS.get((rs, perm))
+        if sigma is None or sigma.rs is not rs:  # make_zip_datum wants rs itself
+            sigma = _SIGMAS[rs, perm] = cls(rs, perm)
+        return sigma
 
     def apply_root(self, root: Root) -> Root:
         return self.rs.roots[self.root_perm[self.rs.root_index[root.coords]]]
@@ -279,7 +277,7 @@ class ZipDatum:
 
     def lower_neighbors(self, K: Iterable[int], w: WeylElement) -> list[WeylElement]:
         """Gamma_K(w): the w' in ^K W with l(w') = l(w) - 1 and w' <=_K w,
-        memoized per (K, w).
+        memoized per (K, w, budget).
 
         The witnesses are the Bruhat coatoms of w, tested on keys (see the
         module docstring): x = e by one set lookup, then the cycle shape,
@@ -291,8 +289,9 @@ class ZipDatum:
         W = self.W
         if not W.is_minimal_rep(w, K):
             raise ZipDatumError(f"w = {w!r} is not in ^K W for K={sorted(K)}")
+        budget = BUDGET.get()  # it decides how far the scan draws
         memo = self._extra.setdefault("lower_neighbors", {})
-        hit = memo.get((K, w.key))
+        hit = memo.get((K, w.key, budget))
         if hit is not None:
             return list(hit)
         out = []
@@ -316,14 +315,14 @@ class ZipDatum:
                         conjugate(x, c) in targets for x in copy.copy(drawn))
                     if not witnessed:
                         # a candidate without a witness costs the scan of all of W_K
-                        if order > W.budget:
+                        if order > budget:
                             raise BudgetExceeded(
-                                f"twisted_leq scanned more than {W.budget} elements of W_K"
+                                f"twisted_leq scanned more than {budget} elements of W_K"
                             )
                         continue
                 out.append(cand)
             out.sort(key=lambda v: (v.length, v.word))
-        memo[(K, w.key)] = tuple(out)
+        memo[(K, w.key, budget)] = tuple(out)
         return out
 
     # -- canonical parabolic type ------------------------------------------------
@@ -369,7 +368,6 @@ def make_zip_datum(
     I: Iterable[int],
     sigma: BasedAutomorphism | None = None,
     lattice: CharacterLattice | None = None,
-    budget: int = DEFAULT_BUDGET,
 ) -> ZipDatum:
     """Assemble a zip datum and verify its structural invariants, or return
     the datum an earlier call assembled from equal inputs.
@@ -389,12 +387,12 @@ def make_zip_datum(
         raise ZipDatumError("sigma was built for a different root system")
     if lattice is None:
         raise ZipDatumError("a character lattice is required")
-    key = (rs, lattice, I, sigma.delta_perm, budget)
+    key = (rs, lattice, I, sigma.delta_perm)
     zd = _ZIP_DATA.get(key)
     if zd is None:
-        W = _WEYL_GROUPS.get((rs, budget))
+        W = _WEYL_GROUPS.get(rs)
         if W is None:
-            W = _WEYL_GROUPS[(rs, budget)] = WeylGroup(rs, budget=budget)
+            W = _WEYL_GROUPS[rs] = WeylGroup(rs)
         w0 = W.longest_element(frozenset(rs.delta_indices()))
         w0I = W.longest_element(I)
         z = sigma.apply_w(W, w0I) * w0
@@ -406,17 +404,16 @@ def make_zip_datum(
     return zd
 
 
-def gl_zip_datum(n: int, r: int, sigma: str | Sequence[int] = "id",
-                 budget: int = DEFAULT_BUDGET) -> ZipDatum:
+def gl_zip_datum(n: int, r: int, sigma: str | Sequence[int] = "id") -> ZipDatum:
     """Convenience constructor: the GL_n datum of signature (r, n-r).
 
     ``sigma`` is anything `BasedAutomorphism.parse` accepts.
     """
     rs, lattice, I = build_gl(n, r)
-    return make_zip_datum(rs, I, BasedAutomorphism.parse(rs, sigma), lattice, budget=budget)
+    return make_zip_datum(rs, I, BasedAutomorphism.parse(rs, sigma), lattice)
 
 
-def zip_datum_from_json(doc: str | dict, budget: int = DEFAULT_BUDGET) -> ZipDatum:
+def zip_datum_from_json(doc: str | dict) -> ZipDatum:
     """Build a datum from a JSON document.
 
     Accepts ``{"gl": {"n": 5, "r": 3}, "sigma": "id"}`` or a generic
@@ -439,8 +436,8 @@ def zip_datum_from_json(doc: str | dict, budget: int = DEFAULT_BUDGET) -> ZipDat
             raise ZipDatumError('a "gl" datum takes no "I": I is fixed by r')
         gl = doc["gl"] if isinstance(doc["gl"], dict) else {}
         n, r = int_tuple([gl.get("n"), gl.get("r")], 'the n and r of "gl"')
-        return gl_zip_datum(n, r, sigma=sigma_spec, budget=budget)
+        return gl_zip_datum(n, r, sigma=sigma_spec)
     rs, lattice = load_generic_json(doc)
     aut = BasedAutomorphism.parse(rs, sigma_spec)
     I = frozenset(int_tuple(doc.get("I", []), '"I"'))
-    return make_zip_datum(rs, I, aut, lattice, budget=budget)
+    return make_zip_datum(rs, I, aut, lattice)

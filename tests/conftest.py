@@ -9,6 +9,7 @@ PROCESS_CACHES = (
     rootdata._GENERIC_SYSTEMS,
     rootdata._GENERIC_LATTICES,
     zipdatum._WEYL_GROUPS,
+    zipdatum._SIGMAS,
     zipdatum._ZIP_DATA,
     hasse._COROOT_ROWS,
 )

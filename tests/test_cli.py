@@ -10,8 +10,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import zipstrata
-from zipstrata import hasse
+from conftest import PROCESS_CACHES
+from zipstrata import hasse, zipdatum
 from zipstrata.cli import main
+from zipstrata.weyl import BUDGET, DEFAULT_BUDGET
 
 
 def run(capsys, *argv):
@@ -86,10 +88,9 @@ def test_lower_neighbour_scan_budget_exit_code(capsys, budget, code):
 
 @pytest.mark.parametrize("budgets", [(35, 36), (36, 35)])
 def test_lower_neighbour_scan_budget_exit_code_in_one_process(capsys, budgets):
-    # the budgets share the root datum of GL_6, and each has a Weyl group and
-    # datum of its own; whichever runs first, a refusal at 35 leaves nothing
-    # that changes the run at 36, and the run at 36 nothing that lifts the
-    # refusal at 35
+    # the budgets share one Weyl group and datum of GL_6; whichever runs
+    # first, a refusal at 35 leaves nothing that changes the run at 36, and
+    # the run at 36 nothing that lifts the refusal at 35
     seen = {}
     for budget in budgets + budgets:
         code = main(["--gl", "6", "3", "--budget", str(budget), "strata-list"])
@@ -133,6 +134,70 @@ def test_generic_budget_caps_the_representatives_not_the_group(capsys, tmp_path)
     capsys.readouterr()
     assert main(argv + ["5", "strata-list"]) == 3
     assert capsys.readouterr().err == "budget exceeded: |^K W| exceeds budget 5\n"
+
+
+# every run of this module pinned below the default budget, as (argv before
+# --budget, budget, argv after it), and one of the matrix classifier, whose
+# model table is built from ^I W; "B3" stands for the B3 document above
+_PINNED = [
+    (["--gl", "8", "4"], 10, ["strata-list"]),
+    (["--gl", "6", "3"], 35, ["strata-list"]),
+    (["--gl", "6", "3"], 36, ["strata-list"]),
+    (["--gl", "5", "2"], 3, ["closure", "3,1,2,4,5"]),
+    (["--gl", "5", "2"], 4, ["closure", "3,1,2,4,5"]),
+    (["--gl", "4", "2"], 0, ["closure", "3,4,1,2"]),
+    (["--gl", "4", "2"], -1, ["closure", "3,4,1,2"]),
+    (["--cartan", "B3", "--I", "2,3"], 5, ["strata-list"]),
+    (["--gl", "6", "3"], 10, ["xi", "e"]),
+    (["--gl", "10", "8"], 50_000, ["xi", "e"]),
+    (["--gl", "5", "2"], 1, ["decide", "1,3,4,5,2", "1,3,4,2,5"]),
+    ([], 3, ["sweep-length2", "--verify", "--n-max", "5"]),
+    (["--gl", "4", "2"], 5, ["xi", "--matrix", "1,1,0,0,0,1,0,0,0,0,1,0,0,0,1,1"]),
+]
+
+
+@pytest.mark.parametrize("head,budget,tail", _PINNED,
+                         ids=[" ".join(h + [str(b)] + t[:1]) for h, b, t in _PINNED])
+def test_a_pinned_budget_after_the_default_one_reads_as_on_empty_caches(
+        capsys, tmp_path, head, budget, tail):
+    # the run at the default budget fills the memos of the shared data; a
+    # memo that ignored the budget would answer the pinned run from them
+    path = tmp_path / "b3.json"
+    path.write_text(json.dumps({"cartan": [[2, -1, 0], [-1, 2, -2], [0, -1, 2]]}))
+    head = [str(path) if arg == "B3" else arg for arg in head]
+    pinned = head + ["--budget", str(budget)] + tail
+
+    def record(argv):
+        return (main(argv), *capsys.readouterr())
+
+    cold = record(pinned)
+    for cache in PROCESS_CACHES:
+        cache.clear()
+    record(head + tail)
+    assert record(pinned) == cold
+
+
+def test_one_weyl_group_serves_every_budget(capsys):
+    for budget in [10**k for k in range(1, 11)]:
+        assert main(["--gl", "8", "4", "--budget", str(budget), "strata-list"]) in (0, 3)
+        assert BUDGET.get() == DEFAULT_BUDGET  # main restores the budget it set
+    capsys.readouterr()
+    assert len(zipdatum._WEYL_GROUPS) == 1 and len(zipdatum._ZIP_DATA) == 1
+
+
+@pytest.mark.parametrize("datum,err", [
+    (["--gl", "4", "2", "--sigma", "1,1,2"],
+     "delta_perm must be a permutation of 1..3: [1, 1, 2]"),
+    (["--cartan", "B2", "--I", "1", "--sigma", "2,1"],
+     "delta_perm does not preserve the Cartan pairing"),
+])
+def test_an_invalid_sigma_exits_2_on_every_call(capsys, tmp_path, datum, err):
+    path = tmp_path / "b2.json"
+    path.write_text(json.dumps({"cartan": [[2, -1], [-2, 2]]}))
+    argv = [str(path) if arg == "B2" else arg for arg in datum] + ["strata-list"]
+    for _ in range(3):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {err}\n"
 
 
 def test_sweep_length2_csv(capsys):

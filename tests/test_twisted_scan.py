@@ -24,6 +24,7 @@ place of z^{-1}, where the comparison must fail.
 """
 
 import itertools
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -32,12 +33,15 @@ from hypothesis import strategies as st
 import root_oracle
 from twisted_oracle import TwistedScan, psi_by_definition
 from zipstrata import zipdatum
-from zipstrata.rootdata import build_generic
+from zipstrata.rootdata import build_generic, build_gl
 from zipstrata.strata import is_small, orbit_codim, w_sequences, xi_of_weyl
 from zipstrata.weyl import (
+    BUDGET,
+    DEFAULT_BUDGET,
     BudgetExceeded,
     InvariantViolation,
     WeylGroup,
+    budget_scope,
     compose,
     conjugate,
     cycle_shape,
@@ -426,7 +430,24 @@ def test_order_of_e_types_without_enumerating(rank, order):
     # Bourbaki numbering: the chain 1-3-4-...-rank, with node 2 attached to 4
     edges = [(1, 3), (2, 4)] + [(k, k + 1) for k in range(3, rank)]
     rs, _ = build_generic(_simply_laced(rank, edges))
-    W = WeylGroup(rs, budget=order - 1)
+    W = WeylGroup(rs)
     assert W.order() == order
-    with pytest.raises(BudgetExceeded):  # up front, before any element is built
-        next(W.elements())
+    with budget_scope(order - 1), pytest.raises(BudgetExceeded):
+        W.elements()  # up front, before any element is built
+
+
+def test_memos_filled_under_the_default_budget_refuse_a_smaller_one():
+    # GL_4: |W| = 24 and, for K = {1, 3}, |^K W| = 6; the memos of
+    # elements_of_length and minimal_reps are filled first, and a smaller
+    # budget is still checked before either memo is read
+    W = WeylGroup(build_gl(4, 2)[0])
+    assert len(W.elements_of_length(3)) == 6 and len(W.minimal_reps({1, 3})) == 6
+    for budget, call, message in [
+        (23, lambda: W.elements_of_length(3), "|W| = 24 exceeds budget 23"),
+        (5, lambda: W.minimal_reps({1, 3}), "|^K W| exceeds budget 5"),
+    ]:
+        with pytest.raises(BudgetExceeded, match=re.escape(message)):
+            with budget_scope(budget):
+                call()
+        assert BUDGET.get() == DEFAULT_BUDGET  # restored although the call raised
+    assert len(W.elements_of_length(3)) == 6 and len(W.minimal_reps({1, 3})) == 6

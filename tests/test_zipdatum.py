@@ -6,8 +6,9 @@ from pathlib import Path
 
 import pytest
 
+from zipstrata import zipdatum
 from zipstrata.rootdata import build_generic, build_gl
-from zipstrata.weyl import WeylGroup
+from zipstrata.weyl import WeylGroup, budget_scope
 from zipstrata.zipdatum import (
     BasedAutomorphism,
     ZipDatumError,
@@ -274,14 +275,16 @@ def test_each_input_keys_a_datum_of_its_own():
     base = gl_zip_datum(5, 2)
     flip = gl_zip_datum(5, 2, sigma="flip")
     other_I = gl_zip_datum(5, 3)
-    budget = gl_zip_datum(5, 2, budget=100)
-    data = [base, flip, other_I, budget]
+    data = [base, flip, other_I]
     assert len({id(zd) for zd in data}) == len(data)
-    # one root system; the group is shared exactly when the budget is
-    assert all(zd.rs is base.rs for zd in data)
-    assert flip.W is base.W and other_I.W is base.W
-    assert budget.W is not base.W and budget.W.budget == 100
-    assert gl_zip_datum(5, 3, budget=100).W is budget.W
+    # one root system and one group; the budget is no input of a datum, so
+    # every budget gets the same data
+    assert all(zd.rs is base.rs and zd.W is base.W for zd in data)
+    for budget in (0, 100, 10**9):
+        with budget_scope(budget):
+            again = [gl_zip_datum(5, 2), gl_zip_datum(5, 2, sigma="flip"), gl_zip_datum(5, 3)]
+            assert all(zd is old for zd, old in zip(again, data))
+    assert len(zipdatum._WEYL_GROUPS) == 1
     # two lattices of A_2: the root lattice and Z^3
     rs, root_lattice = build_generic([[2, -1], [-1, 2]])
     rs3, z3 = build_generic([[2, -1], [-1, 2]], {
@@ -292,6 +295,23 @@ def test_each_input_keys_a_datum_of_its_own():
     on_z3 = make_zip_datum(rs, {1}, lattice=z3)
     assert on_roots is not on_z3 and on_roots.W is on_z3.W
     assert (on_roots.lattice, on_z3.lattice) == (root_lattice, z3)
+
+
+def test_repeated_requests_share_one_sigma():
+    zd = gl_zip_datum(7, 3, "flip")
+    rs = zd.rs
+    for again in [gl_zip_datum(7, 3, "flip"), gl_zip_datum(7, 4, "flip"),
+                  make_zip_datum(rs, zd.I, BasedAutomorphism.flip(rs), zd.lattice)]:
+        assert again.sigma is zd.sigma
+    for spec in ["flip", "6,5,4,3,2,1", (6, 5, 4, 3, 2, 1)]:
+        assert BasedAutomorphism.parse(rs, spec) is zd.sigma
+    assert gl_zip_datum(7, 3).sigma is BasedAutomorphism.identity(rs)
+    # an invalid sigma is refused on every request and never kept
+    kept = dict(zipdatum._SIGMAS)
+    for _ in range(2):
+        with pytest.raises(ZipDatumError, match="permutation of 1..6"):
+            BasedAutomorphism.parse(rs, "1,1,2,3,4,5")
+    assert zipdatum._SIGMAS == kept
 
 
 @pytest.mark.parametrize(
