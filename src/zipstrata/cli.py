@@ -28,7 +28,7 @@ from .glnzip import (
 from .hasse import hasse_feasible_at_zero, hasse_report
 from .rootdata import TYPE_A_GL, RootDataError
 from .strata import closure_codim1, decide_smooth, is_small, xi_of_weyl
-from .weyl import BUDGET, DEFAULT_BUDGET, BudgetExceeded, WeylElement, budget_scope
+from .weyl import DEFAULT_BUDGET, BudgetExceeded, WeylElement, budget_scope
 from .zipdatum import ZipDatum, ZipDatumError, gl_zip_datum, zip_datum_from_json
 
 EXIT_OK = 0
@@ -211,7 +211,7 @@ def cmd_census(config: RunConfig, m_list: list[int]) -> str:
     sig = Signature(max(r, s), min(r, s))
     if sig.r != r:
         raise ZipDatumError("census expects r >= s; swap the signature")
-    report = fp_point_census(sig, config.q, m_list, budget=BUDGET.get())
+    report = fp_point_census(sig, config.q, m_list)
     if config.fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")

@@ -12,7 +12,8 @@ filtration are images under f z^{-1} alone (`canonical_filtration`), so the
 classifier inverts no matrix and takes no preimage or kernel; `phi_map`
 still builds (a, b) for the checks that use them.  The classifiers here
 and the combinatorial map on W are developed independently and
-cross-validated on permutation matrices.
+cross-validated on permutation matrices.  The request's budget caps a
+census at |GL_n(F_q)| and the model table at |^I W|, checked on every call.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from .fq import (
     rank,
 )
 from .rootdata import TYPE_A_GL
-from .weyl import BudgetExceeded, InvariantViolation, WeylElement
+from .weyl import InvariantViolation, WeylElement, check_budget
 from .zipdatum import ZipDatum, ZipDatumError, gl_zip_datum
 
 
@@ -242,12 +243,13 @@ def _model_table(zd: ZipDatum) -> dict:
     The models have 0/1 entries fixed by every Frobenius power, so one table
     (computed over F_2) serves all fields and exponents.
     """
-    reps = zd.minimal_reps()  # checks the budget before the memo is read
     table = zd._extra.get("xi_model_table")
-    if table is None:
+    if table is not None:  # one profile per element of ^I W
+        check_budget(len(table), "|^K W|")
+    else:
         F2 = Fq(2)
         table = {}
-        for w in reps:
+        for w in zd.minimal_reps():
             inv = _stratum_invariant(zd, F2, perm_matrix(F2, w * zd.z.inverse()), 1)
             if inv in table:
                 raise InvariantViolation(
@@ -561,7 +563,8 @@ def verify_length2(sig: Signature) -> dict:
 
 
 def _factor_prime_power(q: int) -> tuple[int, int]:
-    p = next((d for d in range(2, q + 1) if q % d == 0), q)  # the least factor is prime
+    # the least factor is prime, and a composite q has one up to sqrt(q)
+    p = next((d for d in range(2, math.isqrt(max(q, 0)) + 1) if q % d == 0), q)
     k = 1
     while p**k < q:
         k += 1
@@ -574,8 +577,7 @@ def label_of(w: WeylElement) -> tuple[int, ...]:
     return tuple(w.one_line())
 
 
-def fp_point_census(sig: Signature, q: int, m_list: Sequence[int],
-                    budget: int = 1_000_000) -> dict:
+def fp_point_census(sig: Signature, q: int, m_list: Sequence[int]) -> dict:
     """Classify every f in GL_n(F_q) for each exponent in m_list.
 
     Returns per-stratum counts per exponent; over a prime field the counts
@@ -584,14 +586,11 @@ def fp_point_census(sig: Signature, q: int, m_list: Sequence[int],
     with |P(F_q)| q^{l(w)} = |E_Z(F_q)| q^{l(w) - dim G/P}, the count of the
     stack [E_Z\\O^w] (Pink-Wedhorn-Ziegler, Doc. Math. 2011) times |E_Z(F_q)|;
     a mislabelled point breaks it stratum by stratum even when the total
-    holds.
+    holds.  |GL_n(F_q)| is checked against the budget before q is factored.
     """
     n = sig.n
-    if n > 4 or q > 9:
-        raise BudgetExceeded(f"census budget is n <= 4 and q <= 9; got n={n}, q={q}")
     total = gl_order(q, n)
-    if total > budget:
-        raise BudgetExceeded(f"|GL_{n}(F_{q})| = {total} exceeds budget {budget}")
+    check_budget(total, "|GL_{}(F_{})| = {}", n, q, total)
     p, k = _factor_prime_power(q)
     F = Fq(p, k)
     zd = sig.zip_datum()

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .rootdata import Root
-from .weyl import BUDGET, BudgetExceeded, InvariantViolation, WeylElement, compose, conjugate
+from .weyl import InvariantViolation, WeylElement, check_budget, compose, conjugate
 from .zipdatum import ZipDatum, ZipDatumError
 
 
@@ -143,10 +143,9 @@ def xi_of_weyl(zd: ZipDatum, w: WeylElement) -> WeylElement:
     accepted element from any start, so each length level either drops or
     holds the answer.  The orbit is no larger than W_I, hence the budget.
     """
-    W, budget = zd.W, BUDGET.get()
+    W = zd.W
     order = W.parabolic_order(zd.I)
-    if order > budget:
-        raise BudgetExceeded(f"the Xi walk over |W_I| = {order} exceeds budget {budget}")
+    check_budget(order, "the Xi walk over |W_I| = {}", order)
     steps = [(s.key, conjugate(zd._frame, s.key)) for s in map(W.simple, sorted(zd.I))]
     # every key in the level has the length ``length``
     level, seen, length = [w.key], {w.key}, w.length

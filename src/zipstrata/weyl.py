@@ -71,6 +71,15 @@ def budget_scope(budget: int) -> Iterator[None]:
         BUDGET.reset(token)
 
 
+def check_budget(size: int, what: str, *args) -> None:
+    """Raise `BudgetExceeded`, "<what> exceeds budget N", when ``size`` is
+    over the request's budget N; ``what`` is formatted with ``args`` only
+    then."""
+    budget = BUDGET.get()
+    if size > budget:
+        raise BudgetExceeded(f"{what.format(*args)} exceeds budget {budget}")
+
+
 def compose(u: tuple, v: tuple) -> tuple:
     """The key of u v: (u v)[i] = u[v[i]]."""
     return tuple(map(u.__getitem__, v))
@@ -145,7 +154,7 @@ def _level_up(level: Iterable[tuple], moves, K_pairs=()) -> Iterator[tuple]:
 
 
 class BudgetExceeded(RuntimeError):
-    """An enumeration would exceed the configured group-size budget."""
+    """The work asked for would exceed the request's budget (`check_budget`)."""
 
 
 class WeylElement:
@@ -165,16 +174,18 @@ class WeylElement:
     def __mul__(self, other: "WeylElement") -> "WeylElement":
         if other.group is not self.group:
             raise ValueError("elements belong to different Weyl groups")
-        return self.group._mul(self, other)
+        return self.group._intern(compose(self.key, other.key))
 
     def inverse(self) -> "WeylElement":
         if self._inv is None:
-            self._inv = self.group._inverse(self)
+            self._inv = self.group._intern(invert(self.key), self._length)
+            self._inv._inv = self
         return self._inv
 
     def apply(self, root: Root) -> Root:
         """Image of a root under the action on the root space."""
-        return self.group._apply(self, root)
+        rs = self.group.rs
+        return rs.roots[self.group.root_key(self)[rs.root_index[root.coords]]]
 
     def apply_weight(self, lam: Sequence[int], lattice: CharacterLattice | None = None):
         """Action on the character lattice (coordinate permutation in type A)."""
@@ -185,7 +196,7 @@ class WeylElement:
     @property
     def length(self) -> int:
         if self._length is None:
-            self._length = self.group._length(self)
+            self._length = self.group._key_length(self.key)
         return self._length
 
     @property
@@ -345,17 +356,6 @@ class WeylGroup:
 
     # -- primitive operations -----------------------------------------------
 
-    def _mul(self, u: WeylElement, v: WeylElement) -> WeylElement:
-        return self._intern(compose(u.key, v.key))
-
-    def _inverse(self, w: WeylElement) -> WeylElement:
-        el = self._intern(invert(w.key), w._length)
-        el._inv = w
-        return el
-
-    def _apply(self, w: WeylElement, root: Root) -> Root:
-        return self.rs.roots[self.root_key(w)[self.rs.root_index[root.coords]]]
-
     def root_key(self, w: WeylElement) -> tuple:
         """The permutation of the root indices (`RootSystem.roots` order)
         that w induces: w.key itself for generic data; in GL_n, e_a - e_b
@@ -390,9 +390,6 @@ class WeylGroup:
             if p:
                 out = tuple(x - p * a for x, a in zip(out, embedding[k - 1]))
         return out
-
-    def _length(self, w: WeylElement) -> int:
-        return self._key_length(w.key)
 
     def _key_length(self, p: tuple) -> int:
         return sum(1 for a, b in self._positive_pairs if p[a] > p[b])
@@ -600,9 +597,8 @@ class WeylGroup:
 
     def minimal_reps(self, K) -> list[WeylElement]:
         """All of ^K W sorted by (length, canonical word); the budget is checked first."""
-        key, budget = frozenset(K), BUDGET.get()
-        if self.order() // self.parabolic_order(key) > budget:
-            raise BudgetExceeded(f"|^K W| exceeds budget {budget}")
+        key = frozenset(K)
+        check_budget(self.order() // self.parabolic_order(key), "|^K W|")
         cached = self._minimal_reps.get(key)
         if cached is not None:
             return cached
@@ -623,9 +619,8 @@ class WeylGroup:
 
     def elements(self) -> Iterator[WeylElement]:
         """All of W, identity first; the budget is checked at the call."""
-        order, budget = self.order(), BUDGET.get()
-        if order > budget:
-            raise BudgetExceeded(f"|W| = {order} exceeds budget {budget}")
+        order = self.order()
+        check_budget(order, "|W| = {}", order)
         return self.parabolic_elements(self.rs.delta_indices())
 
     def elements_of_length(self, length: int) -> tuple[WeylElement, ...]:

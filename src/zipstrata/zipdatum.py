@@ -63,8 +63,9 @@ per root system and one `ZipDatum` per (root system, lattice, I, sigma),
 `rootdata` one root system and lattice per input, so equal inputs get the
 same objects and their memos, which must be treated as immutable.  The
 budget is the request's (`weyl.budget_scope`), not the datum's: a memo is
-stored only once complete, and one whose answer depends on the budget
-checks it first or keys on it, so no result depends on earlier budgets.
+stored only once complete, and one whose answer depends on the budget is
+read only after the budget is checked (`weyl.check_budget`, or the budget
+`lower_neighbors` records), so no result depends on earlier budgets.
 """
 
 from __future__ import annotations
@@ -77,10 +78,10 @@ from typing import Iterable, Sequence
 from .rootdata import CharacterLattice, Root, RootSystem, build_gl
 from .weyl import (
     BUDGET,
-    BudgetExceeded,
     InvariantViolation,
     WeylElement,
     WeylGroup,
+    check_budget,
     compose,
     conjugate,
     cycle_shape,
@@ -277,24 +278,26 @@ class ZipDatum:
 
     def lower_neighbors(self, K: Iterable[int], w: WeylElement) -> list[WeylElement]:
         """Gamma_K(w): the w' in ^K W with l(w') = l(w) - 1 and w' <=_K w,
-        memoized per (K, w, budget).
+        memoized per (K, w).
 
         The witnesses are the Bruhat coatoms of w, tested on keys (see the
         module docstring): x = e by one set lookup, then the cycle shape,
         then W_K scanned lazily up to the first hit; a candidate without a
-        witness is charged |W_K| against the budget.
+        witness is charged |W_K| against the budget.  The memo keeps the
+        budget the scan needed, |W_K| once a candidate missed x = e and
+        else 0, and is read only under a budget that fits it.
         """
         K = frozenset(K)
         self._check_K_inside_I(K)
         W = self.W
         if not W.is_minimal_rep(w, K):
             raise ZipDatumError(f"w = {w!r} is not in ^K W for K={sorted(K)}")
-        budget = BUDGET.get()  # it decides how far the scan draws
+        # (K, w.key) -> (the budget the scan needed, Gamma_K(w))
         memo = self._extra.setdefault("lower_neighbors", {})
-        hit = memo.get((K, w.key, budget))
-        if hit is not None:
-            return list(hit)
-        out = []
+        hit = memo.get((K, w.key))
+        if hit is not None and hit[0] <= BUDGET.get():
+            return list(hit[1])
+        out, needed = [], 0
         if w.length:
             frame = self._frame
             targets = {compose(t, frame) for _, t in W.coatoms(w)}
@@ -308,6 +311,7 @@ class ZipDatum:
             for cand in W.minimal_reps_of_length(K, w.length - 1):
                 c = compose(cand.key, frame)
                 if c not in targets:  # x = e, the first element of the scan
+                    needed = order
                     if shapes is None and order > _SCAN_ONLY_ORDER:
                         labels = W.orbit_labels(K)
                         shapes = {cycle_shape(t, labels) for t in targets}
@@ -315,14 +319,11 @@ class ZipDatum:
                         conjugate(x, c) in targets for x in copy.copy(drawn))
                     if not witnessed:
                         # a candidate without a witness costs the scan of all of W_K
-                        if order > budget:
-                            raise BudgetExceeded(
-                                f"twisted_leq scanned more than {budget} elements of W_K"
-                            )
+                        check_budget(order, "|W_K| = {}", order)
                         continue
                 out.append(cand)
             out.sort(key=lambda v: (v.length, v.word))
-        memo[(K, w.key, budget)] = tuple(out)
+        memo[(K, w.key)] = (needed, tuple(out))
         return out
 
     # -- canonical parabolic type ------------------------------------------------

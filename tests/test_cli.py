@@ -83,7 +83,7 @@ def test_lower_neighbour_scan_budget_exit_code(capsys, budget, code):
     assert main(["--gl", "6", "3", "--budget", str(budget), "strata-list"]) == code
     err = capsys.readouterr().err
     if code == 3:
-        assert err == f"budget exceeded: twisted_leq scanned more than {budget} elements of W_K\n"
+        assert err == f"budget exceeded: |W_K| = 36 exceeds budget {budget}\n"
 
 
 @pytest.mark.parametrize("budgets", [(35, 36), (36, 35)])
@@ -95,8 +95,7 @@ def test_lower_neighbour_scan_budget_exit_code_in_one_process(capsys, budgets):
     for budget in budgets + budgets:
         code = main(["--gl", "6", "3", "--budget", str(budget), "strata-list"])
         seen.setdefault(budget, set()).add((code, *capsys.readouterr()))
-    assert seen[35] == {(3, "", "budget exceeded: twisted_leq scanned more than 35 "
-                                "elements of W_K\n")}
+    assert seen[35] == {(3, "", "budget exceeded: |W_K| = 36 exceeds budget 35\n")}
     assert len(seen[36]) == 1
     code, out, err = next(iter(seen[36]))
     assert (code, err) == (0, "") and len(json.loads(out)["nodes"]) == 20
@@ -183,6 +182,10 @@ def test_one_weyl_group_serves_every_budget(capsys):
         assert BUDGET.get() == DEFAULT_BUDGET  # main restores the budget it set
     capsys.readouterr()
     assert len(zipdatum._WEYL_GROUPS) == 1 and len(zipdatum._ZIP_DATA) == 1
+    # and one lower-neighbour memo entry per element of ^I W, C(8, 4) = 70,
+    # whatever budgets filled it
+    (zd,) = zipdatum._ZIP_DATA.values()
+    assert len(zd._extra["lower_neighbors"]) == 70
 
 
 @pytest.mark.parametrize("datum,err", [
@@ -272,6 +275,32 @@ def test_census_csv(capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "m,stratum,count"
     assert len(lines) == 1 + 6  # 3 strata x 2 exponents
+
+
+@pytest.mark.parametrize("argv,code,err", [
+    (["--gl", "2", "1", "--q", "11"], 0, ""),
+    (["--gl", "2", "1", "--q", "12"], 2, "error: 12 is not a prime power\n"),
+    (["--gl", "2", "1", "--q", "16"], 2, "error: extension degree k must be 1, 2 or 3\n"),
+    (["--gl", "5", "3", "--q", "2"], 3,
+     "budget exceeded: |GL_5(F_2)| = 9999360 exceeds budget 3628800\n"),
+], ids=["GL_2(F_11)", "GL_2(F_12)", "GL_2(F_16)", "GL_5(F_2)"])
+def test_census_is_capped_by_the_budget_alone(capsys, argv, code, err):
+    # |GL_n(F_q)| is checked against the budget before q is factored
+    assert main(argv + ["census"]) == code
+    captured = capsys.readouterr()
+    assert captured.err == err
+    if code == 0:
+        assert json.loads(captured.out)["total"] == 13_200
+
+
+def test_xi_matrix_over_a_large_prime_field():
+    # q is factored by trial division up to sqrt(q), not up to q
+    argv = ["--gl", "2", "1", "--q", "1000000007", "xi", "--matrix", "1,0,0,1"]
+    env = {**os.environ, "PYTHONPATH": str(Path(zipstrata.__file__).parent.parent)}
+    proc = subprocess.run([sys.executable, "-m", "zipstrata.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=20)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert json.loads(proc.stdout)["xi"] == [1, 2]
 
 
 def test_closed_form(capsys):

@@ -31,7 +31,7 @@ from zipstrata.glnzip import (
     zip_pair_sample,
 )
 from zipstrata.strata import pi_small, is_small, xi_of_weyl
-from zipstrata.weyl import BudgetExceeded
+from zipstrata.weyl import BudgetExceeded, budget_scope
 from zipstrata.zipdatum import ZipDatumError
 
 F2 = Fq(2)
@@ -498,6 +498,15 @@ def test_census_budget_rejection():
         fp_point_census(Signature(3, 2), 2, [1])
     with pytest.raises(BudgetExceeded):
         fp_point_census(Signature(2, 1), 11, [1])
+
+
+def test_census_is_capped_by_the_request_budget():
+    # |GL_2(F_2)| = 6: the census refuses it under budget 5 and runs at 6
+    message = r"^\|GL_2\(F_2\)\| = 6 exceeds budget 5$"
+    with budget_scope(5), pytest.raises(BudgetExceeded, match=message):
+        fp_point_census(Signature(1, 1), 2, [1])
+    with budget_scope(6):
+        assert fp_point_census(Signature(1, 1), 2, [1])["total"] == 6
 
 
 def test_census_gl2_f2_partitions_group():
