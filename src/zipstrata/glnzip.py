@@ -1,6 +1,8 @@
 """GL_n specialization: the finite-field Dieudonne-space classifier (full Xi
 on matrices), the (2,2) closed-form classifier, the (n-1,1) characteristic
 polynomial invariants, the length-2 closed form, and point censuses.
+Delta' and char(Delta) are read from `fq.det` alone: Delta' from minors
+of A bordered by one more row and column, char(Delta) from principal minors.
 
 A matrix f determines a pair (a, b) = (f p_1, sigma^{-m}(p_2 f^{-1})), hence
 semilinear operators F = a sigma^m and V = b sigma^{-m}; the coarsest F- and
@@ -309,34 +311,14 @@ def _phi_pair(F, f: Matrix, n: int, r: int, m: int):
 # Schur-complement invariants and the (2,2) closed form
 
 
+def _minor(A: Matrix, rows: Sequence[int], cols: Sequence[int]) -> Matrix:
+    return tuple(tuple(A[i][j] for j in cols) for i in rows)
+
+
 def blocks_of(F, g: Matrix, r: int):
     """(A, B, C, D) with A the top-left r x r block."""
-    n = len(g)
-    A = tuple(tuple(g[i][j] for j in range(r)) for i in range(r))
-    B = tuple(tuple(g[i][j] for j in range(r, n)) for i in range(r))
-    C = tuple(tuple(g[i][j] for j in range(r)) for i in range(r, n))
-    D = tuple(tuple(g[i][j] for j in range(r, n)) for i in range(r, n))
-    return A, B, C, D
-
-
-def adjugate(F, A: Matrix) -> Matrix:
-    """Transpose of the cofactor matrix; works for singular A."""
-    r = len(A)
-    if r == 1:
-        return ((F.one,),)
-    out = [[F.zero] * r for _ in range(r)]
-    for i in range(r):
-        for j in range(r):
-            minor = tuple(
-                tuple(A[a][b] for b in range(r) if b != j)
-                for a in range(r)
-                if a != i
-            )
-            cof = det(F, minor)
-            if (i + j) % 2:
-                cof = F.neg(cof)
-            out[j][i] = cof
-    return tuple(tuple(row) for row in out)
+    top, bottom = range(r), range(r, len(g))
+    return tuple(_minor(g, rows, cols) for rows in (top, bottom) for cols in (top, bottom))
 
 
 def delta(F, g: Matrix, r: int) -> Matrix:
@@ -344,14 +326,17 @@ def delta(F, g: Matrix, r: int) -> Matrix:
 
 
 def delta_prime(F, g: Matrix, r: int) -> Matrix:
-    """det(A) D - C Adj(A) B, the Schur-complement companion of Delta."""
-    A, B, C, D = blocks_of(F, g, r)
-    dA = det(F, A)
-    CAdjB = mat_mul(F, mat_mul(F, C, adjugate(F, A)), B)
-    return tuple(
-        tuple(F.sub(F.mul(dA, D[i][j]), CAdjB[i][j]) for j in range(len(D)))
-        for i in range(len(D))
-    )
+    """det(A) D - C Adj(A) B, the Schur-complement companion of Delta: entry
+    (i, j) is the determinant of A bordered by row r + i and column r + j of
+    g, as det [[A, b], [c, d]] = det(A) d - c Adj(A) b (Horn and Johnson,
+    Matrix Analysis, 2nd ed., 0.8.5), so A may be singular.
+
+    >>> g = ((1, 2, 3), (0, 0, 4), (5, 6, 0))  # det A = 0: -C Adj(A) B = 16
+    >>> delta_prime(Fq(7), g, 2)
+    ((2,),)
+    """
+    head, tail = tuple(range(r)), range(r, len(g))
+    return tuple(tuple(det(F, _minor(g, head + (i,), head + (j,))) for j in tail) for i in tail)
 
 
 def trace(F, A: Matrix):
@@ -391,61 +376,18 @@ def classify_22(F, g: Matrix) -> tuple[int, ...]:
 # (n-1, 1): characteristic-polynomial invariants and the pi formula
 
 
-def _poly_add(F, a, b):
-    n = max(len(a), len(b))
-    a = list(a) + [F.zero] * (n - len(a))
-    b = list(b) + [F.zero] * (n - len(b))
-    return tuple(F.add(x, y) for x, y in zip(a, b))
-
-
-def _poly_mul(F, a, b):
-    out = [F.zero] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x != F.zero:
-            for j, y in enumerate(b):
-                if y != F.zero:
-                    out[i + j] = F.add(out[i + j], F.mul(x, y))
-    return tuple(out)
-
-
 def _char_poly(F, A: Matrix) -> tuple:
-    """Coefficients (low to high) of det(X I - A), exact over F."""
+    """Coefficients (low to high) of det(X I - A), exact over F: c_k is
+    (-1)^(r-k) times the sum of the principal minors of size r - k (Horn
+    and Johnson, 1.2), and c_r is the empty minor, 1."""
     r = len(A)
-    rows = tuple(
-        tuple(
-            # entry is the degree<=1 polynomial  delta_ij X - A[i][j]
-            ((F.neg(A[i][j]), F.one) if i == j else (F.neg(A[i][j]),))
-            for j in range(r)
-        )
-        for i in range(r)
-    )
-    memo: dict = {}
-
-    def minor(i: int, cols: tuple[int, ...]):
-        if not cols:
-            return (F.one,)
-        key = (i, cols)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        acc = (F.zero,)
-        for idx, j in enumerate(cols):
-            entry = rows[i][j]
-            if len(entry) == 1 and entry[0] == F.zero:
-                continue
-            sub = minor(i + 1, cols[:idx] + cols[idx + 1 :])
-            term = _poly_mul(F, entry, sub)
-            if idx % 2:
-                term = tuple(F.neg(c) for c in term)
-            acc = _poly_add(F, acc, term)
-        memo[key] = acc
-        return acc
-
-    out = minor(0, tuple(range(r)))
-    out = out + (F.zero,) * (r + 1 - len(out))
-    if out[r] != F.one:
-        raise InvariantViolation("characteristic polynomial must be monic")
-    return out
+    out = []
+    for k in range(r + 1):
+        acc = F.zero
+        for idx in itertools.combinations(range(r), r - k):
+            acc = F.add(acc, det(F, _minor(A, idx, idx)))
+        out.append(F.neg(acc) if (r - k) % 2 else acc)
+    return tuple(out)
 
 
 def char_ha_coeffs(F, g: Matrix, sig: Signature) -> tuple:
@@ -586,7 +528,8 @@ def fp_point_census(sig: Signature, q: int, m_list: Sequence[int]) -> dict:
     with |P(F_q)| q^{l(w)} = |E_Z(F_q)| q^{l(w) - dim G/P}, the count of the
     stack [E_Z\\O^w] (Pink-Wedhorn-Ziegler, Doc. Math. 2011) times |E_Z(F_q)|;
     a mislabelled point breaks it stratum by stratum even when the total
-    holds.  |GL_n(F_q)| is checked against the budget before q is factored.
+    holds.  |GL_n(F_q)| is checked against the budget before q is factored,
+    and the exponents, which must be distinct and >= 1, before any point.
     """
     n = sig.n
     total = gl_order(q, n)
@@ -594,6 +537,8 @@ def fp_point_census(sig: Signature, q: int, m_list: Sequence[int]) -> dict:
     p, k = _factor_prime_power(q)
     F = Fq(p, k)
     zd = sig.zip_datum()
+    if min(m_list, default=1) < 1 or len(set(m_list)) < len(m_list):
+        raise ZipDatumError(f"census exponents must be distinct and >= 1, got {list(m_list)}")
     counts = {m: Counter() for m in m_list}
     pointwise_equal = True
     for f in enumerate_gl(F, n):

@@ -533,26 +533,22 @@ class WeylGroup:
         """The keys of `parabolic_elements(K)`, in the same order, uninterned:
         W_K level by level up the right weak order from e, using only the
         moves s_k, k in K; within a level, in the order the keys are first
-        reached.  At most `BUDGET` keys are yielded, read at the first draw.
+        reached.  Drawing e is free; drawing past it charges |W_K| against
+        the budget once (`check_budget`), the scan it starts.
 
         >>> from zipstrata.rootdata import build_gl
         >>> W = WeylGroup(build_gl(3, 1)[0])
         >>> list(W.parabolic_keys({1, 2}))
         [(0, 1, 2), (1, 0, 2), (0, 2, 1), (1, 2, 0), (2, 0, 1), (2, 1, 0)]
         """
-        budget = BUDGET.get()
-        if budget < 1:
-            raise BudgetExceeded(f"group enumeration exceeds budget {budget}")
-        moves = [self._simple_moves[k - 1] for k in sorted(K)]
         level = [self.identity.key]
         yield self.identity.key
-        count = 1
+        order = self.parabolic_order(K)
+        check_budget(order, "|W_K| = {}", order)
+        moves = [self._simple_moves[k - 1] for k in sorted(K)]
         while level:
             nxt = []
             for u in _level_up(level, moves):
-                if count >= budget:
-                    raise BudgetExceeded(f"group enumeration exceeds budget {budget}")
-                count += 1
                 nxt.append(u)
                 yield u
             level = nxt

@@ -52,9 +52,10 @@ matches no target's is not a neighbour.  The shape is only a necessary
 condition; a candidate that passes it is scanned, so every neighbour comes
 with an explicit witness x.  (In type A, W_K is the whole group of
 permutations that keep the labels, so there a matching shape always leads
-to a witness.)  A candidate without a witness is charged |W_K| against the
-budget, the exhaustive scan it stands for, so the budget fails exactly
-where the scan would.  A W_K of order at most `_SCAN_ONLY_ORDER` is
+to a witness.)  Testing x = e is free; testing any other x costs |W_K|,
+the scan it may take, charged once per (K, w) at the first candidate that
+misses x = e, so whether a command fits its budget does not depend on where
+in W_K a witness sits.  A W_K of order at most `_SCAN_ONLY_ORDER` is
 scanned without the shape test, which costs more than such a scan.
 
 Data are built once per process.  `make_zip_datum` keeps one `WeylGroup`
@@ -257,6 +258,7 @@ class ZipDatum:
 
         Scans the keys of W_K up to the first witness; x w1 psi(x)^{-1} =
         (x (w1 A) x^{-1}) A^{-1} is interned only when no longer than w2.
+        Testing x = e is free; a scan past it charges |W_K| once.
         """
         K = frozenset(K)
         self._check_K_inside_I(K)
@@ -282,10 +284,10 @@ class ZipDatum:
 
         The witnesses are the Bruhat coatoms of w, tested on keys (see the
         module docstring): x = e by one set lookup, then the cycle shape,
-        then W_K scanned lazily up to the first hit; a candidate without a
-        witness is charged |W_K| against the budget.  The memo keeps the
-        budget the scan needed, |W_K| once a candidate missed x = e and
-        else 0, and is read only under a budget that fits it.
+        then W_K scanned lazily up to the first hit.  Testing x = e is
+        free; the first candidate that misses it charges |W_K| against the
+        budget, once, wherever its witness sits.  The memo keeps that
+        charge, |W_K| or 0, and is read only under a budget that fits it.
         """
         K = frozenset(K)
         self._check_K_inside_I(K)
@@ -311,15 +313,15 @@ class ZipDatum:
             for cand in W.minimal_reps_of_length(K, w.length - 1):
                 c = compose(cand.key, frame)
                 if c not in targets:  # x = e, the first element of the scan
-                    needed = order
-                    if shapes is None and order > _SCAN_ONLY_ORDER:
-                        labels = W.orbit_labels(K)
-                        shapes = {cycle_shape(t, labels) for t in targets}
+                    if not needed:  # the first miss charges the scan of W_K, once
+                        check_budget(order, "|W_K| = {}", order)
+                        needed = order
+                        if order > _SCAN_ONLY_ORDER:
+                            labels = W.orbit_labels(K)
+                            shapes = {cycle_shape(t, labels) for t in targets}
                     witnessed = (shapes is None or cycle_shape(c, labels) in shapes) and any(
                         conjugate(x, c) in targets for x in copy.copy(drawn))
                     if not witnessed:
-                        # a candidate without a witness costs the scan of all of W_K
-                        check_budget(order, "|W_K| = {}", order)
                         continue
                 out.append(cand)
             out.sort(key=lambda v: (v.length, v.word))

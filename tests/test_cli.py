@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import zipstrata
 from conftest import PROCESS_CACHES
-from zipstrata import hasse, zipdatum
+from zipstrata import glnzip, hasse, zipdatum
 from zipstrata.cli import main
 from zipstrata.weyl import BUDGET, DEFAULT_BUDGET
 
@@ -103,23 +103,26 @@ def test_lower_neighbour_scan_budget_exit_code_in_one_process(capsys, budgets):
 
 @pytest.mark.parametrize("budget,code", [(3, 3), (4, 0)])
 def test_witness_past_the_budget_exit_code(capsys, budget, code):
-    # GL_5 (2,3), closure of 3,1,2,4,5: I_w = {1,4}, and |W_K| = 4 is
-    # scanned key by key; the candidate 1,2,4,3,5 has no witness, so its
-    # scan draws key 4, which the enumeration of W_K refuses at budget 3
+    # GL_5 (2,3), closure of 3,1,2,4,5: I_w = {1,4}, |W_K| = 4; the
+    # candidate 1,2,4,3,5 misses x = e, so the scan past e costs all of W_K
     argv = ["--gl", "5", "2", "--budget", str(budget), "closure", "3,1,2,4,5"]
     assert main(argv) == code
     err = capsys.readouterr().err
     if code == 3:
-        assert err == f"budget exceeded: group enumeration exceeds budget {budget}\n"
+        assert err == f"budget exceeded: |W_K| = 4 exceeds budget {budget}\n"
 
 
 @pytest.mark.parametrize("budget", [0, -1])
 def test_budget_below_one_refuses_the_first_key(capsys, budget):
-    # no key of W_K fits, not even e: the first draw from parabolic_keys
-    # is refused, whether or not x = e would have been a witness
-    assert main(["--gl", "4", "2", "--budget", str(budget), "closure", "3,4,1,2"]) == 3
-    assert capsys.readouterr().err == (
-        f"budget exceeded: group enumeration exceeds budget {budget}\n")
+    # testing x = e is free, so a closure whose candidates all hit at e
+    # runs at any budget and prints what the default budget prints; the
+    # first key past e costs |W_K| and is refused
+    assert main(["--gl", "4", "2", "closure", "3,4,1,2"]) == 0
+    default = capsys.readouterr()
+    assert main(["--gl", "4", "2", "--budget", str(budget), "closure", "3,4,1,2"]) == 0
+    assert capsys.readouterr() == default
+    assert main(["--gl", "5", "2", "--budget", "0", "closure", "3,1,2,4,5"]) == 3
+    assert capsys.readouterr().err == "budget exceeded: |W_K| = 4 exceeds budget 0\n"
 
 
 def test_generic_budget_caps_the_representatives_not_the_group(capsys, tmp_path):
@@ -146,6 +149,7 @@ _PINNED = [
     (["--gl", "5", "2"], 4, ["closure", "3,1,2,4,5"]),
     (["--gl", "4", "2"], 0, ["closure", "3,4,1,2"]),
     (["--gl", "4", "2"], -1, ["closure", "3,4,1,2"]),
+    (["--gl", "5", "2"], 0, ["closure", "3,1,2,4,5"]),
     (["--cartan", "B3", "--I", "2,3"], 5, ["strata-list"]),
     (["--gl", "6", "3"], 10, ["xi", "e"]),
     (["--gl", "10", "8"], 50_000, ["xi", "e"]),
@@ -212,7 +216,7 @@ def test_sweep_length2_csv(capsys):
 
 
 def test_sweep_length2_verify_honours_budget(capsys):
-    # at (3,2) the twisted-order scan over W_K passes 3 elements
+    # at (3,2) a twisted-order scan goes past x = e and is charged |W_K| = 4
     code = main(["--budget", "3", "sweep-length2", "--verify", "--n-max", "5"])
     assert code == 3
     assert capsys.readouterr().err.startswith("budget exceeded: ")
@@ -291,6 +295,21 @@ def test_census_is_capped_by_the_budget_alone(capsys, argv, code, err):
     assert captured.err == err
     if code == 0:
         assert json.loads(captured.out)["total"] == 13_200
+
+
+@pytest.mark.parametrize("m_list,shown", [
+    ("1,1", "[1, 1]"), ("2,1,2", "[2, 1, 2]"), ("1,0", "[1, 0]"), ("0", "[0]"),
+])
+def test_census_exponents_are_checked_before_any_point(capsys, monkeypatch, m_list, shown):
+    # a repeated exponent would count every point once more per repeat
+    # (24 + 72 of 48 at GL_2(F_3)), and m < 1 was refused only at the
+    # first point; both exit 2 before any point is classified
+    classified = []
+    monkeypatch.setattr(glnzip, "xi_classify", lambda *args: classified.append(args))
+    code = main(["--gl", "2", "1", "--q", "3", "census", "--m-list", m_list])
+    assert (code, *capsys.readouterr()) == (
+        2, "", f"error: census exponents must be distinct and >= 1, got {shown}\n")
+    assert classified == []
 
 
 def test_xi_matrix_over_a_large_prime_field():

@@ -9,9 +9,11 @@ from pathlib import Path
 import pytest
 
 import fq_oracle
-from zipstrata.fq import Fq, FqSubspace, QQ, enumerate_gl, mat_identity, mat_mul, mat_inv
+from zipstrata.fq import (
+    Fq, FqSubspace, QQ, det, enumerate_gl, mat_identity, mat_mul, mat_inv)
 from zipstrata.glnzip import (
     Signature,
+    _char_poly,
     blocks_of,
     canonical_filtration,
     char_ha_coeffs,
@@ -25,6 +27,7 @@ from zipstrata.glnzip import (
     perm_matrix,
     phi_map,
     pi_char_poly,
+    trace,
     verify_length2,
     x_element,
     xi_classify,
@@ -37,6 +40,20 @@ from zipstrata.zipdatum import ZipDatumError
 F2 = Fq(2)
 F3 = Fq(3)
 F4 = Fq(2, 2)
+
+
+# the fields of the determinant identities below: odd and even
+# characteristic, an extension field, and characteristic zero
+_MINOR_FIELDS = [Fq(7), F4, QQ]
+_MINOR_IDS = ["F7", "F4", "QQ"]
+
+
+def _seeded_matrix(F, rng, n):
+    if F is QQ:
+        return tuple(tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n))
+                     for _ in range(n))
+    els = list(F.elements())
+    return tuple(tuple(rng.choice(els) for _ in range(n)) for _ in range(n))
 
 
 def _random_invertible(F, n, rng):
@@ -397,8 +414,74 @@ def test_delta_invariants_do_not_separate_32_short_strata():
     assert conjugate(delta_prime(F2, g0, 3), delta_prime(F2, g1, 3))
 
 
+@pytest.mark.parametrize("F", _MINOR_FIELDS, ids=_MINOR_IDS)
+def test_delta_prime_is_the_schur_complement_times_det_a(F):
+    # A invertible: Adj(A) = det(A) A^{-1}, so Delta' = det(A) D - C Adj(A) B
+    rng = random.Random(20)
+    for n, r in [(2, 1), (3, 1), (3, 2), (4, 2), (5, 2), (5, 3), (6, 4)]:
+        checked = 0
+        while checked < 6:
+            g = _seeded_matrix(F, rng, n)
+            A, B, C, D = blocks_of(F, g, r)
+            dA = det(F, A)
+            if dA == F.zero:
+                continue
+            adj = tuple(tuple(F.mul(dA, x) for x in row) for row in mat_inv(F, A))
+            CAdjB = mat_mul(F, mat_mul(F, C, adj), B)
+            expected = tuple(
+                tuple(F.sub(F.mul(dA, d), x) for d, x in zip(drow, crow))
+                for drow, crow in zip(D, CAdjB)
+            )
+            assert delta_prime(F, g, r) == expected
+            checked += 1
+
+
+@pytest.mark.parametrize("F", _MINOR_FIELDS, ids=_MINOR_IDS)
+def test_delta_prime_with_a_singular_block_matches_the_2x2_adjugate(F):
+    # A = [[a, b], [c, d]] singular, Adj(A) = [[d, -b], [-c, a]]:
+    # Delta' = -C Adj(A) B; the second row of A is t times the first, or
+    # the first row is zero
+    rng = random.Random(21)
+    for n in (3, 4, 5):
+        for trial in range(8):
+            g = _seeded_matrix(F, rng, n)
+            (a, b), t = g[0][:2], g[1][0]
+            if trial % 2:
+                a = b = F.zero
+            c, d = F.mul(t, a), F.mul(t, b)
+            g = ((a, b) + g[0][2:], (c, d) + g[1][2:]) + g[2:]
+            _, B, C, _ = blocks_of(F, g, 2)
+            adj = ((d, F.neg(b)), (F.neg(c), a))
+            CAdjB = mat_mul(F, mat_mul(F, C, adj), B)
+            assert delta_prime(F, g, 2) == tuple(
+                tuple(F.neg(x) for x in row) for row in CAdjB)
+
+
 # ---------------------------------------------------------------------------
 # (n-1,1) invariants
+
+
+@pytest.mark.parametrize("F", _MINOR_FIELDS, ids=_MINOR_IDS)
+def test_char_poly_satisfies_cayley_hamilton(F):
+    # sum_k c_k A^k = 0, c_r = 1, c_{r-1} = -Tr A and c_0 = (-1)^r det A
+    rng = random.Random(22)
+    for r in range(1, 7):
+        for _ in range(6):
+            A = _seeded_matrix(F, rng, r)
+            c = _char_poly(F, A)
+            assert len(c) == r + 1 and c[r] == F.one
+            assert c[r - 1] == F.neg(trace(F, A))
+            assert c[0] == (F.neg(det(F, A)) if r % 2 else det(F, A))
+            total = [[F.zero] * r for _ in range(r)]
+            power = mat_identity(F, r)
+            for ck in c:
+                for i in range(r):
+                    for j in range(r):
+                        total[i][j] = F.add(total[i][j], F.mul(ck, power[i][j]))
+                power = mat_mul(F, power, A)
+            assert all(x == F.zero for row in total for x in row)
+            g = tuple(row + (F.zero,) for row in A) + ((F.zero,) * r + (F.one,),)
+            assert char_ha_coeffs(F, g, Signature(r, 1)) == c[:r]
 
 
 def test_char_ha_coeffs_gl3():

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from zipstrata import fq, hasse, rootdata, weyl, zipdatum
+from zipstrata import fq, glnzip, hasse, rootdata, weyl, zipdatum
 from zipstrata.rootdata import (
     RootDataError,
     build_generic,
@@ -229,6 +229,6 @@ def test_zero_root_sign_raises_under_python_O():
 
 
 def test_module_doctests():
-    for module in (rootdata, weyl, zipdatum, hasse, fq):
+    for module in (rootdata, weyl, zipdatum, hasse, fq, glnzip):
         result = doctest.testmod(module)
         assert result.attempted > 0 and result.failed == 0, module.__name__

@@ -451,3 +451,22 @@ def test_memos_filled_under_the_default_budget_refuse_a_smaller_one():
                 call()
         assert BUDGET.get() == DEFAULT_BUDGET  # restored although the call raised
     assert len(W.elements_of_length(3)) == 6 and len(W.minimal_reps({1, 3})) == 6
+
+
+@pytest.mark.parametrize("budget", [5, 35, 36])
+def test_a_witness_past_e_costs_all_of_w_k_wherever_it_sits(budget):
+    # GL_6 (3,3), |W_I| = 36: the witness of 1,4,2,3,5,6 <=_I 1,2,4,5,6,3
+    # is the fifth key drawn, yet the scan past x = e is charged |W_I|
+    zd = gl_zip_datum(6, 3)
+    W = zd.W
+    w1, w2 = W.from_one_line([1, 4, 2, 3, 5, 6]), W.from_one_line([1, 2, 4, 5, 6, 3])
+    first = next(i for i, x in enumerate(W.parabolic_elements(zd.I))
+                 if W.bruhat_leq(x * w1 * zd.psi(x).inverse(), w2))
+    assert first == 4
+    with budget_scope(budget):
+        if budget < 36:
+            with pytest.raises(BudgetExceeded, match=re.escape(
+                    f"|W_K| = 36 exceeds budget {budget}")):
+                zd.twisted_leq(zd.I, w1, w2)
+        else:
+            assert zd.twisted_leq(zd.I, w1, w2)
