@@ -534,7 +534,8 @@ class WeylGroup:
         W_K level by level up the right weak order from e, using only the
         moves s_k, k in K; within a level, in the order the keys are first
         reached.  Drawing e is free; drawing past it charges |W_K| against
-        the budget once (`check_budget`), the scan it starts.
+        the budget once (`check_budget`), the scan it starts, unless W_K =
+        {e} leaves nothing past e.
 
         >>> from zipstrata.rootdata import build_gl
         >>> W = WeylGroup(build_gl(3, 1)[0])
@@ -544,7 +545,8 @@ class WeylGroup:
         level = [self.identity.key]
         yield self.identity.key
         order = self.parabolic_order(K)
-        check_budget(order, "|W_K| = {}", order)
+        if order > 1:
+            check_budget(order, "|W_K| = {}", order)
         moves = [self._simple_moves[k - 1] for k in sorted(K)]
         while level:
             nxt = []

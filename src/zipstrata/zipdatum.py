@@ -33,15 +33,17 @@ the flag of its positive) and the root index of each simple root.  J is
 read off the root frame: J = z^{-1} sigma(I).  The canonical type I_w is
 the largest set of I's simple roots that phi_w maps onto itself.
 
-Lower neighbours use two facts.  For w' in ^K W and x in W_K, l(x w') =
-l(x) + l(w') and psi preserves length, so l(x w' psi(x)^{-1}) >= l(w'),
-and by the sign character l(x w' psi(x)^{-1}) = l(w') mod 2; hence when
-l(w') = l(w) - 1 a witness has length l(w) - 1 and is a Bruhat coatom of w.
-And
+Pairs with l(w') = l(w) - 1 (lower neighbours, and the precondition of
+`decide`) use two facts.  For w' in ^K W and x in W_K, l(x w') = l(x) +
+l(w') and psi preserves length, so l(x w' psi(x)^{-1}) >= l(w'), and by
+the sign character l(x w' psi(x)^{-1}) = l(w') mod 2; hence when l(w') =
+l(w) - 1 a witness has length l(w) - 1 and is a Bruhat coatom of w.  And
 
     x w' psi(x)^{-1} = t   iff   x (w' A) x^{-1} = t A,
 
-one conjugation of a raw key and one set lookup per x.
+one conjugation of a raw key and one set lookup per x.  One search,
+`ZipDatum._witnesses`, makes this test for `lower_neighbors` and for
+`twisted_leq` on such a pair, with everything below.
 
 Most candidates w' are rejected before that scan.  Label each key point by
 its W_K-orbit; the cycle shape of a key (`weyl.cycle_shape`: its cycles as
@@ -53,10 +55,12 @@ condition; a candidate that passes it is scanned, so every neighbour comes
 with an explicit witness x.  (In type A, W_K is the whole group of
 permutations that keep the labels, so there a matching shape always leads
 to a witness.)  Testing x = e is free; testing any other x costs |W_K|,
-the scan it may take, charged once per (K, w) at the first candidate that
-misses x = e, so whether a command fits its budget does not depend on where
-in W_K a witness sits.  A W_K of order at most `_SCAN_ONLY_ORDER` is
-scanned without the shape test, which costs more than such a scan.
+the scan it may take, charged once per search (per (K, w) for lower
+neighbours, per pair for `twisted_leq`) at the first candidate that misses
+x = e, so whether a command fits its budget does not depend on where
+in W_K a witness sits; W_K = {e} leaves no x past e and costs nothing.  A
+W_K of order at most `_SCAN_ONLY_ORDER` is scanned without the shape test,
+which costs more than such a scan.
 
 Data are built once per process.  `make_zip_datum` keeps one `WeylGroup`
 per root system and one `ZipDatum` per (root system, lattice, I, sigma),
@@ -65,7 +69,7 @@ per root system and one `ZipDatum` per (root system, lattice, I, sigma),
 same objects and their memos, which must be treated as immutable.  The
 budget is the request's (`weyl.budget_scope`), not the datum's: a memo is
 stored only once complete, and one whose answer depends on the budget is
-read only after the budget is checked (`weyl.check_budget`, or the budget
+read only after the budget is checked (`weyl.check_budget`, or the charge
 `lower_neighbors` records), so no result depends on earlier budgets.
 """
 
@@ -90,8 +94,8 @@ from .weyl import (
 )
 
 
-# lower_neighbors scans a W_K of at most this order without comparing cycle
-# shapes.  On GL_7 and GL_8 data the shape test took 1.45 times the scan's
+# the witness search scans a W_K of at most this order without comparing
+# cycle shapes.  On GL_7 and GL_8 data the shape test took 1.45 times the scan's
 # time at |W_K| = 2, 1.07 at 4, 0.86 at 6 and 0.75 at 8; end to end, the
 # shape test on every W_K made decide-sweep (|W_K| in {1, 4, 8, 16}) 4.6%
 # slower in wall_s (BENCH_10.json)
@@ -256,9 +260,11 @@ class ZipDatum:
     def twisted_leq(self, K: Iterable[int], w1: WeylElement, w2: WeylElement) -> bool:
         """w1 <=_K w2: some x in W_K has x w1 psi(x)^{-1} Bruhat-below w2.
 
-        Scans the keys of W_K up to the first witness; x w1 psi(x)^{-1} =
-        (x (w1 A) x^{-1}) A^{-1} is interned only when no longer than w2.
-        Testing x = e is free; a scan past it charges |W_K| once.
+        A pair with l(w1) = l(w2) - 1 goes to the witness search
+        (`_witnesses`).  Otherwise the keys of W_K are scanned up to the
+        first witness; x w1 psi(x)^{-1} = (x (w1 A)
+        x^{-1}) A^{-1} is interned only when no longer than w2.  Either way,
+        testing x = e is free and a scan past it charges |W_K| once.
         """
         K = frozenset(K)
         self._check_K_inside_I(K)
@@ -269,6 +275,8 @@ class ZipDatum:
             return True
         if w1.length > w2.length:
             return False
+        if w1.length == w2.length - 1:
+            return self._witnesses(K, w2, [w1])[0][0] is not None
         W = self.W
         c, frame_inv = compose(w1.key, self._frame), invert(self._frame)
         for x in W.parabolic_keys(K):
@@ -282,51 +290,62 @@ class ZipDatum:
         """Gamma_K(w): the w' in ^K W with l(w') = l(w) - 1 and w' <=_K w,
         memoized per (K, w).
 
-        The witnesses are the Bruhat coatoms of w, tested on keys (see the
-        module docstring): x = e by one set lookup, then the cycle shape,
-        then W_K scanned lazily up to the first hit.  Testing x = e is
-        free; the first candidate that misses it charges |W_K| against the
-        budget, once, wherever its witness sits.  The memo keeps that
-        charge, |W_K| or 0, and is read only under a budget that fits it.
+        Each candidate w' goes to the witness search (`_witnesses`).  The
+        memo keeps its charge, |W_K| or 0, and is read only under a budget
+        that fits it.
         """
         K = frozenset(K)
         self._check_K_inside_I(K)
         W = self.W
         if not W.is_minimal_rep(w, K):
             raise ZipDatumError(f"w = {w!r} is not in ^K W for K={sorted(K)}")
-        # (K, w.key) -> (the budget the scan needed, Gamma_K(w))
+        # (K, w.key) -> (the budget the search charged, Gamma_K(w))
         memo = self._extra.setdefault("lower_neighbors", {})
         hit = memo.get((K, w.key))
         if hit is not None and hit[0] <= BUDGET.get():
             return list(hit[1])
-        out, needed = [], 0
-        if w.length:
-            frame = self._frame
-            targets = {compose(t, frame) for _, t in W.coatoms(w)}
-            order = W.parabolic_order(K)
-            # the orbit labels and the targets' shapes, formed at the first
-            # miss of x = e, unless W_K is small enough to scan outright
-            labels = shapes = None
-            # never advanced itself: each copy replays the keys drawn so far
-            # and draws the rest on demand, so W_K is enumerated at most once
-            drawn = itertools.tee(W.parabolic_keys(K), 1)[0]
-            for cand in W.minimal_reps_of_length(K, w.length - 1):
-                c = compose(cand.key, frame)
-                if c not in targets:  # x = e, the first element of the scan
-                    if not needed:  # the first miss charges the scan of W_K, once
-                        check_budget(order, "|W_K| = {}", order)
-                        needed = order
-                        if order > _SCAN_ONLY_ORDER:
-                            labels = W.orbit_labels(K)
-                            shapes = {cycle_shape(t, labels) for t in targets}
-                    witnessed = (shapes is None or cycle_shape(c, labels) in shapes) and any(
-                        conjugate(x, c) in targets for x in copy.copy(drawn))
-                    if not witnessed:
-                        continue
-                out.append(cand)
-            out.sort(key=lambda v: (v.length, v.word))
-        memo[(K, w.key)] = (needed, tuple(out))
+        cands = W.minimal_reps_of_length(K, w.length - 1)
+        found, charged = self._witnesses(K, w, cands)
+        out = sorted((v for v, x in zip(cands, found) if x is not None),
+                     key=lambda v: (v.length, v.word))
+        memo[(K, w.key)] = (charged, tuple(out))
         return out
+
+    def _witnesses(self, K: frozenset, w: WeylElement,
+                   cands: Sequence[WeylElement]) -> tuple[list, int]:
+        """For each candidate w' in ^K W of length l(w) - 1, the key of the
+        first x in W_K with x (w' A) x^{-1} = t A for a coatom t of w, that
+        is of a witness of w' <=_K w (module docstring), or None; and the
+        charge, |W_K| or 0.  In this order: x = e, free; the charge, at the
+        first miss of x = e unless W_K = {e}; the shape filter; the scan.
+        """
+        W, frame = self.W, self._frame
+        targets = {compose(t, frame) for _, t in W.coatoms(w)}
+        order = W.parabolic_order(K)
+        # the orbit labels and the targets' shapes, formed with the charge,
+        # unless W_K is small enough to scan outright
+        labels = shapes = None
+        # never advanced itself: each copy replays the keys drawn so far
+        # and draws the rest on demand, so W_K is enumerated at most once
+        drawn = itertools.tee(W.parabolic_keys(K), 1)[0]
+        found, charged = [], 0
+        for cand in cands:
+            c = compose(cand.key, frame)
+            if c in targets:  # x = e, the first key of the scan
+                found.append(W.identity.key)
+                continue
+            if not charged and order > 1:  # the first miss charges the scan, once
+                check_budget(order, "|W_K| = {}", order)
+                charged = order
+                if order > _SCAN_ONLY_ORDER:
+                    labels = W.orbit_labels(K)
+                    shapes = {cycle_shape(t, labels) for t in targets}
+            if shapes is not None and cycle_shape(c, labels) not in shapes:
+                found.append(None)
+            else:
+                found.append(next((x for x in copy.copy(drawn) if conjugate(x, c) in targets),
+                                  None))
+        return found, charged
 
     # -- canonical parabolic type ------------------------------------------------
 

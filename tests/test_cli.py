@@ -9,6 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import budget_sweep
 import zipstrata
 from conftest import PROCESS_CACHES
 from zipstrata import glnzip, hasse, zipdatum
@@ -123,6 +124,12 @@ def test_budget_below_one_refuses_the_first_key(capsys, budget):
     assert capsys.readouterr() == default
     assert main(["--gl", "5", "2", "--budget", "0", "closure", "3,1,2,4,5"]) == 3
     assert capsys.readouterr().err == "budget exceeded: |W_K| = 4 exceeds budget 0\n"
+    # GL_4 (2,2), closure of 3,1,2,4: I_w is empty and a candidate misses
+    # x = e, but W_K = {e} leaves no key past e to charge
+    assert main(["--gl", "4", "2", "closure", "3,1,2,4"]) == 0
+    default = capsys.readouterr()
+    assert main(["--gl", "4", "2", "--budget", str(budget), "closure", "3,1,2,4"]) == 0
+    assert capsys.readouterr() == default
 
 
 def test_generic_budget_caps_the_representatives_not_the_group(capsys, tmp_path):
@@ -178,6 +185,30 @@ def test_a_pinned_budget_after_the_default_one_reads_as_on_empty_caches(
         cache.clear()
     record(head + tail)
     assert record(pinned) == cold
+
+
+def test_the_budget_sweep_matches_its_table():
+    # the table was written before a trivial W_K stopped being charged: only
+    # runs it refused with "|W_K| = 1" change, and each now reads as the
+    # table's run at budget 1, where that charge fitted, with its own budget
+    golden, table = budget_sweep.load(), budget_sweep.sweep()
+    assert table.keys() == golden.keys()
+    changed, now_ok = 0, 0
+    for command, runs in golden.items():
+        assert table[command].keys() == runs.keys()
+        for budget, run in runs.items():
+            new = table[command][budget]
+            if new == run:
+                continue
+            assert run[1] == f"budget exceeded: |W_K| = 1 exceeds budget {budget}\n", (
+                command, budget)
+            code, err, out = runs["1"]
+            assert new == [code, err.replace("budget 1\n", f"budget {budget}\n"), out], (
+                command, budget)
+            changed += 1
+            now_ok += code == 0
+    # the other 72 are refused next by the Xi walk's |W_I| check
+    assert (changed, now_ok) == (132, 60)
 
 
 def test_one_weyl_group_serves_every_budget(capsys):
@@ -500,7 +531,7 @@ def test_a_bad_cartan_document_after_a_good_one_still_exits_2(tmp_path, capsys):
 
 def test_decide_checks_its_precondition_by_the_first_witness(capsys):
     # GL_5 (3,2) at budget 1: |W_I| = 12, but the witness of w' <=_I w is
-    # x = e, so the twisted_leq scan stops before drawing a second key
+    # x = e, so the witness search of twisted_leq charges nothing
     argv = ["--gl", "5", "2", "--budget", "1", "decide", "1,3,4,5,2", "1,3,4,2,5"]
     assert main(argv) == 0
     assert json.loads(capsys.readouterr().out)["smooth"] is True

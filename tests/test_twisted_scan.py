@@ -1,14 +1,16 @@
 """Lower neighbours and the twisted order against the definition, and the
 facts the scans rest on.
 
-`ZipDatum.lower_neighbors` tests each candidate w' against the Bruhat
-coatoms of w, and `ZipDatum.twisted_leq` tests x w' psi(x)^{-1} against w
-in the Bruhat order, both conjugating raw keys by the frame;
+`ZipDatum.lower_neighbors`, and `ZipDatum.twisted_leq` on a pair with
+l(w') = l(w) - 1, share one witness search: x w' psi(x)^{-1} against the
+Bruhat coatoms of w, conjugating raw keys by the frame.  On other pairs
+`twisted_leq` tests x w' psi(x)^{-1} against w in the Bruhat order.
 `twisted_oracle` multiplies out x w' psi(x)^{-1}, with psi from its
 definition z^{-1} sigma(x) z, over ^K W taken from all of W.  They must
 agree, also with the cycle-shape test on every W_K, and stop agreeing when
-the orbit labels are made finer.  In type A a matching shape is a
-neighbour.  The property tests draw random finite-type data and check the
+the orbit labels are made finer, for either order alone.  Both orders
+charge |W_K| once past x = e, and nothing when W_K = {e}.  In type A a
+matching shape is a neighbour.  The property tests draw random finite-type data and check the
 weak-order search for ^K W, the parabolic operations against W_K
 enumerated, the length lemma l(x w' psi(x)^{-1}) >= l(w') with equal
 parity, that the orbit labels and the cycle shape are kept by W_K, that the
@@ -75,20 +77,33 @@ def _subsets(S):
     return [frozenset(c) for size in range(len(S) + 1) for c in itertools.combinations(S, size)]
 
 
-def _agree_on_every_K(zd, done=None):
-    """Compare on every K inside I.  <=_K depends only on K and on psi
-    restricted to W_K, so a (K, psi on the simples of K) already in ``done``
-    is skipped."""
-    done = set() if done is None else done
+def _fresh_subsets(zd, done):
+    """The K inside I, skipping a (K, psi on the simples of K) already in
+    ``done`` and adding the rest: <=_K depends only on K and on psi
+    restricted to W_K."""
     for K in _subsets(zd.I):
         restriction = (K, tuple(psi_by_definition(zd, zd.W.simple(k)).key for k in sorted(K)))
-        if restriction in done:
-            continue
-        done.add(restriction)
+        if restriction not in done:
+            done.add(restriction)
+            yield K
+
+
+BOTH_ORDERS = ("lower_neighbors", "twisted_leq")
+
+
+def _agree_on_every_K(zd, done=None, orders=BOTH_ORDERS):
+    """Compare on every K inside I (`_fresh_subsets`): lower_neighbors, and
+    twisted_leq on every cover candidate, the w' of length l(w) - 1."""
+    for K in _fresh_subsets(zd, set() if done is None else done):
         oracle = TwistedScan(zd, K)
         for level in oracle.levels.values():
             for w in level:
-                assert zd.lower_neighbors(K, w) == oracle.lower_neighbors(w), (K, w)
+                gamma = oracle.lower_neighbors(w)
+                if "lower_neighbors" in orders:
+                    assert zd.lower_neighbors(K, w) == gamma, (K, w)
+                if "twisted_leq" in orders:
+                    for v in oracle.levels.get(w.length - 1, ()):
+                        assert zd.twisted_leq(K, v, w) == (v in gamma), (K, w, v)
 
 
 @pytest.mark.parametrize("n,r,sigma", [(4, 2, "id"), (4, 1, "flip"), (5, 3, "flip")])
@@ -103,10 +118,12 @@ def test_oracle_order_is_twisted_leq(n, r, sigma):
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_lower_neighbors_match_scan_on_gl(n):
+    # on GL_6 the cover pairs of twisted_leq would take most of Tier-1's time
+    orders = BOTH_ORDERS if n <= 5 else ("lower_neighbors",)
     done = set()
     for r in range(1, n):
         for sigma in ("id", "flip"):
-            _agree_on_every_K(gl_zip_datum(n, r, sigma=sigma), done)
+            _agree_on_every_K(gl_zip_datum(n, r, sigma=sigma), done, orders)
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
@@ -131,15 +148,20 @@ def test_lower_neighbors_match_scan_with_the_shape_test_on_every_k(monkeypatch, 
     _agree_on_every_K(make_zip_datum(rs, frozenset(I), BasedAutomorphism.parse(rs, sigma), lat))
 
 
-@pytest.mark.parametrize("n,r,scan_only", [(4, 2, 0), (5, 3, zipdatum._SCAN_ONLY_ORDER)])
-def test_finer_orbit_labels_break_the_comparison(monkeypatch, n, r, scan_only):
+@pytest.mark.parametrize("n,r,scan_only,orders", [
+    (4, 2, 0, BOTH_ORDERS),
+    (5, 3, zipdatum._SCAN_ONLY_ORDER, BOTH_ORDERS),
+    (4, 2, 0, ("twisted_leq",)),
+], ids=["4-2-0", f"5-3-{zipdatum._SCAN_ONLY_ORDER}", "4-2-0-twisted_leq"])
+def test_finer_orbit_labels_break_the_comparison(monkeypatch, n, r, scan_only, orders):
     # one label per point: a shape then matches only the target it equals,
-    # so neighbours with a witness x != e are lost and the oracle notices
+    # so neighbours with a witness x != e are lost and the oracle notices;
+    # twisted_leq alone notices too, as its cover pairs pass the shape test
     monkeypatch.setattr(zipdatum, "_SCAN_ONLY_ORDER", scan_only)
     monkeypatch.setattr(WeylGroup, "orbit_labels",
                         lambda self, K: tuple(range(len(self.identity.key))))
     with pytest.raises(AssertionError):
-        _agree_on_every_K(gl_zip_datum(n, r))
+        _agree_on_every_K(gl_zip_datum(n, r), orders=orders)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
@@ -151,12 +173,7 @@ def test_matching_shape_is_a_neighbour_in_type_a(n):
         for sigma in ("id", "flip"):
             zd = gl_zip_datum(n, r, sigma=sigma)
             W = zd.W
-            for K in _subsets(zd.I):
-                restriction = (K, tuple(psi_by_definition(zd, W.simple(k)).key
-                                        for k in sorted(K)))
-                if restriction in done:
-                    continue
-                done.add(restriction)
+            for K in _fresh_subsets(zd, done):
                 labels = W.orbit_labels(K)
                 shapes = {w.key: cycle_shape(compose(w.key, zd._frame), labels)
                           for w in W.minimal_reps(K)}
@@ -470,3 +487,41 @@ def test_a_witness_past_e_costs_all_of_w_k_wherever_it_sits(budget):
                 zd.twisted_leq(zd.I, w1, w2)
         else:
             assert zd.twisted_leq(zd.I, w1, w2)
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_one_charge_rule_for_both_orders(n):
+    # a cover pair w' <=_K w is tested like a lower-neighbour candidate: at
+    # budget |W_K| - 1 it is refused exactly when w' misses x = e, i.e. is
+    # no Bruhat coatom of w, and at |W_K| it gets the oracle's answer
+    done = set()
+    for r in range(1, n):
+        for sigma in ("id", "flip"):
+            zd = gl_zip_datum(n, r, sigma=sigma)
+            W = zd.W
+            for K in _fresh_subsets(zd, done):
+                order = W.parabolic_order(K)
+                if order == 1:
+                    continue
+                oracle = TwistedScan(zd, K)
+                refused = re.escape(f"|W_K| = {order} exceeds budget {order - 1}")
+                for w in W.minimal_reps(K):
+                    gamma = oracle.lower_neighbors(w)
+                    for v in W.minimal_reps_of_length(K, w.length - 1):
+                        with budget_scope(order - 1):
+                            if W.bruhat_leq(v, w):
+                                assert zd.twisted_leq(K, v, w)
+                            else:
+                                with pytest.raises(BudgetExceeded, match=refused):
+                                    zd.twisted_leq(K, v, w)
+                        with budget_scope(order):
+                            assert zd.twisted_leq(K, v, w) == (v in gamma), (K, w, v)
+
+
+def test_a_trivial_w_k_charges_nothing():
+    # W_K = {e} leaves no key past e, so drawing all of it is free
+    W = WeylGroup(build_gl(3, 1)[0])
+    with budget_scope(0):
+        assert list(W.parabolic_keys(set())) == [W.identity.key]
+        with pytest.raises(BudgetExceeded, match=re.escape("|W_K| = 2 exceeds budget 0")):
+            list(W.parabolic_keys({1}))
