@@ -21,6 +21,29 @@ the rational witness to an integer one is sound because the geometric
 statement allows passing to a positive power of the line bundle; no
 minimality of the multiplier is claimed.
 
+Fourier-Motzkin keeps, with each row, its multipliers over the input rows
+(the certificate needs them), and their support is the row's history.
+After k variables are eliminated, a combined row whose history holds more
+than k + 1 input rows is implied by the other rows of its stage
+(Chernikov's rule: S. N. Chernikov, 1965; D. A. Kohler, 1967; Schrijver,
+*Theory of Linear and Integer Programming*, 1986, §12.2), and is dropped.
+The rule is stated for an elimination that keeps every derived row.  This
+one keeps a positive multiple of a row once, with the history of its first
+derivation, and another derivation of the same row may have a history the
+rule would let combine where the first one's does not.  So the rule can
+drop a row the system needs (on F4 with I = {1, 3}, one of 288 strata at
+weight 0).  That shows at once: the rule drops only combined rows, so
+every input row is read, up to a positive factor, by back-substitution at
+its first nonzero variable.  A back-substitution that finds a value at
+each variable has thus found a point of the original system, and an
+infeasible system whose contradiction was dropped meets an empty interval
+on the way.  Such a system is eliminated
+again without the rule.  Where the rule keeps every stage's polyhedron,
+every back-substitution interval, hence t and lambda_0, is that of the
+rule-free elimination; on all golden data and on every system of the
+property-test data the witnesses agree.  Without the rule, redundant rows
+compound from one eliminated variable to the next.
+
 At lambda = 0, the query `strata-list` makes for every stratum,
 `hasse_feasible_at_zero` eliminates no equality.  Let u = z^{-1} w.  Then
 (w - z) lambda_0 = 0 says exactly that u fixes lambda_0, and for such a
@@ -314,7 +337,19 @@ def _fourier_motzkin(strict_rows, rhs):
 
     Returns ('feasible', t) with rational t, or ('infeasible', multipliers)
     with nonnegative integer multipliers over the input rows deriving 0 < 0.
+
+    The elimination first follows Chernikov's rule (module docstring).  If
+    back-substitution then meets an empty interval, the rule dropped a row
+    the system needs, and the system is eliminated again without the rule.
     """
+    return _fm_eliminate(strict_rows, rhs, True) or _fm_eliminate(strict_rows, rhs, False)
+
+
+def _fm_eliminate(strict_rows, rhs, chernikov):
+    """`_fourier_motzkin`'s elimination and back-substitution.  With
+    ``chernikov``, after eliminating variable ``var`` (0-based), a combined
+    row with more than var + 2 nonzero multipliers is not kept, and an
+    empty back-substitution interval returns None."""
     nvars = len(strict_rows[0]) if strict_rows else 0
     m = len(strict_rows)
     # a row is [coeffs | rhs | multipliers]; positive multiples of a row
@@ -340,7 +375,10 @@ def _fourier_motzkin(strict_rows, rhs):
             ap = rp[var]
             for rn in neg:
                 an = -rn[var]
-                _fm_add(new, seen, [an * x + ap * y for x, y in zip(rp, rn)], nvars)
+                row = [an * x + ap * y for x, y in zip(rp, rn)]
+                if chernikov and m - row[nvars + 1:].count(0) > var + 2:
+                    continue  # Chernikov's rule
+                _fm_add(new, seen, row, nvars)
                 if len(new) > _FM_ROW_CAP:
                     raise BudgetExceeded("Fourier-Motzkin row cap exceeded")
         rows = new
@@ -373,6 +411,8 @@ def _fourier_motzkin(strict_rows, rhs):
             values[var] = lo + 1
         else:
             if not lo < hi:
+                if chernikov:
+                    return None
                 raise InvariantViolation(
                     "feasible FM system must leave room at each variable"
                 )

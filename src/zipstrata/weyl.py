@@ -52,6 +52,7 @@ import contextlib
 import contextvars
 import itertools
 import math
+from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
 from .rootdata import TYPE_A_GL, CharacterLattice, InvariantViolation, Root, RootSystem
@@ -81,8 +82,21 @@ def check_budget(size: int, what: str, *args) -> None:
 
 
 def compose(u: tuple, v: tuple) -> tuple:
-    """The key of u v: (u v)[i] = u[v[i]]."""
-    return tuple(map(u.__getitem__, v))
+    """The key of u v: (u v)[i] = u[v[i]], gathered in C by
+    ``itemgetter(*v)(u)``.
+
+    ``itemgetter`` returns a bare item for one index and refuses none, so a
+    key of fewer than two points takes the loop instead; no datum has one
+    (GL_n needs n >= 2, and a generic rank >= 1 gives 2N >= 2 root indices).
+
+    >>> compose((1, 2, 0), (2, 0, 1))
+    (0, 1, 2)
+    >>> compose((0,), (0,))
+    (0,)
+    """
+    if len(v) < 2:
+        return tuple(u[i] for i in v)
+    return itemgetter(*v)(u)
 
 
 def invert(p: tuple) -> tuple:

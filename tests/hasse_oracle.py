@@ -2,7 +2,10 @@
 reference for the integer solver in `zipstrata.hasse`.
 
 `_feasible_lambda0(dim, eq_rows, eq_rhs, strict_rows)` has the signature of
-`zipstrata.hasse._feasible_lambda0`, so a test can swap it in.
+`zipstrata.hasse._feasible_lambda0`, so a test can swap it in, and
+`_fourier_motzkin` that of `zipstrata.hasse._fourier_motzkin`.  Its
+Fourier-Motzkin keeps every combined row that is no positive multiple of
+one it holds: it is the reference without Chernikov's rule.
 """
 
 from fractions import Fraction
@@ -87,6 +90,15 @@ def _solve_linear_combination(rows, target):
     return tuple(particular)
 
 
+def _fm_contradiction(rows):
+    """Multipliers of the first row reading 0 < b with b <= 0, or None; run
+    on every stage, as in `zipstrata.hasse`, so a test can count the rows."""
+    for coeffs, b, mults in rows:
+        if not any(coeffs) and b <= 0:
+            return tuple(mults)
+    return None
+
+
 def _fourier_motzkin(strict_rows, rhs):
     """Decide {t : row . t < rhs_row for all rows} over Q.
 
@@ -107,15 +119,11 @@ def _fourier_motzkin(strict_rows, rhs):
             return row
         return ([c / scale for c in coeffs], b / scale, [x / scale for x in mults])
 
-    def const_contradiction(row):
-        coeffs, b, _ = row
-        return not any(coeffs) and b <= 0
-
     stages = []
     for var in range(nvars):
-        for row in rows:
-            if const_contradiction(row):
-                return "infeasible", tuple(row[2])
+        bad = _fm_contradiction(rows)
+        if bad is not None:
+            return "infeasible", bad
         stages.append(rows)
         pos = [r for r in rows if r[0][var] > 0]
         neg = [r for r in rows if r[0][var] < 0]
@@ -143,9 +151,9 @@ def _fourier_motzkin(strict_rows, rhs):
                 if len(new) > _FM_ROW_CAP:
                     raise RuntimeError("Fourier-Motzkin row cap exceeded")
         rows = new
-    for row in rows:
-        if const_contradiction(row):
-            return "infeasible", tuple(row[2])
+    bad = _fm_contradiction(rows)
+    if bad is not None:
+        return "infeasible", bad
 
     # back-substitute, last eliminated variable first
     values = [Fraction(0)] * nvars

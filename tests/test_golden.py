@@ -5,8 +5,9 @@ A_{n-1} against GL_n, and the shape of generic element keys; frozen
 The generic `strata_*.json` files under tests/data/ were written by the
 integer-matrix implementation of generic Weyl elements, the
 `strata_GL*.json` and `hasse_*.json` files by the Fraction Hasse solver and
-the per-w enumeration of lower neighbours, and `strata_E6.json` by the
-Cartan formula for every reflection key; every later implementation must
+the per-w enumeration of lower neighbours, `strata_E6.json` by the
+Cartan formula for every reflection key, and `strata_E7.json` by
+Fourier-Motzkin without Chernikov's rule; every later implementation must
 reproduce them byte for byte, witnesses and multipliers included.
 """
 
@@ -28,6 +29,10 @@ D4 = [[2, -1, 0, 0], [-1, 2, -1, -1], [0, -1, 2, 0], [0, -1, 0, 2]]
 # Bourbaki numbering: the chain 1-3-4-5-6, with node 2 attached to 4
 E6 = [[2, 0, -1, 0, 0, 0], [0, 2, 0, -1, 0, 0], [-1, 0, 2, -1, 0, 0],
       [0, -1, -1, 2, -1, 0], [0, 0, 0, -1, 2, -1], [0, 0, 0, 0, -1, 2]]
+# the chain 1-3-4-5-6-7, with node 2 attached to 4
+E7 = [[2, 0, -1, 0, 0, 0, 0], [0, 2, 0, -1, 0, 0, 0], [-1, 0, 2, -1, 0, 0, 0],
+      [0, -1, -1, 2, -1, 0, 0], [0, 0, 0, -1, 2, -1, 0], [0, 0, 0, 0, -1, 2, -1],
+      [0, 0, 0, 0, 0, -1, 2]]
 
 # name: (Cartan matrix in Bourbaki numbering, I, sigma)
 GOLDEN = {
@@ -89,6 +94,11 @@ def test_strata_list_matches_golden_dump(name, tmp_path, capsys):
 def test_e6_strata_list_matches_golden_dump(tmp_path, capsys):
     out = _strata_list(capsys, tmp_path, E6, [1, 2, 3, 4, 5])
     assert out == (DATA / "strata_E6.json").read_text()
+
+
+def test_e7_strata_list_matches_golden_dump(tmp_path, capsys):
+    out = _strata_list(capsys, tmp_path, E7, [1, 2, 3, 4, 5, 6])
+    assert out == (DATA / "strata_E7.json").read_text()
 
 
 @pytest.mark.parametrize(

@@ -5,6 +5,14 @@ that `zipstrata.hasse` replaced.  Both must reach the same verdict and the
 same lambda_0 on every system; certificates may differ by a scale factor,
 so they are compared by replaying them.
 
+Chernikov's rule in `hasse._fourier_motzkin` is checked against the
+oracle's Fourier-Motzkin, which has no rule: on drawn systems, on every
+weight-0 system of the golden data and on a system where the rule drops a
+row it needs (and the elimination runs again without it), the verdict and
+the point t are the same, every certificate replays, and no stage holds
+more rows (counted through each module's `_fm_contradiction`, which sees
+every stage).
+
 `hasse_feasible` is in turn the reference for `hasse_feasible_at_zero`,
 the weight-0 path on u-orbit sums that `strata-list` takes: the same
 verdict and E_w on every stratum of GL_2..GL_8 and of the generic data,
@@ -24,7 +32,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hasse_oracle
-from test_golden import GOLDEN
+from test_golden import E6, GOLDEN
 from zipstrata import hasse
 from zipstrata.rootdata import build_generic
 from zipstrata.zipdatum import BasedAutomorphism, gl_zip_datum, make_zip_datum
@@ -40,6 +48,16 @@ def systems(draw):
     eq_rhs = draw(st.lists(entries, min_size=len(eq_rows), max_size=len(eq_rows)))
     strict_rows = draw(st.lists(row, max_size=6))
     return dim, eq_rows, eq_rhs, strict_rows
+
+
+@st.composite
+def strict_systems(draw):
+    # more rows than variables, so that combined rows can carry more input
+    # rows than Chernikov's rule allows
+    nvars = draw(st.integers(min_value=1, max_value=4))
+    rows = draw(st.lists(st.lists(entries, min_size=nvars, max_size=nvars), max_size=8))
+    rhs = draw(st.lists(entries, min_size=len(rows), max_size=len(rows)))
+    return rows, rhs
 
 
 def _same_outcome(new, old):
@@ -69,6 +87,95 @@ def test_fixed_systems():
         (2, [[Fraction(1, 2), 1], [1, 2]], [Fraction(1, 3), 1], [[1, 0]]),
     ]:
         _same_outcome(hasse._feasible_lambda0(*system), hasse_oracle._feasible_lambda0(*system))
+
+
+def _fm_replays(rows, rhs, mults):
+    """Nonnegative multipliers, not all zero, combining the rows to 0 < b
+    with b <= 0."""
+    assert all(y >= 0 for y in mults) and any(mults)
+    assert not any(sum(y * row[k] for y, row in zip(mults, rows)) for k in range(len(rows[0])))
+    assert sum(y * b for y, b in zip(mults, rhs)) <= 0
+
+
+def _fm_systems(query, fm=hasse._fourier_motzkin):
+    """What ``query()`` returns with ``fm`` deciding its Fourier-Motzkin
+    systems, and those systems."""
+    systems = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hasse, "_fourier_motzkin",
+                   lambda rows, rhs: systems.append((rows, rhs)) or fm(rows, rhs))
+        out = query()
+    return out, systems
+
+
+def _counting(module, sizes, monkeypatch):
+    # every stage of a Fourier-Motzkin run passes through _fm_contradiction
+    real = module._fm_contradiction
+    monkeypatch.setattr(module, "_fm_contradiction",
+                        lambda rows, *args: sizes.append(len(rows)) or real(rows, *args))
+
+
+def agrees_with_rule_free(rows, rhs):
+    """Returns the stage sizes (with the rule, without it) after checking
+    that both reach the same verdict and point and that every certificate
+    replays; no stage may hold more rows with the rule."""
+    with_rule, without = [], []
+    with pytest.MonkeyPatch.context() as mp:
+        _counting(hasse, with_rule, mp)
+        _counting(hasse_oracle, without, mp)
+        new = hasse._fourier_motzkin(rows, rhs)
+        old = hasse_oracle._fourier_motzkin(rows, rhs)
+    assert new[0] == old[0], (rows, rhs)
+    if new[0] == "feasible":
+        assert new[1] == old[1], (rows, rhs)
+    else:
+        _fm_replays(rows, rhs, new[1])
+        _fm_replays(rows, rhs, old[1])
+    # with the rule, a contradiction may show a stage later, or only in the
+    # rule-free run that follows an empty interval; the first run's stages
+    # are compared with the oracle's, as far as both go
+    assert all(a <= b for a, b in zip(with_rule, without)), (rows, rhs)
+    return with_rule, without
+
+
+def test_a_row_the_rule_needed_is_caught_by_back_substitution():
+    # t_2 < 0 arrives first from input rows {0, 1}, then from {1, 2} and
+    # {0, 3}, and only the first is kept; with -t_2 < 0 (rows {2, 3}) its
+    # history has four rows, one more than the rule allows after two
+    # eliminations, so the contradiction is dropped.  Back-substitution
+    # meets an empty interval at t_1, and the rule-free elimination that
+    # follows finds the contradiction.
+    rows = [[-3, 6], [3, 3], [-3, 0], [3, -3]]
+    with_rule, without = agrees_with_rule_free(rows, [0, 0, 0, 0])
+    assert hasse._fourier_motzkin(rows, [0, 0, 0, 0])[0] == "infeasible"
+    assert with_rule == [4, 2, 0, 4, 2, 1] and without == [4, 2, 1]
+
+
+def test_chernikov_rule_on_f4_at_weight_zero_with_equalities():
+    # where the case above was found: `hasse_feasible` at weight 0 on F4,
+    # I = {1, 3}, whose substituted systems repeat rows
+    rs, lat = build_generic(GOLDEN["F4"][0])
+    zd = make_zip_datum(rs, frozenset({1, 3}), lattice=lat)
+    zero = [0] * zd.lattice.dim
+    _, systems = _fm_systems(lambda: [hasse.hasse_feasible(zd, w, zero) for w in zd.minimal_reps()])
+    for rows, rhs in systems:
+        agrees_with_rule_free(rows, rhs)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(strict_systems())
+def test_chernikov_rule_matches_rule_free_fourier_motzkin(system):
+    agrees_with_rule_free(*system)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(systems())
+def test_chernikov_rule_on_substituted_systems(system):
+    # the systems `_feasible_lambda0` hands Fourier-Motzkin after the
+    # equalities are substituted
+    _, calls = _fm_systems(lambda: hasse._feasible_lambda0(*system))
+    for rows, rhs in calls:
+        agrees_with_rule_free(rows, rhs)
 
 
 def _gl_data(n):
@@ -114,6 +221,41 @@ def _golden_data():
     for name, (cartan, I, sigma) in sorted(GOLDEN.items()):
         rs, lat = build_generic(cartan)
         yield name, make_zip_datum(rs, frozenset(I), BasedAutomorphism.parse(rs, sigma), lat)
+
+
+def _e6_datum():
+    rs, lat = build_generic(E6)
+    return make_zip_datum(rs, frozenset(range(1, 6)), lattice=lat)
+
+
+def _weight_zero_systems(zd, fm=hasse._fourier_motzkin):
+    return _fm_systems(lambda: [hasse.hasse_feasible_at_zero(zd, w) for w in zd.minimal_reps()], fm)
+
+
+@pytest.mark.parametrize("name,zd", [
+    *(pair for n in (4, 5, 6) for pair in _gl_data(n)),
+    *_golden_data(),
+    ("E6", _e6_datum()),
+], ids=lambda v: v if isinstance(v, str) else "")
+def test_chernikov_rule_keeps_every_weight_zero_answer(name, zd):
+    # the golden data's weight-0 systems (E7's take 15 s without the rule
+    # and are covered by its golden dump): the witness lambda_0 and the
+    # verdict are those of the rule-free solver, and every system passes
+    # `agrees_with_rule_free`
+    new, systems = _weight_zero_systems(zd)
+    old, _ = _weight_zero_systems(zd, hasse_oracle._fourier_motzkin)
+    for w, a, b in zip(zd.minimal_reps(), new, old):
+        assert (a.feasible, a.witness) == (b.feasible, b.witness), (name, w)
+        assert a.feasible or a.certificate.replay(), (name, w)
+    for rows, rhs in systems:
+        agrees_with_rule_free(rows, rhs)
+
+
+def test_chernikov_rule_drops_rows_on_e6():
+    # the rule is live: E6's weight-0 systems hold fewer rows with it
+    _, systems = _weight_zero_systems(_e6_datum())
+    sizes = [agrees_with_rule_free(rows, rhs) for rows, rhs in systems]
+    assert sum(sum(a) for a, _ in sizes) < sum(sum(b) for _, b in sizes)
 
 
 def agrees_at_zero(zd):

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import random
 import tracemalloc
@@ -6,9 +7,9 @@ import tracemalloc
 import pytest
 
 import root_oracle
-from test_golden import GOLDEN
+from test_golden import DATA, GOLDEN
 from zipstrata.rootdata import build_generic, build_gl
-from zipstrata.weyl import WeylGroup
+from zipstrata.weyl import WeylGroup, compose
 
 
 def _gl_group(n):
@@ -314,3 +315,36 @@ def test_words_are_reduced_and_greedy():
     for w in W.elements():
         assert len(w.word) == w.length
         assert W.from_word(w.word) == w
+
+
+def _compose_by_loop(u, v):
+    return tuple(u[i] for i in v)
+
+
+def test_compose_matches_the_loop_definition():
+    # seeded random permutations of 2..8 points, then the 240-point keys of
+    # E8: its simple reflections and their products
+    rng = random.Random(7)
+    for size in range(2, 9):
+        for _ in range(50):
+            u, v = list(range(size)), list(range(size))
+            rng.shuffle(u)
+            rng.shuffle(v)
+            u, v = tuple(u), tuple(v)
+            assert compose(u, v) == _compose_by_loop(u, v)
+            assert type(compose(u, v)) is tuple
+    rs, _ = build_generic(json.loads((DATA / "cartan_E8.json").read_text())["cartan"])
+    W = WeylGroup(rs)
+    keys = [W.simple(k).key for k in rs.delta_indices()]
+    assert {len(key) for key in keys} == {240}
+    for _ in range(30):
+        keys.append(compose(rng.choice(keys), rng.choice(keys)))
+    for u in keys:
+        for v in rng.sample(keys, 5):
+            assert compose(u, v) == _compose_by_loop(u, v)
+
+
+@pytest.mark.parametrize("u,v", [((), ()), ((0,), (0,)), ((5, 6), (1,)), ((5, 6), ())])
+def test_compose_on_fewer_than_two_points_is_a_tuple(u, v):
+    # itemgetter returns a bare item for one index and refuses none
+    assert compose(u, v) == _compose_by_loop(u, v)
