@@ -48,6 +48,8 @@ class RunConfig:
 
     def datum(self) -> ZipDatum:
         if self.gl is not None:
+            if self.cartan_file is not None:
+                raise ZipDatumError("--gl N R and --cartan FILE each name a datum; give one")
             if self.I is not None:
                 raise ZipDatumError("--I is for --cartan data; with --gl N R, I is fixed by R")
             n, r = self.gl

@@ -208,12 +208,6 @@ class Fq:
         add, t = self._add_table, self._mul_table[self._neg_table[c]]
         return [add[x][t[y]] for x, y in zip(row, other)]
 
-    def frobenius(self, a: int) -> int:
-        """x |-> x^p, the arithmetic Frobenius generator."""
-        if self.k == 1:
-            return a
-        return self._frob_table[a]
-
     def frobenius_pow(self, a: int, m: int) -> int:
         """x |-> x^{p^m}; only m mod k matters."""
         if self.k == 1:
@@ -265,10 +259,6 @@ class RationalField:
     @staticmethod
     def sub_multiple(row, c, other):
         return [x - c * y for x, y in zip(row, other)]
-
-    @staticmethod
-    def frobenius(a):
-        return a
 
     @staticmethod
     def frobenius_pow(a, m):

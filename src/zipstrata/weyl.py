@@ -10,8 +10,8 @@ under w iff w.key[a] > w.key[b] for the pair of points (a, b) recorded for
 that root.  The Bruhat order is decided by the lifting property, whose
 recursion never branches: `bruhat_leq` runs it as one loop on the inverse
 keys, stripping a left descent of w (a right descent of w^{-1}) per step,
-and memoizes only the pair asked for.  Reduced words are chosen greedily
-(smallest simple index first) so that all enumerations are reproducible.
+and memoizes nothing.  Reduced words are chosen greedily (smallest simple
+index first) so that all enumerations are reproducible.
 
 Every group operation has one algorithm on keys, shared by GL_n and generic
 data.  |W_K| is the height product prod_{alpha in Phi_K+} (ht alpha + 1) /
@@ -257,7 +257,6 @@ class WeylGroup:
     def __init__(self, rs: RootSystem):
         self.rs = rs
         self._elements: dict = {}
-        self._bruhat: dict = {}
         self._coatoms: dict = {}
         self._orbit_labels: dict = {}
         self._minimal_reps: dict = {}
@@ -434,8 +433,8 @@ class WeylGroup:
         left descent of w is a right descent of w^{-1}.  An s that is no
         descent of v is taken first, since it closes the length gap.  The
         loop stops once v = e (below everything) or l(v) >= l(w), where
-        v <= w iff v = w.  Only the pair asked for is memoized, and no
-        intermediate product is interned.
+        v <= w iff v = w.  Nothing is memoized, and no intermediate product
+        is interned.
         """
         if v.group is not self or w.group is not self:
             raise ValueError("elements belong to a different Weyl group")
@@ -444,27 +443,23 @@ class WeylGroup:
         lv, lw = v.length, w.length
         if lv >= lw:
             return False
-        pair = (v.key, w.key)
-        hit = self._bruhat.get(pair)
-        if hit is None:
-            p, q = invert(v.key), invert(w.key)
-            while 0 < lv < lw:
-                shared = None
-                for move in self._simple_moves:
-                    (a, b), s = move
-                    if q[a] > q[b]:  # s is a left descent of w
-                        if p[a] < p[b]:
-                            break
-                        shared = shared or move
-                else:  # every left descent of w is one of v
-                    (a, b), s = shared
-                q = compose(q, s)
-                lw -= 1
-                if p[a] > p[b]:
-                    p = compose(p, s)
-                    lv -= 1
-            hit = self._bruhat[pair] = lv < lw or p == q
-        return hit
+        p, q = invert(v.key), invert(w.key)
+        while 0 < lv < lw:
+            shared = None
+            for move in self._simple_moves:
+                (a, b), s = move
+                if q[a] > q[b]:  # s is a left descent of w
+                    if p[a] < p[b]:
+                        break
+                    shared = shared or move
+            else:  # every left descent of w is one of v
+                (a, b), s = shared
+            q = compose(q, s)
+            lw -= 1
+            if p[a] > p[b]:
+                p = compose(p, s)
+                lv -= 1
+        return lv < lw or p == q
 
     def coatoms(self, w: WeylElement) -> tuple[tuple[Root, tuple], ...]:
         """(alpha, key of w s_alpha) for the Bruhat coatoms of w: the w s_alpha,

@@ -1,7 +1,13 @@
 import pytest
+from hypothesis import settings
 
 from zipstrata import hasse, rootdata, zipdatum
 from zipstrata.zipdatum import gl_zip_datum
+
+# every @given test draws the same examples on every run, and no example
+# database carries draws from one run into the next
+settings.register_profile("tier1", derandomize=True, database=None)
+settings.load_profile("tier1")
 
 # every table the library keeps for the life of the process
 PROCESS_CACHES = (

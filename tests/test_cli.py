@@ -484,13 +484,15 @@ def _cartan_file(tmp_path, doc):
         lambda tmp: ("--gl", "4", "2", "decide", "s9", "s1"),
         lambda tmp: ("--gl", "4", "2", "decide", "s0", "s1"),
         lambda tmp: ("--gl", "4", "2", "decide", "s-1", "s1"),
+        lambda tmp: ("--gl", "3", "1", "--cartan", _cartan_file(tmp, {"cartan": A2}),
+                     "strata-list"),
     ],
     ids=["missing-file", "no-cartan-key", "I-with-gl", "I-with-gl-document", "I-not-a-number",
          "list-document", "null-document", "cartan-number", "cartan-row-number",
          "cartan-null-entry",
          "I-null", "I-number", "sigma-number", "sigma-null", "lattice-list",
          "lattice-without-pairing", "lattice-pairing-number", "simple-index-9",
-         "simple-index-0", "simple-index-negative"],
+         "simple-index-0", "simple-index-negative", "gl-with-cartan"],
 )
 def test_bad_datum_input_is_a_precondition_error(tmp_path, capsys, argv):
     code = main(list(argv(tmp_path)))

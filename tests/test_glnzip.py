@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import fq_oracle
+from zipstrata import glnzip
 from zipstrata.fq import (
     Fq, FqSubspace, QQ, det, enumerate_gl, mat_identity, mat_mul, mat_inv)
 from zipstrata.glnzip import (
@@ -31,7 +32,6 @@ from zipstrata.glnzip import (
     verify_length2,
     x_element,
     xi_classify,
-    zip_pair_sample,
 )
 from zipstrata.strata import pi_small, is_small, xi_of_weyl
 from zipstrata.weyl import BudgetExceeded, budget_scope
@@ -64,6 +64,39 @@ def _random_invertible(F, n, rng):
         g = tuple(tuple(rng.choice(els) for _ in range(n)) for _ in range(n))
         if det(F, g) != F.zero:
             return g
+
+
+def _zip_pair_sample(F, sig, m, rng):
+    """A random element (x, y) of the exponent-m zip group over F.
+
+    x = [[A,0],[C,D]] in P and y = [[sigma^m A, B'],[0, sigma^m D]] in Q share
+    Levi parts up to sigma^m.  For m = 0 the Levi parts agree on the nose.
+    """
+    n, r, s = sig.n, sig.r, sig.s
+    els = list(F.elements())
+    A = _random_invertible(F, r, rng)
+    D = _random_invertible(F, s, rng)
+    C = tuple(tuple(rng.choice(els) for _ in range(r)) for _ in range(s))
+    Bp = tuple(tuple(rng.choice(els) for _ in range(s)) for _ in range(r))
+    x = tuple(
+        tuple(
+            (A[i][j] if j < r else F.zero) if i < r else
+            (C[i - r][j] if j < r else D[i - r][j - r])
+            for j in range(n)
+        )
+        for i in range(n)
+    )
+    sA = tuple(tuple(F.frobenius_pow(v, m) for v in row) for row in A)
+    sD = tuple(tuple(F.frobenius_pow(v, m) for v in row) for row in D)
+    y = tuple(
+        tuple(
+            (sA[i][j] if j < r else Bp[i][j - r]) if i < r else
+            (F.zero if j < r else sD[i - r][j - r])
+            for j in range(n)
+        )
+        for i in range(n)
+    )
+    return x, y
 
 
 def test_signature_catalog_invariant():
@@ -233,7 +266,7 @@ def test_xi_classify_zip_orbit_invariance(zd22):
         for m in (1, 2):
             for _ in range(12):
                 g = _random_invertible(F, 4, rng)
-                x, y = zip_pair_sample(F, sig, m, rng)
+                x, y = _zip_pair_sample(F, sig, m, rng)
                 moved = mat_mul(F, mat_mul(F, x, g), mat_inv(F, y))
                 got = xi_classify(zd22, F, mat_mul(F, moved, zm), m)
                 want = xi_classify(zd22, F, mat_mul(F, g, zm), m)
@@ -327,7 +360,7 @@ def test_delta_covariance_under_zip_pairs():
 
             if det(F, cand) != 0:
                 g = cand
-        x, y = zip_pair_sample(F, sig, 0, rng)
+        x, y = _zip_pair_sample(F, sig, 0, rng)
         moved = mat_mul(F, mat_mul(F, x, g), mat_inv(F, y))
         dx = delta(F, x, 2)
         lhs = delta(F, moved, 2)
@@ -344,7 +377,7 @@ def test_classify_22_constant_on_zip_orbits():
     sig = Signature(2, 2)
     for _ in range(25):
         f = _random_invertible(F3, 4, rng)
-        x, y = zip_pair_sample(F3, sig, 0, rng)
+        x, y = _zip_pair_sample(F3, sig, 0, rng)
         moved = mat_mul(F3, mat_mul(F3, x, f), mat_inv(F3, y))
         assert classify_22(F3, moved) == classify_22(F3, f)
 
@@ -574,6 +607,16 @@ def test_verify_length2_cross_checks():
     for r, s in [(3, 2), (4, 2), (3, 3)]:
         report = verify_length2(Signature(r, s))
         assert report["U1"]["agrees"] and report["U2"]["agrees"]
+
+
+@pytest.mark.parametrize("m_list", [[], [0], [2, 2]], ids=["empty", "zero", "repeated"])
+def test_census_refuses_bad_exponents_before_any_point(monkeypatch, m_list):
+    def no_points(F, n):
+        raise AssertionError("a point was enumerated")
+
+    monkeypatch.setattr(glnzip, "enumerate_gl", no_points)
+    with pytest.raises(ZipDatumError, match="^census exponents must be distinct and >= 1"):
+        fp_point_census(Signature(2, 1), 2, m_list)
 
 
 def test_census_budget_rejection():

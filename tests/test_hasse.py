@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from test_golden import E6, E7, GOLDEN
 from zipstrata.glnzip import Signature, x_element
 from zipstrata.hasse import (
     e_w_set,
@@ -10,7 +11,7 @@ from zipstrata.hasse import (
     hasse_feasible,
     hasse_report,
 )
-from zipstrata.zipdatum import ZipDatumError, gl_zip_datum
+from zipstrata.zipdatum import ZipDatumError, gl_zip_datum, zip_datum_from_json
 
 
 def test_e_w_identity_empty(zd22):
@@ -37,14 +38,24 @@ def test_e_w_catalog_n_minus_1_1(n):
         assert got == expected, i
 
 
-def test_length_drop_implies_bruhat(zd32):
-    # defensive invariant of e_w_set, checked directly
-    W = zd32.W
-    for w in zd32.minimal_reps():
-        for alpha in zd32.rs.positive_roots:
-            ws = w * W.reflection(alpha)
-            if ws.length == w.length - 1:
-                assert W.bruhat_leq(ws, w)
+def test_length_drop_implies_bruhat():
+    # e_w_set takes every coatom w s_alpha (l(w s_alpha) = l(w) - 1) to lie
+    # below w in the Bruhat order without comparing.  bruhat_leq confirms it
+    # on all of W for GL_2..6 and the golden generic data of rank <= 4, and
+    # on ^I W for every GL_7 datum and the golden E6 and E7 data
+    whole = [gl_zip_datum(n, 1) for n in range(2, 7)]
+    whole += [zip_datum_from_json({"cartan": cartan, "I": I, "sigma": sigma})
+              for cartan, I, sigma in GOLDEN.values()]
+    reps = [gl_zip_datum(7, r, sigma=sigma) for r in range(1, 7) for sigma in ("id", "flip")]
+    reps += [zip_datum_from_json({"cartan": E6, "I": [1, 2, 3, 4, 5]}),
+             zip_datum_from_json({"cartan": E7, "I": [1, 2, 3, 4, 5, 6]})]
+    cases = [(zd.W, zd.W.elements()) for zd in whole] + [(zd.W, zd.minimal_reps()) for zd in reps]
+    for W, elements in cases:
+        for w in elements:
+            for alpha, key in W.coatoms(w):
+                v = W._intern(key)
+                assert v.length == w.length - 1, (w, alpha)
+                assert W.bruhat_leq(v, w), (w, alpha)
 
 
 def test_feasible_trivial_identity(zd22):

@@ -69,7 +69,7 @@ def _same_outcome(new, old):
         assert all(m >= 0 for m in cert_new.strict_multipliers)
 
 
-@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@settings(max_examples=400, deadline=None)
 @given(systems())
 def test_integer_solver_matches_fraction_solver(system):
     _same_outcome(hasse._feasible_lambda0(*system), hasse_oracle._feasible_lambda0(*system))
@@ -162,13 +162,13 @@ def test_chernikov_rule_on_f4_at_weight_zero_with_equalities():
         agrees_with_rule_free(rows, rhs)
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@settings(max_examples=200, deadline=None)
 @given(strict_systems())
 def test_chernikov_rule_matches_rule_free_fourier_motzkin(system):
     agrees_with_rule_free(*system)
 
 
-@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@settings(max_examples=400, deadline=None)
 @given(systems())
 def test_chernikov_rule_on_substituted_systems(system):
     # the systems `_feasible_lambda0` hands Fourier-Motzkin after the
