@@ -68,6 +68,20 @@ class RunConfig:
                 doc["sigma"] = self.sigma
         return zip_datum_from_json(doc)
 
+    def refuse_datum(self, command: str, gl: bool = False) -> None:
+        """Raise `ZipDatumError` naming the first datum option given that
+        ``command`` cannot honour: ``--gl`` (unless ``gl``), ``--cartan``,
+        ``--I``, or a ``--sigma`` other than ``id``."""
+        given = (
+            ("--gl N R", self.gl is not None and not gl),
+            ("--cartan FILE", self.cartan_file is not None),
+            ("--I", self.I is not None),
+            (f"--sigma {self.sigma}", self.sigma != "id"),
+        )
+        for option, present in given:
+            if present:
+                raise ZipDatumError(f"{command} does not take {option}")
+
 
 def _parse_element(zd: ZipDatum, text: str) -> WeylElement:
     """One-line '3,4,1,2' or reduced word 's1 s3' (words only, for generic)."""
@@ -151,6 +165,7 @@ def cmd_closure(config: RunConfig, w_text: str) -> str:
 
 
 def cmd_sweep_length2(config: RunConfig, n_max: int, verify: bool) -> str:
+    config.refuse_datum("sweep-length2")
     rows = []
     for n in range(4, n_max + 1):
         for s in range(2, n // 2 + 1):
@@ -206,6 +221,7 @@ def cmd_xi(config: RunConfig, w_text: str | None, matrix_text: str | None) -> st
 
 
 def cmd_census(config: RunConfig, m_list: list[int]) -> str:
+    config.refuse_datum("census", gl=True)
     if config.gl is None:
         raise ZipDatumError("census needs --gl N R")
     n, r = config.gl
@@ -226,6 +242,7 @@ def cmd_census(config: RunConfig, m_list: list[int]) -> str:
 
 
 def cmd_closed_form(config: RunConfig, r: int, s: int) -> str:
+    config.refuse_datum("closed-form")
     return _emit(length2_closed_form(Signature(r, s)), config.fmt)
 
 

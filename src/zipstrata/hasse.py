@@ -13,13 +13,13 @@ equalities are solved by one fraction-free integer Gauss-Jordan elimination
 and the strict rows decided by Fourier-Motzkin elimination on primitive
 integer rows.  Infeasibility comes with an integer certificate: multipliers
 (the strict ones nonnegative) that replay to the symbolic contradiction
-0 < 0.  Fractions appear only on the way to a witness: in the point that
-Fourier-Motzkin back-substitution picks and in lambda_0.  Every load-bearing
-check (certificate replay, the witness re-check) raises
-`InvariantViolation`, so it also runs under ``python -O``.  Scaling
-the rational witness to an integer one is sound because the geometric
-statement allows passing to a positive power of the line bundle; no
-minimality of the multiplier is claimed.
+0 < 0.  Back-substitution runs on integers too, with its values over one
+shared denominator, so a Fraction is built only for the point it returns
+and for `HasseWitness.lambda0`.  Every load-bearing check (certificate
+replay, the witness re-check) raises `InvariantViolation`, so it also runs
+under ``python -O``.  Scaling the rational witness to an integer one is
+sound because the geometric statement allows passing to a positive power
+of the line bundle; no minimality of the multiplier is claimed.
 
 Fourier-Motzkin keeps, with each row, its multipliers over the input rows
 (the certificate needs them), and their support is the row's history.
@@ -74,6 +74,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 from typing import Sequence
 
 from .rootdata import Root
@@ -329,8 +330,9 @@ def _fm_contradiction(rows, nvars):
 def _fourier_motzkin(strict_rows, rhs):
     """Decide {t : row . t < rhs_row for all rows} over Q, integer rows.
 
-    Returns ('feasible', t) with rational t, or ('infeasible', multipliers)
-    with nonnegative integer multipliers over the input rows deriving 0 < 0.
+    Returns ('feasible', t) with t a tuple of Fractions, built once from the
+    integer back-substitution, or ('infeasible', multipliers) with
+    nonnegative integer multipliers over the input rows deriving 0 < 0.
 
     The elimination first follows Chernikov's rule (module docstring).  If
     back-substitution then meets an empty interval, the rule dropped a row
@@ -343,15 +345,23 @@ def _fm_eliminate(strict_rows, rhs, chernikov):
     """`_fourier_motzkin`'s elimination and back-substitution.  With
     ``chernikov``, after eliminating variable ``var`` (0-based), a combined
     row with more than var + 2 nonzero multipliers is not kept, and an
-    empty back-substitution interval returns None."""
+    empty back-substitution interval returns None.
+
+    Back-substitution picks, at each variable, the midpoint of its interval,
+    or the one bound it has moved by 1, or 0.  It works on integers: every
+    value chosen so far is a numerator over one shared denominator, which
+    grows (and the numerators with it) when a value needs more, and bounds
+    are compared by cross-multiplication.  The Fractions of the point are
+    built once, at return."""
     nvars = len(strict_rows[0]) if strict_rows else 0
     m = len(strict_rows)
     # a row is [coeffs | rhs | multipliers]; positive multiples of a row
     # describe the same half-space, so a row is kept once, divided by its gcd
-    rows = [
-        [*row, b, *(int(i == j) for j in range(m))]
-        for i, (row, b) in enumerate(zip(strict_rows, rhs))
-    ]
+    rows, zeros = [], [0] * m
+    for i, (row, b) in enumerate(zip(strict_rows, rhs)):
+        aug = [*row, b, *zeros]
+        aug[nvars + 1 + i] = 1
+        rows.append(aug)
     stages = []
     for var in range(nvars):
         bad = _fm_contradiction(rows, nvars)
@@ -380,38 +390,51 @@ def _fm_eliminate(strict_rows, rhs, chernikov):
     if bad is not None:
         return "infeasible", bad
 
-    # back-substitute, last eliminated variable first; a bound rest / a does
-    # not change when its row is scaled by a positive number
-    values = [Fraction(0)] * nvars
+    # back-substitute, last eliminated variable first, on integers: t_k is
+    # num[k] / den with one shared den > 0, and a bound is a pair (p, q),
+    # q > 0, standing for p / q.  The row a t_var + rest' < b bounds t_var by
+    # (b den - rest' den) / (a den), which does not change when the row is
+    # scaled by a positive number.
+    num = [0] * nvars
+    den = 1
     for var in range(nvars - 1, -1, -1):
         lo = hi = None
+        tail = num[var + 1:]
         for row in stages[var]:
             a = row[var]
             if a == 0:
                 continue
-            rest = row[nvars] - sum(
-                row[k] * values[k] for k in range(var + 1, nvars) if row[k]
-            )
-            bound = Fraction(rest, a)
-            if a > 0:  # t_var < bound
-                hi = bound if hi is None else min(hi, bound)
-            else:  # t_var > bound
-                lo = bound if lo is None else max(lo, bound)
+            rest = row[nvars] * den - sum(map(mul, row[var + 1:nvars], tail))
+            if a > 0:  # t_var < rest / (a den)
+                q = a * den
+                if hi is None or rest * hi[1] < hi[0] * q:
+                    hi = (rest, q)
+            else:  # t_var > -rest / (-a den)
+                q = -a * den
+                if lo is None or -rest * lo[1] > lo[0] * q:
+                    lo = (-rest, q)
         if lo is None and hi is None:
-            values[var] = Fraction(0)
-        elif lo is None:
-            values[var] = hi - 1
+            continue  # t_var = 0
+        if lo is None:
+            p, q = hi[0] - hi[1], hi[1]
         elif hi is None:
-            values[var] = lo + 1
+            p, q = lo[0] + lo[1], lo[1]
         else:
-            if not lo < hi:
+            if not lo[0] * hi[1] < hi[0] * lo[1]:
                 if chernikov:
                     return None
                 raise InvariantViolation(
                     "feasible FM system must leave room at each variable"
                 )
-            values[var] = (lo + hi) / 2
-    return "feasible", tuple(values)
+            p, q = lo[0] * hi[1] + hi[0] * lo[1], 2 * lo[1] * hi[1]
+        g = gcd(p, q)
+        p, q = p // g, q // g
+        if den % q:  # the shared denominator grows to lcm(den, q)
+            grow = q // gcd(den, q)
+            num = [x * grow for x in num]
+            den *= grow
+        num[var] = p * (den // q)
+    return "feasible", tuple(Fraction(x, den) for x in num)
 
 
 def _certificate(eq_rows, eq_rhs, strict_rows, eq_mults, strict_mults):

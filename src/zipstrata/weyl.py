@@ -34,7 +34,8 @@ descent in K, and `minimal_reps` never enumerates W (Bjorner-Brenti,
 
 `root_key` is the permutation of the 2N root indices (`RootSystem.roots`
 order) that w induces: the key itself for generic data, and in type A the
-image of e_a - e_b read off a table of root indices by point pair.  The
+image of e_a - e_b read off a table of root indices by point pair, built
+once per element and kept on it.  The
 action on roots (`WeylElement.apply`) and phi_w (`ZipDatum.phi_key`) are
 indexing into it.  Generic reflections need no Cartan arithmetic: the
 simple keys are the images root generation recorded, and every other
@@ -174,7 +175,7 @@ class BudgetExceeded(RuntimeError):
 class WeylElement:
     """Immutable group element; compare/hash by the action key."""
 
-    __slots__ = ("group", "key", "_length", "_word", "_inv")
+    __slots__ = ("group", "key", "_length", "_word", "_inv", "_roots")
 
     def __init__(self, group: "WeylGroup", key, length=None):
         self.group = group
@@ -182,6 +183,7 @@ class WeylElement:
         self._length = length
         self._word = None
         self._inv = None
+        self._roots = None  # GL_n: `WeylGroup.root_key`, once built
 
     # -- group arithmetic ---------------------------------------------------
 
@@ -372,7 +374,8 @@ class WeylGroup:
     def root_key(self, w: WeylElement) -> tuple:
         """The permutation of the root indices (`RootSystem.roots` order)
         that w induces: w.key itself for generic data; in GL_n, e_a - e_b
-        goes to e_w(a) - e_w(b).
+        goes to e_w(a) - e_w(b), a permutation built once per element and
+        kept on it.
 
         >>> from zipstrata.rootdata import build_gl
         >>> W = WeylGroup(build_gl(3, 1)[0])
@@ -381,15 +384,18 @@ class WeylGroup:
         """
         if self.rs.realization != TYPE_A_GL:
             return w.key
-        p, at = w.key, self._root_at
-        return tuple([at[p[a]][p[b]] for a, b in self._root_points])
+        roots = w._roots
+        if roots is None:
+            p, at = w.key, self._root_at
+            roots = w._roots = tuple([at[p[a]][p[b]] for a, b in self._root_points])
+        return roots
 
     def _apply_weight(self, w: WeylElement, lam, lattice):
         if self.rs.realization == TYPE_A_GL:
             if len(lam) != self.n:
                 raise ValueError("weight has wrong dimension")
-            q = w.inverse().key
-            return tuple(lam[q[k]] for k in range(self.n))
+            # (w lam)[k] = lam[w^{-1}(k)]: one gather, as in `compose`
+            return compose(lam, w.inverse().key)
         if lattice is None:
             raise ValueError("generic elements need an explicit lattice to act on weights")
         if len(lam) != lattice.dim:

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import budget_sweep
 import zipstrata
 from conftest import PROCESS_CACHES
-from zipstrata import glnzip, hasse, zipdatum
+from zipstrata import cli, glnzip, hasse, zipdatum
 from zipstrata.cli import main
 from zipstrata.weyl import BUDGET, DEFAULT_BUDGET
 
@@ -357,6 +357,37 @@ def test_closed_form(capsys):
     code, out = run(capsys, "closed-form", "8", "4")
     doc = json.loads(out)
     assert code == 0 and doc["branch"] == "unbounded"
+
+
+_NO_FILE = "/nonexistent.json"
+
+
+@pytest.mark.parametrize("datum,command,option", [
+    *((datum, command, option)
+      for command in (["closed-form", "2", "2"], ["sweep-length2", "--n-max", "4"])
+      for datum, option in [
+          (["--gl", "3", "1", "--cartan", _NO_FILE], "--gl N R"),
+          (["--gl", "3", "1"], "--gl N R"),
+          (["--cartan", _NO_FILE], "--cartan FILE"),
+          (["--I", "1"], "--I"),
+          (["--sigma", "flip"], "--sigma flip"),
+      ]),
+    (["--gl", "2", "1", "--q", "3", "--sigma", "flip"], ["census", "--m-list", "1"],
+     "--sigma flip"),
+    (["--gl", "2", "1", "--q", "3", "--cartan", _NO_FILE], ["census", "--m-list", "1"],
+     "--cartan FILE"),
+    (["--gl", "2", "1", "--q", "3", "--I", "1"], ["census", "--m-list", "1"], "--I"),
+    (["--cartan", _NO_FILE], ["census"], "--cartan FILE"),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else v)
+def test_a_command_refuses_the_datum_options_it_cannot_honour(capsys, monkeypatch,
+                                                               datum, command, option):
+    # closed-form and sweep-length2 build no datum, and census counts the
+    # points of the split GL_n datum that --gl names (xi_classify refuses
+    # sigma != id); each refuses the others by name before any work is done
+    monkeypatch.setattr(cli, "length2_closed_form", None)
+    monkeypatch.setattr(cli, "fp_point_census", None)
+    assert main(datum + command) == 2
+    assert capsys.readouterr() == ("", f"error: {command[0]} does not take {option}\n")
 
 
 def test_generic_cartan_file(tmp_path, capsys):

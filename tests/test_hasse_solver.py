@@ -11,7 +11,9 @@ weight-0 system of the golden data and on a system where the rule drops a
 row it needs (and the elimination runs again without it), the verdict and
 the point t are the same, every certificate replays, and no stage holds
 more rows (counted through each module's `_fm_contradiction`, which sees
-every stage).
+every stage).  The integer back-substitution is checked against the
+oracle's on Fractions: on drawn systems wider than those, and on one fixed
+system per branch (no bound, one bound, both, a growing denominator).
 
 `hasse_feasible` is in turn the reference for `hasse_feasible_at_zero`,
 the weight-0 path on u-orbit sums that `strata-list` takes: the same
@@ -166,6 +168,50 @@ def test_chernikov_rule_on_f4_at_weight_zero_with_equalities():
 @given(strict_systems())
 def test_chernikov_rule_matches_rule_free_fourier_motzkin(system):
     agrees_with_rule_free(*system)
+
+
+@st.composite
+def wide_systems(draw):
+    # wider than `strict_systems`: up to 6 variables, entries in -9..9 and
+    # right-hand sides of any sign, so back-substitution meets bounds with
+    # large and coprime denominators, and the shared one grows often; at
+    # most 6 rows, since on some drawn systems of 8 the rule-free oracle
+    # runs for tens of seconds and passes its row cap
+    wide = st.integers(min_value=-9, max_value=9)
+    nvars = draw(st.integers(min_value=1, max_value=6))
+    rows = draw(st.lists(st.lists(wide, min_size=nvars, max_size=nvars), min_size=1, max_size=6))
+    rhs = draw(st.lists(wide, min_size=len(rows), max_size=len(rows)))
+    return rows, rhs
+
+
+@settings(max_examples=300, deadline=None)
+@given(wide_systems())
+def test_integer_back_substitution_matches_the_fraction_oracle(system):
+    # the same verdict and the same point t as the oracle's back-substitution
+    # on Fractions; every certificate replays
+    agrees_with_rule_free(*system)
+
+
+@pytest.mark.parametrize("rows,rhs,point", [
+    # t_0 meets no row; t_1 < 5 gives hi - 1
+    ([[0, 1]], [5], (0, 4)),
+    # upper bound only: t < 3/2
+    ([[2]], [3], (Fraction(1, 2),)),
+    # lower bound only: -3 t < 2, t > -2/3
+    ([[-3]], [2], (Fraction(1, 3),)),
+    # both bounds: -2/3 < t < 3/2, the midpoint
+    ([[2], [-3]], [3, 2], (Fraction(5, 12),)),
+    # t_1 = 1/2 is chosen first over the denominator 2; t_0 = 1/3 needs 3,
+    # so the numerator of t_1 is rescaled to the shared denominator 6
+    ([[0, 2], [-3, 0]], [3, 2], (Fraction(1, 3), Fraction(1, 2))),
+    # -12/5 < t_1 < 11/5 (5 t_1 < 11 combines the other two rows) gives
+    # t_1 = -1/10; then 5 t_0 + 5 t_1 < 1 reads it: -2 < t_0 < 3/10
+    ([[0, -5], [5, 5], [-1, 0]], [12, 1, 2], (Fraction(-17, 20), Fraction(-1, 10))),
+], ids=["no bound", "upper only", "lower only", "both", "denominator grows",
+        "bound reads a later value"])
+def test_each_back_substitution_branch(rows, rhs, point):
+    assert hasse._fourier_motzkin(rows, rhs) == ("feasible", point)
+    agrees_with_rule_free(rows, rhs)
 
 
 @settings(max_examples=400, deadline=None)
@@ -336,13 +382,35 @@ def test_certificate_check_survives_python_O():
         "w = zd.W.from_one_line([1, 3, 4, 2])\n"
         "expect_violation(lambda: hasse.hasse_feasible_at_zero(zd, w))\n"
     )
+    assert _run_under_python_O(script) == [
+        "infeasibility certificate failed to replay",
+        "infeasibility certificate failed to replay",
+        "witness fails the weight equation",
+    ]
+
+
+def test_an_empty_interval_raises_under_python_O():
+    # with every contradiction row missed, the infeasible t < 0, -t < 0
+    # reaches back-substitution with the empty interval 0 < t < 0: the run
+    # with Chernikov's rule gives up, and the rule-free run must raise
+    script = (
+        "from zipstrata import hasse\n"
+        "from zipstrata.weyl import InvariantViolation\n"
+        "assert False, 'python -O keeps asserts'\n"
+        "hasse._fm_contradiction = lambda rows, nvars: None\n"
+        "try:\n"
+        "    hasse._fourier_motzkin([[1], [-1]], [0, 0])\n"
+        "except InvariantViolation as exc:\n"
+        "    print(exc)\n"
+    )
+    assert _run_under_python_O(script) == ["feasible FM system must leave room at each variable"]
+
+
+def _run_under_python_O(script):
+    """The lines ``script`` prints under ``python -O``; it must exit 0."""
     src = str(Path(hasse.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
     done = subprocess.run([sys.executable, "-O", "-c", script], env=env,
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines() == [
-        "infeasibility certificate failed to replay",
-        "infeasibility certificate failed to replay",
-        "witness fails the weight equation",
-    ]
+    return done.stdout.splitlines()

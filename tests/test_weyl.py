@@ -10,6 +10,7 @@ import root_oracle
 from test_golden import DATA, GOLDEN
 from zipstrata.rootdata import build_generic, build_gl
 from zipstrata.weyl import WeylGroup, compose
+from zipstrata.zipdatum import gl_zip_datum
 
 
 def _gl_group(n):
@@ -287,6 +288,55 @@ def test_apply_weight_permutes_coordinates():
     # (w lam)_k = lam_{w^{-1}(k)}
     q = w.inverse().one_line()
     assert list(moved) == [lam[q[k] - 1] for k in range(4)]
+
+
+def _root_key_by_definition(rs, w):
+    """e_a - e_b |-> e_{w(a)} - e_{w(b)}, read through ``rs.root_index``."""
+    out = []
+    for root in rs.roots:
+        a, b = root.coords.index(1), root.coords.index(-1)
+        image = [0] * rs.ambient_dim
+        image[w.key[a]], image[w.key[b]] = 1, -1
+        out.append(rs.root_index[tuple(image)])
+    return tuple(out)
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+@pytest.mark.parametrize("root_key_first", [True, False],
+                         ids=["root_key first", "phi_key first"])
+def test_gl_root_key_is_the_root_permutation_in_either_call_order(n, root_key_first):
+    # the permutation is kept on the element once built; whether root_key
+    # builds it, or phi_key / canonical_type do on the way, every later read
+    # must be the permutation the definition gives
+    zd = gl_zip_datum(n, n // 2)
+    W = zd.W
+    for w in W.elements():
+        if root_key_first:
+            W.root_key(w)
+        else:
+            zd.phi_key(w)
+            if zd.in_IW(w):
+                zd.canonical_type(w)
+        expected = _root_key_by_definition(zd.rs, w)
+        assert W.root_key(w) == expected, w
+        assert zd.phi_key(w) == compose(expected, zd._root_frame), w
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_gl_weight_action_is_the_coordinate_permutation(n):
+    # (w lam)[w(k)] = lam[k], on seeded weights given as tuples and as lists
+    W = _gl_group(n)
+    rng = random.Random(n)
+    weights = [tuple(rng.randint(-9, 9) for _ in range(n)) for _ in range(3)]
+    for w in W.elements():
+        for lam in weights:
+            expected = [0] * n
+            for k, x in enumerate(lam):
+                expected[w.key[k]] = x
+            assert w.apply_weight(lam) == w.apply_weight(list(lam)) == tuple(expected), (w, lam)
+    for size in (n - 1, n + 1):
+        with pytest.raises(ValueError, match="weight has wrong dimension"):
+            W.identity.apply_weight((0,) * size)
 
 
 # every golden generic datum of tests/test_golden.py on its root lattice, and
