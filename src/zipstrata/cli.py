@@ -247,10 +247,14 @@ def cmd_closed_form(config: RunConfig, r: int, s: int) -> str:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # no parser takes an abbreviated option: a global flag given after the
+    # subcommand would otherwise be read as the subcommand option it
+    # abbreviates (``--m`` as ``--matrix`` or ``--m-list``)
     parser = argparse.ArgumentParser(
         prog="zipstrata",
         description="decide regularity in codimension one of zip strata "
         "from root-datum combinatorics",
+        allow_abbrev=False,
     )
     parser.add_argument("--gl", nargs=2, type=int, metavar=("N", "R"))
     parser.add_argument("--cartan", metavar="FILE")
@@ -263,25 +267,28 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("strata-list")
-    p = sub.add_parser("decide")
+    def command(name):
+        return sub.add_parser(name, allow_abbrev=False)
+
+    command("strata-list")
+    p = command("decide")
     p.add_argument("w")
     p.add_argument("w_prime")
-    p = sub.add_parser("closure")
+    p = command("closure")
     p.add_argument("w")
-    p = sub.add_parser("sweep-length2")
+    p = command("sweep-length2")
     p.add_argument("--n-max", type=int, default=12)
     p.add_argument("--verify", action="store_true",
                    help="cross-check the closed form against decide_smooth")
-    p = sub.add_parser("hasse")
+    p = command("hasse")
     p.add_argument("w", nargs="?")
     p.add_argument("--weight", default=None, help="lattice vector '0,0,1,1'; omit to search")
-    p = sub.add_parser("xi")
+    p = command("xi")
     p.add_argument("w", nargs="?")
     p.add_argument("--matrix", default=None, help="row-major entries, reduced mod p")
-    p = sub.add_parser("census")
+    p = command("census")
     p.add_argument("--m-list", default="1", help="comma-separated exponents")
-    p = sub.add_parser("closed-form")
+    p = command("closed-form")
     p.add_argument("r", type=int)
     p.add_argument("s", type=int)
     return parser

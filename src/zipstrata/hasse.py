@@ -14,12 +14,19 @@ and the strict rows decided by Fourier-Motzkin elimination on primitive
 integer rows.  Infeasibility comes with an integer certificate: multipliers
 (the strict ones nonnegative) that replay to the symbolic contradiction
 0 < 0.  Back-substitution runs on integers too, with its values over one
-shared denominator, so a Fraction is built only for the point it returns
-and for `HasseWitness.lambda0`.  Every load-bearing check (certificate
-replay, the witness re-check) raises `InvariantViolation`, so it also runs
-under ``python -O``.  Scaling the rational witness to an integer one is
-sound because the geometric statement allows passing to a positive power
-of the line bundle; no minimality of the multiplier is claimed.
+shared denominator, and so does everything after it: the point comes back
+as integer numerators over that denominator, a witness is kept as its
+integer scaling and the least multiplier that makes it integral, and a
+Fraction is built only when `HasseWitness.lambda0` is read.  The coroot
+rows, z^{-1} and z's columns are built once per datum and kept on it
+(`_tables`).  Every load-bearing check (certificate replay, the witness
+re-check) raises `InvariantViolation`, so it also runs under ``python
+-O``; the re-check pairs the witness with the simple coroots and expands
+each alpha^vee over them, so it reads none of the rows the system was
+built from.  Scaling the rational witness to an integer one is sound
+because the geometric statement allows passing to a positive power of
+the line bundle; the multiplier is least for the lambda_0 found, and no
+other lambda_0 with a smaller one is sought.
 
 Fourier-Motzkin keeps, with each row, its multipliers over the input rows
 (the certificate needs them), and their support is the row's history.
@@ -74,11 +81,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from operator import mul
+from operator import add, attrgetter, mul, sub
 from typing import Sequence
 
 from .rootdata import Root
-from .weyl import BudgetExceeded, InvariantViolation, WeylElement
+from .weyl import BudgetExceeded, InvariantViolation, WeylElement, compose
 from .zipdatum import ZipDatum, ZipDatumError
 
 _FM_ROW_CAP = 200_000
@@ -91,16 +98,21 @@ def e_w_set(zd: ZipDatum, w: WeylElement) -> list[Root]:
     Each w s_alpha lies below w by the definition of the Bruhat order, so
     no comparison is made here (`tests/test_hasse.py` checks it).
     """
-    return sorted((alpha for alpha, _ in zd.W.coatoms(w)), key=lambda a: a.coords)
+    return sorted([alpha for alpha, _ in zd.W.coatoms(w)], key=attrgetter("coords"))
 
 
 @dataclass(frozen=True)
 class HasseWitness:
-    """A rational lambda_0 certifying feasibility, plus its integer scaling."""
+    """A rational lambda_0 certifying feasibility, kept as its integer
+    scaling: lambda_0 = scaled_integral / multiplier, with multiplier > 0
+    the least that makes it integral (`_scaled_witness`)."""
 
-    lambda0: tuple[Fraction, ...]
     scaled_integral: tuple[int, ...]
     multiplier: int
+
+    @property
+    def lambda0(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(x, self.multiplier) for x in self.scaled_integral)
 
 
 @dataclass(frozen=True)
@@ -143,18 +155,18 @@ class InfeasibilityCertificate:
         """
         dim = len(self.eq_rows[0]) if self.eq_rows else len(self.strict_rows[0])
         coeffs = [0] * dim
-        for mult, row in zip(self.equality_multipliers, self.eq_rows):
-            for k in range(dim):
-                coeffs[k] += mult * row[k]
-        rhs = sum(m * b for m, b in zip(self.equality_multipliers, self.eq_rhs))
+        rhs = 0
+        for mult, row, b in zip(self.equality_multipliers, self.eq_rows, self.eq_rhs):
+            if mult:
+                coeffs = [c + mult * x for c, x in zip(coeffs, row)]
+                rhs += mult * b
         strict = False
         for mult, row in zip(self.strict_multipliers, self.strict_rows):
             if mult < 0:
                 return False
             if mult > 0:
                 strict = True
-                for k in range(dim):
-                    coeffs[k] += mult * row[k]
+                coeffs = [c + mult * x for c, x in zip(coeffs, row)]
         if any(coeffs):
             return False
         # combined: 0 (+ strict negatives) REL rhs; contradiction iff:
@@ -183,41 +195,62 @@ def _check_L_weight(zd: ZipDatum, lam: Sequence[int]) -> None:
             f"weight has dimension {len(lam)}, lattice has {zd.lattice.dim}"
         )
     for k in sorted(zd.I):
-        if _dot(_coroot_row(zd, zd.rs.simple(k)), lam) != 0:
+        if zd.lattice.pairing_simple(lam, k) != 0:
             raise ZipDatumError(
                 f"lambda is not an L-weight: <lambda, alpha_{k}^vee> != 0"
             )
 
 
-def _dot(row, vec) -> int:
-    return sum(a * b for a, b in zip(row, vec) if a)
+class _Tables:
+    """A datum's constants for the Hasse queries, built on its first query
+    and kept on it (`_tables`)."""
+
+    __slots__ = ("coroots", "supports", "index", "zinv", "zinv_roots", "units", "zcols")
+
+    def __init__(self, zd: ZipDatum) -> None:
+        lattice, dim = zd.lattice, zd.lattice.dim
+        # (<e_d, beta^vee>)_d for every root index beta, and its nonzero entries
+        self.coroots, self.supports = _coroot_rows(zd.rs, lattice)
+        self.index = zd.rs.root_index
+        self.zinv = zd.z.inverse()
+        self.zinv_roots = zd.W.root_key(self.zinv)
+        self.units = tuple(tuple(int(j == k) for j in range(dim)) for k in range(dim))
+        self.zcols = tuple(zd.z.apply_weight(e, lattice) for e in self.units)  # z e_k
 
 
 # (root system, lattice) -> `_coroot_rows`, kept for the life of the process
 _COROOT_ROWS: dict = {}
 
 
-def _coroot_rows(zd: ZipDatum) -> tuple[tuple[int, ...], ...]:
-    """(<e_d, beta^vee>)_d for every root index beta (`RootSystem.roots`
-    order), read off the coroot expansion of beta^vee and the lattice's
-    simple coroot pairings; one table per root datum, shared by its zip
-    data."""
-    key = (zd.rs, zd.lattice)
-    rows = _COROOT_ROWS.get(key)
-    if rows is None:
-        cp = zd.lattice.coroot_pairing
-        rows = _COROOT_ROWS[key] = tuple(
-            tuple(
-                sum(c * cp[d][j] for j, c in enumerate(beta.coroot_coords) if c)
-                for d in range(zd.lattice.dim)
-            )
-            for beta in zd.rs.roots
-        )
-    return rows
+def _coroot_rows(rs, lattice) -> tuple[tuple, tuple]:
+    """The coroot rows (<e_d, beta^vee>)_d of every root index beta
+    (`RootSystem.roots` order) and their nonzero entries, one table per
+    root datum, shared by its zip data.  A row is read off the coroot
+    expansion of beta^vee and the lattice's simple coroot pairings; the
+    negative roots follow the positive ones in the same order, and
+    (-beta)^vee = -beta^vee."""
+    key = (rs, lattice)
+    hit = _COROOT_ROWS.get(key)
+    if hit is None:
+        simple = tuple(zip(*lattice.coroot_pairing))  # <e_d, alpha_k^vee> over d
+        rows = []
+        for beta in rs.positive_roots:
+            row = [0] * lattice.dim
+            for c, col in zip(beta.coroot_coords, simple):
+                if c:
+                    row = [x + c * y for x, y in zip(row, col)]
+            rows.append(tuple(row))
+        rows += [tuple([-x for x in row]) for row in rows]
+        supports = tuple(tuple((d, x) for d, x in enumerate(row) if x) for row in rows)
+        hit = _COROOT_ROWS[key] = (tuple(rows), supports)
+    return hit
 
 
-def _coroot_row(zd: ZipDatum, alpha: Root) -> tuple[int, ...]:
-    return _coroot_rows(zd)[zd.rs.root_index[alpha.coords]]
+def _tables(zd: ZipDatum) -> _Tables:
+    tables = zd._extra.get("hasse")
+    if tables is None:
+        tables = zd._extra["hasse"] = _Tables(zd)
+    return tables
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +344,7 @@ def _fm_add(new, seen, row, nvars):
     already in ``new``; the stored row is divided by its gcd."""
     head = row[:nvars + 1]
     g = gcd(*head)
-    key = tuple(x // g for x in head) if g else tuple(head)
+    key = tuple(head) if g < 2 else tuple([x // g for x in head])
     if key in seen:
         return
     seen.add(key)
@@ -330,9 +363,10 @@ def _fm_contradiction(rows, nvars):
 def _fourier_motzkin(strict_rows, rhs):
     """Decide {t : row . t < rhs_row for all rows} over Q, integer rows.
 
-    Returns ('feasible', t) with t a tuple of Fractions, built once from the
-    integer back-substitution, or ('infeasible', multipliers) with
-    nonnegative integer multipliers over the input rows deriving 0 < 0.
+    Returns ('feasible', (num, den)), the point t = num / den in lowest
+    terms (den > 0 the lcm of the denominators of t), or ('infeasible',
+    multipliers) with nonnegative integer multipliers over the input rows
+    deriving 0 < 0.
 
     The elimination first follows Chernikov's rule (module docstring).  If
     back-substitution then meets an empty interval, the rule dropped a row
@@ -351,8 +385,9 @@ def _fm_eliminate(strict_rows, rhs, chernikov):
     or the one bound it has moved by 1, or 0.  It works on integers: every
     value chosen so far is a numerator over one shared denominator, which
     grows (and the numerators with it) when a value needs more, and bounds
-    are compared by cross-multiplication.  The Fractions of the point are
-    built once, at return."""
+    are compared by cross-multiplication.  Each value is reduced, and the
+    shared denominator starts at 1 and grows only to the lcm of itself and
+    a value's denominator, so the point comes out in lowest terms."""
     nvars = len(strict_rows[0]) if strict_rows else 0
     m = len(strict_rows)
     # a row is [coeffs | rhs | multipliers]; positive multiples of a row
@@ -434,7 +469,7 @@ def _fm_eliminate(strict_rows, rhs, chernikov):
             num = [x * grow for x in num]
             den *= grow
         num[var] = p * (den // q)
-    return "feasible", tuple(Fraction(x, den) for x in num)
+    return "feasible", (tuple(num), den)
 
 
 def _certificate(eq_rows, eq_rhs, strict_rows, eq_mults, strict_mults):
@@ -454,7 +489,8 @@ def _certificate(eq_rows, eq_rhs, strict_rows, eq_mults, strict_mults):
 def _feasible_lambda0(dim, eq_rows, eq_rhs, strict_rows):
     """Rational x with eq_rows . x = eq_rhs and strict_rows . x < 0.
 
-    Returns (x, None) or (None, certificate); all rows are integer.
+    Returns ((numerators, den), None), x = numerators / den with den > 0, or
+    (None, certificate); all rows are integer.
     """
     if eq_rows:
         status, payload = _solve_equalities(eq_rows, eq_rhs)
@@ -470,7 +506,7 @@ def _feasible_lambda0(dim, eq_rows, eq_rhs, strict_rows):
         span = []
 
     if not strict_rows:
-        return tuple(Fraction(p, denom) for p in particular), None
+        return (particular, denom), None
 
     # substitute D x = P + B t (D > 0) into the strict rows: row . x < 0
     # becomes the integer row (row . B) t < -(row . P)
@@ -500,36 +536,28 @@ def _feasible_lambda0(dim, eq_rows, eq_rhs, strict_rows):
             eq_rows, eq_rhs, strict_rows, eq_mults, [denom * mu for mu in payload]
         )
     # x = (P + B t) / D on the integer numerators of t = T / E
-    tden = lcm(*(tv.denominator for tv in payload))
-    tnum = [tv.numerator * (tden // tv.denominator) for tv in payload]
-    lambda0 = tuple(
-        Fraction(p * tden + sum(bvec[k] * tv for bvec, tv in zip(basis, tnum) if bvec[k]),
-                 denom * tden)
+    tnum, tden = payload
+    num = [
+        p * tden + sum(bvec[k] * tv for bvec, tv in zip(basis, tnum) if bvec[k])
         for k, p in enumerate(particular)
-    )
-    return lambda0, None
+    ]
+    return (num, denom * tden), None
 
 
-def _witness_from_lambda0(lambda0):
-    mult = lcm(*(x.denominator for x in lambda0))
-    scaled = tuple(x.numerator * (mult // x.denominator) for x in lambda0)
-    return HasseWitness(lambda0=lambda0, scaled_integral=scaled, multiplier=mult)
+def _scaled_witness(num, den) -> HasseWitness:
+    """The witness lambda_0 = num / den (den > 0): its multiplier
+    den / gcd(den, *num) is the lcm of the reduced denominators."""
+    g = gcd(den, *num)
+    return HasseWitness(tuple(x // g for x in num), den // g)
 
 
-def _w_minus_z_cols(zd, w):
+def _w_minus_z_cols(zd, w, tables):
     """Columns (w - z) e_k of the lattice map lambda_0 |-> w lambda_0 -
-    z lambda_0; the unit vectors and their images under z are kept on the
-    datum."""
-    consts = zd._extra.get("hasse_z_columns")
-    if consts is None:
-        dim = zd.lattice.dim
-        units = [tuple(int(j == k) for j in range(dim)) for k in range(dim)]
-        consts = zd._extra["hasse_z_columns"] = (
-            units, [zd.z.apply_weight(e, zd.lattice) for e in units])
-    units, zcols = consts
+    z lambda_0."""
+    lattice = zd.lattice
     return [
-        tuple(a - b for a, b in zip(w.apply_weight(e, zd.lattice), zk))
-        for e, zk in zip(units, zcols)
+        tuple(map(sub, w.apply_weight(e, lattice), zk))
+        for e, zk in zip(tables.units, tables.zcols)
     ]
 
 
@@ -544,12 +572,14 @@ def hasse_feasible(zd: ZipDatum, w: WeylElement, lam: Sequence[int]) -> HasseRes
         raise ZipDatumError(f"w = {w!r} is not in ^I W")
     _check_L_weight(zd, lam)
     ew = tuple(e_w_set(zd, w))
-    eq_rows = list(zip(*_w_minus_z_cols(zd, w)))
+    tables = _tables(zd)
+    eq_rows = list(zip(*_w_minus_z_cols(zd, w, tables)))
     eq_rhs = list(lam)
-    lambda0, cert = _feasible_lambda0(zd.lattice.dim, eq_rows, eq_rhs, _strict_rows(zd, ew))
-    if lambda0 is None:
+    point, cert = _feasible_lambda0(
+        zd.lattice.dim, eq_rows, eq_rhs, _strict_rows(tables, ew))
+    if point is None:
         return HasseResult(witness=None, certificate=cert, e_w=ew)
-    witness = _witness_from_lambda0(lambda0)
+    witness = _scaled_witness(*point)
     _verify_witness(zd, w, lam, witness, ew)
     return HasseResult(witness=witness, certificate=None, e_w=ew)
 
@@ -565,17 +595,15 @@ def hasse_any_Lweight(zd: ZipDatum, w: WeylElement):
         raise ZipDatumError(f"w = {w!r} is not in ^I W")
     ew = tuple(e_w_set(zd, w))
     dim = zd.lattice.dim
-    cols = _w_minus_z_cols(zd, w)
+    tables = _tables(zd)
+    cols = _w_minus_z_cols(zd, w, tables)
     # row k: <(w - z) e_j, alpha_k^vee> for each j, alpha_k simple in I
-    eq_rows = [
-        [_dot(_coroot_row(zd, zd.rs.simple(k)), col) for col in cols]
-        for k in sorted(zd.I)
-    ]
+    eq_rows = [[zd.lattice.pairing_simple(col, k) for col in cols] for k in sorted(zd.I)]
     eq_rhs = [0] * len(eq_rows)
-    lambda0, cert = _feasible_lambda0(dim, eq_rows, eq_rhs, _strict_rows(zd, ew))
-    if lambda0 is None:
+    point, cert = _feasible_lambda0(dim, eq_rows, eq_rhs, _strict_rows(tables, ew))
+    if point is None:
         return None, HasseResult(witness=None, certificate=cert, e_w=ew)
-    witness = _witness_from_lambda0(lambda0)
+    witness = _scaled_witness(*point)
     lam_scaled = tuple(
         sum(col[d] * s for col, s in zip(cols, witness.scaled_integral))
         for d in range(dim)
@@ -595,86 +623,94 @@ def hasse_feasible_at_zero(zd: ZipDatum, w: WeylElement) -> HasseResult:
     if not zd.in_IW(w):
         raise ZipDatumError(f"w = {w!r} is not in ^I W")
     ew = tuple(e_w_set(zd, w))
-    W, dim = zd.W, zd.lattice.dim
-    coroots = _coroot_rows(zd)
-    u = zd.z.inverse() * w
-    on_roots = W.root_key(u)
-    # the u-orbit u^i alpha (i < |O|) of the first root of E_w in each orbit;
-    # orbits with the same sum give one row, kept with the first of them
+    tables = _tables(zd)
+    coroots, supports, index = tables.coroots, tables.supports, tables.index
+    # u permutes the root indices as z^{-1} after w
+    on_w = zd.W.root_key(w)
+    on_roots = compose(tables.zinv_roots, on_w)
+    # the coroot sum c_O of the u-orbit O of each root of E_w, walked from
+    # the first root of E_w in it; orbits with the same sum give one row,
+    # kept with the first of them
     by_sum, seen = {}, set()
     for j, alpha in enumerate(ew):
-        a = zd.rs.root_index[alpha.coords]
+        a = index[alpha.coords]
         if a in seen:
             continue
-        orbit = [a]
-        b = on_roots[a]
+        seen.add(a)
+        total, b = list(coroots[a]), on_roots[a]
         while b != a:
-            orbit.append(b)
+            seen.add(b)
+            for d, x in supports[b]:
+                total[d] += x
             b = on_roots[b]
-        seen.update(orbit)
-        by_sum.setdefault(tuple(map(sum, zip(*[coroots[b] for b in orbit]))), (orbit, j))
-    sums = list(by_sum)
+        by_sum.setdefault(tuple(total), (a, j))
     # columns equal in every row share one variable, kept at the first of
     # them; t is 0 on the others and on the zero columns
     first = {}
-    for k, col in enumerate(zip(*sums)):
+    for k, col in enumerate(zip(*by_sum)):
         if any(col):
             first.setdefault(col, k)
     keep = list(first.values())
-    status, payload = _fourier_motzkin([[row[k] for k in keep] for row in sums], [0] * len(sums))
+    status, payload = _fourier_motzkin(
+        [[row[k] for k in keep] for row in by_sum], [0] * len(by_sum))
+    dim = zd.lattice.dim
     if status == "infeasible":
         # sum y_O c_O = 0 with c_O = |O| alpha^vee - sum_i (|O| - 1 - i)
         # (row of (w u^i alpha)^vee) (w - z): the telescoped orbit sum
         strict_mults = [0] * len(ew)
         eq_mults = [0] * dim
-        on_w = W.root_key(w)
-        for y, (orbit, j) in zip(payload, by_sum.values()):
+        for y, (a, j) in zip(payload, by_sum.values()):
             if not y:
                 continue
+            orbit, b = [a], on_roots[a]
+            while b != a:
+                orbit.append(b)
+                b = on_roots[b]
             m = len(orbit)
             strict_mults[j] = y * m
             for i, b in enumerate(orbit[:-1]):
                 f = y * (m - 1 - i)
-                for d, x in enumerate(coroots[on_w[b]]):
+                for d, x in supports[on_w[b]]:
                     eq_mults[d] -= f * x
-        cert = _certificate(list(zip(*_w_minus_z_cols(zd, w))), [0] * dim,
-                            _strict_rows(zd, ew), eq_mults, strict_mults)
+        cert = _certificate(list(zip(*_w_minus_z_cols(zd, w, tables))), [0] * dim,
+                            _strict_rows(tables, ew), eq_mults, strict_mults)
         return HasseResult(witness=None, certificate=cert, e_w=ew)
     # lambda_0 = the sum of the u-orbit of t, on the integer numerators of t
-    tden = lcm(*(tv.denominator for tv in payload))
+    tnum, tden = payload
     t = [0] * dim
-    for k, tv in zip(keep, payload):
-        t[k] = tv.numerator * (tden // tv.denominator)
-    t = tuple(t)
-    total, v = list(t), u.apply_weight(t, zd.lattice)
+    for k, x in zip(keep, tnum):
+        t[k] = x
+    t, u = tuple(t), tables.zinv * w
+    total, v = t, u.apply_weight(t, zd.lattice)
     while v != t:
-        total = [x + y for x, y in zip(total, v)]
+        total = tuple(map(add, total, v))
         v = u.apply_weight(v, zd.lattice)
-    witness = _witness_from_lambda0(tuple(Fraction(x, tden) for x in total))
+    witness = _scaled_witness(total, tden)
     _verify_witness(zd, w, [0] * dim, witness, ew)
     return HasseResult(witness=witness, certificate=None, e_w=ew)
 
 
-def _strict_rows(zd, ew):
+def _strict_rows(tables, ew):
     """Row d of alpha's strict row is <e_d, alpha^vee>."""
-    return [_coroot_row(zd, alpha) for alpha in ew]
+    coroots, index = tables.coroots, tables.index
+    return [coroots[index[alpha.coords]] for alpha in ew]
 
 
 def _verify_witness(zd, w, lam, witness, ew, lam_multiplier=None):
-    """Exact integer re-check of a scaled witness."""
-    mult = witness.multiplier
+    """Exact integer re-check of a scaled witness: the weight equation by
+    the Weyl action on the lattice, and each strict row through the coroot
+    expansion of alpha^vee over the witness's pairings with the simple
+    coroots, so it reads none of the coroot rows the system was built
+    from."""
     scaled = witness.scaled_integral
-    got = tuple(
-        a - b
-        for a, b in zip(
-            w.apply_weight(scaled, zd.lattice), zd.z.apply_weight(scaled, zd.lattice)
-        )
-    )
-    factor = mult if lam_multiplier is None else lam_multiplier
-    if got != tuple(factor * x for x in lam):
+    lattice = zd.lattice
+    got = list(map(sub, w.apply_weight(scaled, lattice), zd.z.apply_weight(scaled, lattice)))
+    factor = witness.multiplier if lam_multiplier is None else lam_multiplier
+    if got != [factor * x for x in lam]:
         raise InvariantViolation("witness fails the weight equation")
+    simple = [sum(map(mul, scaled, col)) for col in zip(*lattice.coroot_pairing)]
     for alpha in ew:
-        if not zd.lattice.pairing(scaled, alpha) < 0:
+        if not sum(map(mul, alpha.coroot_coords, simple)) < 0:
             raise InvariantViolation("witness fails a strict pairing")
 
 

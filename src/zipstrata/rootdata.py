@@ -109,6 +109,14 @@ class Root:
         return f"Root{self.coords}"
 
 
+def _hash_form(rows) -> tuple:
+    """Integer rows with each entry x written as 2x (x >= 0) or -2x - 1
+    (x < 0), which is one to one onto the naturals.  CPython hashes -1 like
+    -2, so Cartan matrices that differ only there (B4, C4, A4 and F4 do)
+    would share the hash of their plain rows."""
+    return tuple(tuple(2 * x if x >= 0 else -2 * x - 1 for x in row) for row in rows)
+
+
 @dataclass(frozen=True)
 class CharacterLattice:
     """Character lattice X*(T): a free Z-module with coroot pairings.
@@ -121,6 +129,14 @@ class CharacterLattice:
     dim: int
     coroot_pairing: tuple[tuple[int, ...], ...]
     root_embedding: tuple[tuple[int, ...], ...]
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash(
+            (self.dim, _hash_form(self.coroot_pairing), _hash_form(self.root_embedding))))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def pairing_simple(self, lam: Sequence[int], k: int) -> int:
         """<lam, alpha_k^vee> for the k-th simple coroot (1-based k)."""
@@ -150,16 +166,18 @@ class RootSystem:
     roots: tuple[Root, ...] = field(init=False, repr=False, hash=False, compare=False)
     # coords -> index into ``roots``
     root_index: dict = field(init=False, repr=False, hash=False, compare=False)
+    _hash: int = field(init=False, repr=False, hash=False, compare=False)
 
     def __post_init__(self) -> None:
         roots = self.positive_roots + tuple(-r for r in self.positive_roots)
         object.__setattr__(self, "roots", roots)
         object.__setattr__(self, "root_index", {r.coords: i for i, r in enumerate(roots)})
-
-    def __hash__(self) -> int:
         # equal systems have equal Cartan matrices; hashing every root would
         # cost each lookup in the caches keyed on a root system
-        return hash((self.realization, self.cartan))
+        object.__setattr__(self, "_hash", hash((self.realization, _hash_form(self.cartan))))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def root_from_coords(self, coords: Sequence[int]) -> Root:
         try:

@@ -1,14 +1,18 @@
 """The seed's Fraction Gauss-Jordan and Fourier-Motzkin solver, kept as the
 reference for the integer solver in `zipstrata.hasse`.
 
-`_feasible_lambda0(dim, eq_rows, eq_rhs, strict_rows)` has the signature of
-`zipstrata.hasse._feasible_lambda0`, so a test can swap it in, and
-`_fourier_motzkin` that of `zipstrata.hasse._fourier_motzkin`.  Its
-Fourier-Motzkin keeps every combined row that is no positive multiple of
-one it holds: it is the reference without Chernikov's rule.
+`_feasible_lambda0(dim, eq_rows, eq_rhs, strict_rows)` and
+`_fourier_motzkin(strict_rows, rhs)` take the arguments of their namesakes
+in `zipstrata.hasse` and return their points as tuples of Fractions;
+`feasible_point` and `fourier_motzkin_point` return them the way
+`zipstrata.hasse` does, in lowest terms (`lowest_terms`), so a test can
+swap them in.  Its Fourier-Motzkin keeps every combined row that is no
+positive multiple of one it holds: it is the reference without Chernikov's
+rule.
 """
 
 from fractions import Fraction
+from math import lcm
 
 from zipstrata.hasse import _FM_ROW_CAP, InfeasibilityCertificate
 
@@ -242,3 +246,22 @@ def _feasible_lambda0(dim, eq_rows, eq_rhs, strict_rows):
         for k, p in enumerate(particular)
     )
     return lambda0, None
+
+
+def lowest_terms(point):
+    """A tuple of Fractions as (numerators, den): den > 0 the lcm of their
+    denominators, so that point[k] = numerators[k] / den."""
+    den = lcm(*(x.denominator for x in point))
+    return tuple(x.numerator * (den // x.denominator) for x in point), den
+
+
+def feasible_point(dim, eq_rows, eq_rhs, strict_rows):
+    """`_feasible_lambda0` with lambda_0 in lowest terms."""
+    lambda0, cert = _feasible_lambda0(dim, eq_rows, eq_rhs, strict_rows)
+    return (None if lambda0 is None else lowest_terms(lambda0)), cert
+
+
+def fourier_motzkin_point(strict_rows, rhs):
+    """`_fourier_motzkin` with the point t in lowest terms."""
+    status, payload = _fourier_motzkin(strict_rows, rhs)
+    return status, (lowest_terms(payload) if status == "feasible" else payload)

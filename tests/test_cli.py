@@ -390,6 +390,23 @@ def test_a_command_refuses_the_datum_options_it_cannot_honour(capsys, monkeypatc
     assert capsys.readouterr() == ("", f"error: {command[0]} does not take {option}\n")
 
 
+@pytest.mark.parametrize("argv,unrecognized", [
+    # --m after the subcommand abbreviated xi's --matrix: the class of the
+    # second matrix was printed with m = 1
+    (["--gl", "2", "1", "xi", "--matrix", "1 1 0 1", "--m", "0 1 1 0"], "--m"),
+    # and census's --m-list
+    (["--gl", "4", "2", "census", "--m", "2"], "--m 2"),
+], ids=["xi --m", "census --m"])
+def test_a_global_flag_after_the_subcommand_is_refused(capsys, monkeypatch, argv, unrecognized):
+    monkeypatch.setattr(cli, "xi_classify", None)
+    monkeypatch.setattr(cli, "fp_point_census", None)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == ""
+    assert err.endswith(f"error: unrecognized arguments: {unrecognized}\n"), err
+
+
 def test_generic_cartan_file(tmp_path, capsys):
     doc = {
         "cartan": [[2, -1], [-1, 2]],

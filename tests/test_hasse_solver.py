@@ -2,8 +2,10 @@
 
 `hasse_oracle` keeps the Gauss-Jordan / Fourier-Motzkin code on Fractions
 that `zipstrata.hasse` replaced.  Both must reach the same verdict and the
-same lambda_0 on every system; certificates may differ by a scale factor,
-so they are compared by replaying them.
+same lambda_0 on every system (the integer solver returns its points as
+numerators over one denominator, compared here as Fractions or in lowest
+terms); certificates may differ by a scale factor, so they are compared by
+replaying them.
 
 Chernikov's rule in `hasse._fourier_motzkin` is checked against the
 oracle's Fourier-Motzkin, which has no rule: on drawn systems, on every
@@ -19,7 +21,9 @@ system per branch (no bound, one bound, both, a growing denominator).
 the weight-0 path on u-orbit sums that `strata-list` takes: the same
 verdict and E_w on every stratum of GL_2..GL_8 and of the generic data,
 one Fourier-Motzkin row per distinct u-orbit sum over E_w, and its checks
-raise under ``python -O``.
+raise under ``python -O``.  Every witness of the three queries is kept as
+its least integer scaling, and its re-check refuses it when it is moved
+off the weight equation or negated.
 """
 
 import itertools
@@ -27,6 +31,8 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from math import lcm
+from operator import add
 from pathlib import Path
 
 import pytest
@@ -37,6 +43,7 @@ import hasse_oracle
 from test_golden import E6, GOLDEN
 from zipstrata import hasse
 from zipstrata.rootdata import build_generic
+from zipstrata.weyl import InvariantViolation
 from zipstrata.zipdatum import BasedAutomorphism, gl_zip_datum, make_zip_datum
 
 entries = st.integers(min_value=-3, max_value=3)
@@ -63,8 +70,12 @@ def strict_systems(draw):
 
 
 def _same_outcome(new, old):
-    (lam_new, cert_new), (lam_old, cert_old) = new, old
-    assert lam_new == lam_old
+    # the integer solver's point (numerators, den) is the oracle's lambda_0
+    (point, cert_new), (lam_old, cert_old) = new, old
+    assert (point is None) == (lam_old is None)
+    if point is not None:
+        num, den = point
+        assert den > 0 and tuple(Fraction(x, den) for x in num) == lam_old
     assert (cert_new is None) == (cert_old is None)
     if cert_new is not None:
         assert cert_new.replay() and cert_old.replay()
@@ -126,7 +137,7 @@ def agrees_with_rule_free(rows, rhs):
         _counting(hasse, with_rule, mp)
         _counting(hasse_oracle, without, mp)
         new = hasse._fourier_motzkin(rows, rhs)
-        old = hasse_oracle._fourier_motzkin(rows, rhs)
+        old = hasse_oracle.fourier_motzkin_point(rows, rhs)
     assert new[0] == old[0], (rows, rhs)
     if new[0] == "feasible":
         assert new[1] == old[1], (rows, rhs)
@@ -210,7 +221,7 @@ def test_integer_back_substitution_matches_the_fraction_oracle(system):
 ], ids=["no bound", "upper only", "lower only", "both", "denominator grows",
         "bound reads a later value"])
 def test_each_back_substitution_branch(rows, rhs, point):
-    assert hasse._fourier_motzkin(rows, rhs) == ("feasible", point)
+    assert hasse._fourier_motzkin(rows, rhs) == ("feasible", hasse_oracle.lowest_terms(point))
     agrees_with_rule_free(rows, rhs)
 
 
@@ -254,7 +265,7 @@ def _queries(zd):
                          ids=lambda v: v if isinstance(v, str) else "")
 def test_hasse_matches_fraction_solver_on_every_stratum(name, zd, monkeypatch):
     new = _queries(zd)
-    monkeypatch.setattr(hasse, "_feasible_lambda0", hasse_oracle._feasible_lambda0)
+    monkeypatch.setattr(hasse, "_feasible_lambda0", hasse_oracle.feasible_point)
     old = _queries(zd)
     for (w, res, lam, any_res), (_, res_o, lam_o, any_res_o) in zip(new, old):
         assert res.witness == res_o.witness, (name, w)
@@ -289,7 +300,7 @@ def test_chernikov_rule_keeps_every_weight_zero_answer(name, zd):
     # verdict are those of the rule-free solver, and every system passes
     # `agrees_with_rule_free`
     new, systems = _weight_zero_systems(zd)
-    old, _ = _weight_zero_systems(zd, hasse_oracle._fourier_motzkin)
+    old, _ = _weight_zero_systems(zd, hasse_oracle.fourier_motzkin_point)
     for w, a, b in zip(zd.minimal_reps(), new, old):
         assert (a.feasible, a.witness) == (b.feasible, b.witness), (name, w)
         assert a.feasible or a.certificate.replay(), (name, w)
@@ -359,6 +370,52 @@ def test_weight_zero_rows_are_one_per_u_orbit(name, zd, monkeypatch):
         assert all(map(any, cols)) and len(set(cols)) == len(cols), w
 
 
+def _feasible_answers(zd):
+    """(w, lambda, lam_multiplier, result) of every witness that
+    `hasse_feasible` at weight 0, `hasse_feasible_at_zero` and
+    `hasse_any_Lweight` return on zd, with the arguments their re-check
+    takes."""
+    zero = [0] * zd.lattice.dim
+    for w in zd.minimal_reps():
+        answers = [(zero, None, hasse.hasse_feasible(zd, w, zero)),
+                   (zero, None, hasse.hasse_feasible_at_zero(zd, w))]
+        lam, res = hasse.hasse_any_Lweight(zd, w)
+        answers.append((lam, 1, res))
+        for lam, lam_multiplier, res in answers:
+            if res.feasible:
+                yield w, lam, lam_multiplier, res
+
+
+@pytest.mark.parametrize("name,zd", [
+    *(pair for n in range(2, 9) for pair in _gl_data(n)),
+    *_golden_data(),
+], ids=lambda v: v if isinstance(v, str) else "")
+def test_a_witness_is_its_least_scaling_and_its_re_check_can_fail(name, zd):
+    # lambda_0 is scaled_integral / multiplier, the multiplier is the lcm of
+    # the reduced denominators of lambda_0, and the re-check refuses the
+    # witness moved by a unit vector e that u = z^{-1} w does not fix:
+    # (w - z)(lambda_0 + e) = (w - z) lambda_0 + z (u e - e).  It also
+    # refuses -lambda_0, which meets the weight equation of -lambda but
+    # pairs positively with every coroot of E_w
+    units = [tuple(int(i == d) for i in range(zd.lattice.dim)) for d in range(zd.lattice.dim)]
+    for w, lam, lam_multiplier, res in _feasible_answers(zd):
+        wit = res.witness
+        assert wit.lambda0 == tuple(Fraction(s, wit.multiplier) for s in wit.scaled_integral)
+        assert wit.multiplier == lcm(*(x.denominator for x in wit.lambda0)), (name, w)
+        if res.e_w:
+            negated = hasse.HasseWitness(tuple(-s for s in wit.scaled_integral), wit.multiplier)
+            with pytest.raises(InvariantViolation, match="strict pairing"):
+                hasse._verify_witness(zd, w, [-x for x in lam], negated, res.e_w, lam_multiplier)
+        u = zd.z.inverse() * w
+        off = next((e for e in units if u.apply_weight(e, zd.lattice) != e), None)
+        if off is None:  # u = e fixes every weight
+            assert u == zd.W.identity, (name, w)
+            continue
+        moved = hasse.HasseWitness(tuple(map(add, wit.scaled_integral, off)), wit.multiplier)
+        with pytest.raises(InvariantViolation, match="weight equation"):
+            hasse._verify_witness(zd, w, lam, moved, res.e_w, lam_multiplier)
+
+
 def test_certificate_check_survives_python_O():
     # replay forced to fail: both infeasible queries must still raise under
     # -O; a witness moved off the u-fixed weights must fail its re-check
@@ -377,8 +434,8 @@ def test_certificate_check_survives_python_O():
         "w = zd.W.from_one_line([1, 3, 2, 4])\n"
         "expect_violation(lambda: hasse.hasse_feasible(zd, w, [0, 0, 0, 0]))\n"
         "expect_violation(lambda: hasse.hasse_feasible_at_zero(zd, w))\n"
-        "scale = hasse._witness_from_lambda0\n"
-        "hasse._witness_from_lambda0 = lambda l0: scale((l0[0] + 1, *l0[1:]))\n"
+        "scale = hasse._scaled_witness\n"
+        "hasse._scaled_witness = lambda num, den: scale((num[0] + den, *num[1:]), den)\n"
         "w = zd.W.from_one_line([1, 3, 4, 2])\n"
         "expect_violation(lambda: hasse.hasse_feasible_at_zero(zd, w))\n"
     )

@@ -206,6 +206,33 @@ def test_json_roundtrip_loader():
     assert lat.dim == 2
 
 
+def _golden_data():
+    """The golden generic data: each root system, lattice and zip datum."""
+    from test_golden import GOLDEN
+
+    for cartan, I, sigma in GOLDEN.values():
+        rs, lat = build_generic(cartan)
+        aut = zipdatum.BasedAutomorphism.parse(rs, sigma)
+        yield rs, lat, zipdatum.make_zip_datum(rs, frozenset(I), aut, lat)
+
+
+def test_golden_data_hash_apart_and_are_found_without_equality_calls(monkeypatch):
+    # hash(-1) == hash(-2) in CPython: hashed as plain rows, B4, C4, A4 and
+    # F4 share one hash, and every cache lookup keyed on one of them falls
+    # through to a full RootSystem comparison with another
+    built = list(_golden_data())
+    for part in range(2):
+        distinct = list({id(x[part]): x[part] for x in built}.values())
+        assert len({hash(x) for x in distinct}) == len(distinct) > 5
+    calls = []
+    real = rootdata.RootSystem.__eq__
+    monkeypatch.setattr(rootdata.RootSystem, "__eq__",
+                        lambda self, other: calls.append(other) or real(self, other))
+    again = list(_golden_data())
+    assert all(a is b for old, new in zip(built, again) for a, b in zip(old, new))
+    assert calls == []
+
+
 def test_zero_root_sign_raises_under_python_O():
     # Root refuses the zero vector, so a zero root is made by writing past
     # the frozen dataclass; its sign is an invariant violation, also under -O
