@@ -42,7 +42,7 @@ class RunConfig:
     cartan_file: str | None
     sigma: str
     I: list[int] | None
-    m: int = 1
+    m: int | None = None  # the global --m; None when not given
     q: int = 2
     fmt: str = "json"
 
@@ -216,12 +216,15 @@ def cmd_xi(config: RunConfig, w_text: str | None, matrix_text: str | None) -> st
     if F.k != 1:
         raise ZipDatumError("matrix entries are reduced mod p; use a prime q")
     f = tuple(tuple(entries[i * n + j] for j in range(n)) for i in range(n))
-    out = xi_classify(zd, F, f, config.m)
-    return _emit({"matrix": entries, "m": config.m, "xi": out.label()}, config.fmt)
+    m = 1 if config.m is None else config.m
+    out = xi_classify(zd, F, f, m)
+    return _emit({"matrix": entries, "m": m, "xi": out.label()}, config.fmt)
 
 
 def cmd_census(config: RunConfig, m_list: list[int]) -> str:
     config.refuse_datum("census", gl=True)
+    if config.m is not None:
+        raise ZipDatumError("census does not take --m; give the exponents with --m-list")
     if config.gl is None:
         raise ZipDatumError("census needs --gl N R")
     n, r = config.gl
@@ -261,7 +264,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--I", type=str, default=None,
                         help="comma-separated simple indices (generic data)")
     parser.add_argument("--sigma", default="id", help="'id', 'flip', or a permutation '2,1'")
-    parser.add_argument("--m", type=int, default=1, help="Frobenius exponent")
+    parser.add_argument("--m", type=int, default=None,
+                        help="Frobenius exponent of xi --matrix (default 1)")
     parser.add_argument("--q", type=int, default=2, help="field size for matrix input / census")
     parser.add_argument("--format", dest="fmt", choices=["json", "dot", "csv"], default="json")
     parser.add_argument("--budget", type=int, default=DEFAULT_BUDGET)

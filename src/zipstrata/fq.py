@@ -9,11 +9,15 @@ Elimination works on whole rows: a field gives two row operations,
 ``scale_row(row, c)`` = c row and ``sub_multiple(row, c, other)`` =
 row - c other, each one list comprehension (``% p`` on prime fields, the
 table row of c on extensions).  `RationalField` gives the same two, so
-`rref`, `det`, `mat_inv` and `mat_mul` also run over QQ.
+`rref`, `det`, `mat_inv` and `mat_mul` also run over QQ.  `rref` and `det`
+bind the row operations once per call and find each pivot with a plain
+loop over the rows.
 
 Subspaces are kept in row-reduced echelon form, which is canonical, so
 equality of subspaces is tuple equality; the pivot of an echelon row is the
-index of its first 1.  Each subspace costs at most one elimination:
+index of its first 1.  Containment in a space of n rows, F_q^n itself, is
+answered without reducing anything.  Each subspace costs at most one
+elimination:
 `kernel_basis` returns the kernel already in that form, and `apply_frobenius`
 maps entries without re-reducing, since sigma^m is an automorphism fixing 0
 and 1 and so keeps echelon rows echelon.
@@ -72,6 +76,8 @@ class Fq:
             self._build_tables()
         self.zero = 0
         self.one = 1
+        # n -> (0, F^n), built once by `FqSubspace.ends`
+        self.subspace_ends: dict[int, tuple] = {}
 
     # -- construction helpers -------------------------------------------------
 
@@ -303,16 +309,19 @@ def rref(F, rows: Iterable[Sequence]) -> tuple:
     """
     work = list(rows)
     out: list = []
-    one = F.one
+    one, inv, scale, sub = F.one, F.inv, F.scale_row, F.sub_multiple
     for col in range(len(work[0]) if work else 0):
-        piv = next((i for i, r in enumerate(work) if r[col]), None)
-        if piv is None:
+        for i, row in enumerate(work):
+            if row[col]:
+                break
+        else:
             continue
-        row = work.pop(piv)
-        if row[col] != one:
-            row = F.scale_row(row, F.inv(row[col]))
-        work = [F.sub_multiple(r, r[col], row) if r[col] else r for r in work]
-        out = [F.sub_multiple(r, r[col], row) if r[col] else r for r in out]
+        del work[i]
+        c = row[col]
+        if c != one:
+            row = scale(row, inv(c))
+        work = [sub(r, r[col], row) if r[col] else r for r in work]
+        out = [sub(r, r[col], row) if r[col] else r for r in out]
         out.append(row)
         if not work:
             break
@@ -336,22 +345,28 @@ def mat_inv(F, A: Matrix) -> Matrix:
 
 
 def det(F, A: Matrix):
+    """Gaussian elimination below the diagonal; a row swap flips the sign."""
     n = len(A)
     work = list(A)
     d = F.one
+    mul, inv, neg, sub = F.mul, F.inv, F.neg, F.sub_multiple
     for col in range(n):
-        piv = next((r for r in range(col, n) if work[r][col]), None)
-        if piv is None:
+        for piv in range(col, n):
+            if work[piv][col]:
+                break
+        else:
             return F.zero
+        row = work[piv]
         if piv != col:
-            work[col], work[piv] = work[piv], work[col]
-            d = F.neg(d)
-        row = work[col]
-        d = F.mul(d, row[col])
-        inv = F.inv(row[col])
+            work[col], work[piv] = row, work[col]
+            d = neg(d)
+        c = row[col]
+        d = mul(d, c)
+        c_inv = inv(c)
         for r in range(col + 1, n):
-            if work[r][col]:
-                work[r] = F.sub_multiple(work[r], F.mul(work[r][col], inv), row)
+            x = work[r][col]
+            if x:
+                work[r] = sub(work[r], mul(x, c_inv), row)
     return d
 
 
@@ -404,6 +419,14 @@ class FqSubspace:
     def full(cls, F, n: int) -> "FqSubspace":
         return cls(F, n, mat_identity(F, n))
 
+    @classmethod
+    def ends(cls, F: Fq, n: int) -> tuple["FqSubspace", "FqSubspace"]:
+        """(0, F^n), built once per field and n and kept on the field."""
+        ends = F.subspace_ends.get(n)
+        if ends is None:
+            ends = F.subspace_ends[n] = cls.zero(F, n), cls.full(F, n)
+        return ends
+
     @property
     def dim(self) -> int:
         return len(self.rows)
@@ -417,7 +440,8 @@ class FqSubspace:
         return not any(vec)
 
     def __le__(self, other: "FqSubspace") -> bool:
-        return all(other.contains(r) for r in self.rows)
+        # F_q^n holds every vector of length n
+        return len(other.rows) == other.n or all(other.contains(r) for r in self.rows)
 
     def sum(self, other: "FqSubspace") -> "FqSubspace":
         return FqSubspace.from_vectors(self.field, self.n, self.rows + other.rows)

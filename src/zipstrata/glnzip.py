@@ -12,7 +12,11 @@ V(D) = span(e_r, ..., e_{n-1}), so that comparison is read off the echelon
 pivots of the filtration, with no further elimination.  Both maps of the
 filtration are images under f z^{-1} alone (`canonical_filtration`), so the
 classifier inverts no matrix and takes no preimage or kernel; `phi_map`
-still builds (a, b) for the checks that use them.  The classifiers here
+still builds (a, b) for the checks that use them.  The ends 0 and D of the
+filtration are built once per field and n (`FqSubspace.ends`).  A census
+forms g = f z^{-1} and checks it with `det` once per point, and takes the
+filtration once per point and exponent, through the profile code that
+`xi_classify` uses.  The classifiers here
 and the combinatorial map on W are developed independently and
 cross-validated on permutation matrices.  The request's budget caps a
 census at |GL_n(F_q)| and the model table at |^I W|, checked on every call.
@@ -25,6 +29,7 @@ import math
 import random
 from collections import Counter
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Sequence
 
 from .fq import (
@@ -155,9 +160,18 @@ def canonical_filtration(F, g: Matrix, r: int, m: int = 1) -> list[FqSubspace]:
     Raises ZeroDivisionError when g is singular; `_close_chain` enforces
     that the family is a chain of at most n + 1 members.
     """
+    _require_invertible(F, g)
+    return _filtration(F, g, r, m)
+
+
+def _require_invertible(F, g: Matrix) -> None:
     if det(F, g) == F.zero:
         raise ZeroDivisionError("matrix is singular")
-    ends = FqSubspace.zero(F, len(g)), FqSubspace.full(F, len(g))
+
+
+def _filtration(F, g: Matrix, r: int, m: int) -> list[FqSubspace]:
+    """`canonical_filtration` of a g already checked to be invertible."""
+    ends = FqSubspace.ends(F, len(g))
     return _close_chain(ends, _image_maps(F, g, r, m, ends))
 
 
@@ -215,14 +229,14 @@ def _close_chain(ends: tuple[FqSubspace, FqSubspace], step) -> list[FqSubspace]:
                     )
                 family[cand.rows] = cand
                 todo.append(cand)
-    chain = sorted(family.values(), key=lambda sp: sp.dim)
+    chain = [family[rows] for rows in sorted(family, key=len)]
     for lower, upper in zip(chain, chain[1:]):
-        if not (lower.dim < upper.dim and lower <= upper):
+        if not (len(lower.rows) < len(upper.rows) and lower <= upper):
             raise InvariantViolation("canonical family is not a chain; implementation bug")
     return chain
 
 
-def _stratum_invariant(zd: ZipDatum, F, g: Matrix, m: int) -> tuple:
+def _stratum_invariant(zd: ZipDatum, F, g: Matrix, m: int, invertible: bool = False) -> tuple:
     """The relative position of the canonical filtration with 0 < V(D) < D,
     recorded as the intersection-dimension profile (dim D_i, dim(V(D) /\\ D_i)).
 
@@ -231,12 +245,13 @@ def _stratum_invariant(zd: ZipDatum, F, g: Matrix, m: int) -> tuple:
     has rank s, so V(D) = im b = span(e_rr, ..., e_{n-1}); a vector of D_i lies
     in it iff its coefficients on the echelon rows with pivot < rr vanish, so
     dim(V(D) /\\ D_i) is the number of echelon rows of D_i with pivot >= rr.
+    ``invertible`` says that the caller has already checked g with `det`.
     """
     (rr,) = sorted(set(zd.rs.delta_indices()) - zd.I)
-    return tuple(
-        (c.dim, sum(row.index(F.one) >= rr for row in c.rows))
-        for c in canonical_filtration(F, g, rr, m)
-    )
+    chain = (_filtration if invertible else canonical_filtration)(F, g, rr, m)
+    one = F.one
+    return tuple((len(c.rows), [row.index(one) >= rr for row in c.rows].count(True))
+                 for c in chain)
 
 
 def _model_table(zd: ZipDatum) -> dict:
@@ -288,10 +303,14 @@ def xi_classify(zd: ZipDatum, F, f: Matrix, m: int = 1) -> WeylElement:
     entries = list(itertools.chain.from_iterable(f))
     if set(map(type, entries)) != {int} or min(entries) < 0 or max(entries) >= F.q:
         raise ZipDatumError(f"matrix entries must be elements of F_{F.q}: integers 0..{F.q - 1}")
-    # g = f perm_matrix(z^{-1}): column j of g is column z^{-1}(j) of f
-    cols = [i - 1 for i in zd.z.inverse().one_line()]
-    g = tuple(tuple(row[j] for j in cols) for row in f)
-    return _model_table(zd)[_stratum_invariant(zd, F, g, m)]
+    return _model_table(zd)[_stratum_invariant(zd, F, _frame_columns(zd, f), m)]
+
+
+def _frame_columns(zd: ZipDatum, f: Matrix) -> Matrix:
+    """g = f perm_matrix(z^{-1}): column j of g is column z^{-1}(j) of f, so
+    each row is one gather by the key of z^{-1} (n >= 2 indices, so the
+    gather returns a tuple)."""
+    return tuple(map(itemgetter(*zd.z.inverse().key), f))
 
 
 def _phi_pair(F, f: Matrix, n: int, r: int, m: int):
@@ -530,6 +549,10 @@ def fp_point_census(sig: Signature, q: int, m_list: Sequence[int]) -> dict:
     a mislabelled point breaks it stratum by stratum even when the total
     holds.  |GL_n(F_q)| is checked against the budget before q is factored,
     and the exponents, at least one, distinct and >= 1, before any point.
+
+    Each point f is turned into g = f z^{-1} and checked for invertibility
+    once; only the filtration depends on the exponent, so the profile of
+    `xi_classify` is taken once per (point, m), each time with that m.
     """
     n = sig.n
     total = gl_order(q, n)
@@ -539,10 +562,13 @@ def fp_point_census(sig: Signature, q: int, m_list: Sequence[int]) -> dict:
     zd = sig.zip_datum()
     if not m_list or min(m_list) < 1 or len(set(m_list)) < len(m_list):
         raise ZipDatumError(f"census exponents must be distinct and >= 1, got {list(m_list)}")
+    labels_of = {profile: label_of(w) for profile, w in _model_table(zd).items()}
     counts = {m: Counter() for m in m_list}
     pointwise_equal = True
     for f in enumerate_gl(F, n):
-        labels = [label_of(xi_classify(zd, F, f, m)) for m in m_list]
+        g = _frame_columns(zd, f)
+        _require_invertible(F, g)
+        labels = [labels_of[_stratum_invariant(zd, F, g, m, invertible=True)] for m in m_list]
         for m, lab in zip(m_list, labels):
             counts[m][lab] += 1
         pointwise_equal = pointwise_equal and len(set(labels)) == 1

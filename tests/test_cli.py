@@ -286,6 +286,7 @@ def test_xi_matrix(capsys):
     code, out = run(capsys, "--gl", "4", "2", "xi", "--matrix", entries)
     doc = json.loads(out)
     assert code == 0 and doc["xi"] == [1, 2, 3, 4]
+    assert doc["m"] == 1  # --m not given reads as 1
 
 
 def test_xi_singular_matrix_rejected(capsys):
@@ -405,6 +406,16 @@ def test_a_global_flag_after_the_subcommand_is_refused(capsys, monkeypatch, argv
     out, err = capsys.readouterr()
     assert exc.value.code == 2 and out == ""
     assert err.endswith(f"error: unrecognized arguments: {unrecognized}\n"), err
+
+
+@pytest.mark.parametrize("m", ["3", "1"])
+def test_census_refuses_the_global_m(capsys, monkeypatch, m):
+    # census takes its exponents from --m-list; a global --m was dropped and
+    # the m = 1 counts printed with exit 0, so any --m is refused, 1 included
+    monkeypatch.setattr(cli, "fp_point_census", None)
+    assert main(["--gl", "2", "1", "--q", "2", "--m", m, "census"]) == 2
+    assert capsys.readouterr() == (
+        "", "error: census does not take --m; give the exponents with --m-list\n")
 
 
 def test_generic_cartan_file(tmp_path, capsys):

@@ -94,6 +94,15 @@ def test_subspace_canonical_and_lattice_ops():
     assert U.contains((1, 0, 1)) and not U.contains((1, 0, 0))
 
 
+def test_subspace_ends_are_kept_per_field_and_n():
+    F, G = Fq(2), Fq(2)
+    zero, full = FqSubspace.ends(F, 3)
+    assert (zero, full) == (FqSubspace.zero(F, 3), FqSubspace.full(F, 3))
+    assert FqSubspace.ends(F, 3)[1] is full
+    assert FqSubspace.ends(F, 2) == (FqSubspace.zero(F, 2), FqSubspace.full(F, 2))
+    assert FqSubspace.ends(G, 3)[1].field is G
+
+
 def test_subspace_preimage():
     F = Fq(2)
     A = ((1, 0, 0), (0, 0, 0), (0, 0, 1))

@@ -3,12 +3,15 @@ the entry-by-entry reference in `fq_oracle`, on seeded random inputs over
 F_2, F_3, F_4, F_8 and F_9 with Frobenius exponents m = 1, 2, 3 (on the
 extension fields sigma^m is the identity for some m and not for others);
 and the pivot-count stratum profile against intersections of subspaces.
+The kernels `rref`, `det` and subspace containment are also checked on
+every shape over F_5 and QQ, `det` against a Leibniz sum as well.
 
 The filtration takes both maps as images under g; the reference closes the
 pair (a, b) of `_phi_pair` with preimages, round by round.  With the cut of
 V^{-1} moved by one, the comparison must fail.
 """
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -206,3 +209,95 @@ def test_stratum_profile_matches_intersection_reference(field):
                     g = sample(F, rng, n)
                     assert _stratum_invariant(zd, F, g, m) == _reference_profile(
                         F, g, n, r, m), (g, r, m)
+
+
+# ---------------------------------------------------------------------------
+# the kernels on every shape: rref, det and subspace containment
+
+KERNEL_FIELDS = [Fq(2), Fq(3), Fq(2, 2), Fq(5), Fq(3, 2), QQ]
+
+
+def _kernel_ids(F):
+    return "QQ" if F is QQ else f"F{F.q}"
+
+
+def _elements(F):
+    if F is QQ:
+        return sorted({Fraction(a, b) for a in range(-2, 3) for b in (1, 2)})
+    return list(F.elements())
+
+
+def _combinations(F, rng, count, n, base):
+    """``count`` random combinations of the vectors in ``base``, each of
+    length n, with a zero row now and then."""
+    els = _elements(F)
+    rows = []
+    for _ in range(count):
+        row = [F.zero] * n
+        if rng.random() > 0.15:
+            for v in base:
+                c = rng.choice(els)
+                row = [fq_oracle._add(F, x, F.mul(c, y)) for x, y in zip(row, v)]
+        rows.append(tuple(row))
+    return rows
+
+
+def _draw_rows(F, rng, count, n, rank_at_most):
+    """``count`` rows of length n spanning at most ``rank_at_most`` dimensions."""
+    els = _elements(F)
+    base = [[rng.choice(els) for _ in range(n)] for _ in range(rank_at_most)]
+    return _combinations(F, rng, count, n, base)
+
+
+def _leibniz(F, A):
+    """sum over permutations p of sign(p) prod_i A[i][p(i)]."""
+    n = len(A)
+    acc = F.zero
+    for perm in itertools.permutations(range(n)):
+        term = F.one
+        for i, j in enumerate(perm):
+            term = F.mul(term, A[i][j])
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        acc = fq_oracle._add(F, acc, fq_oracle._neg(F, term) if inversions % 2 else term)
+    return acc
+
+
+@pytest.mark.parametrize("F", KERNEL_FIELDS, ids=_kernel_ids)
+def test_rref_matches_reference_on_every_shape(F):
+    # square and rectangular, 0 to n + 2 rows, every rank, zero rows
+    rng = random.Random(_kernel_ids(F))
+    for n in range(1, 6):
+        for count in range(n + 3):
+            for rank_at_most in range(n + 1):
+                rows = _draw_rows(F, rng, count, n, rank_at_most)
+                assert rref(F, rows) == fq_oracle.rref(F, rows), rows
+
+
+@pytest.mark.parametrize("F", KERNEL_FIELDS, ids=_kernel_ids)
+def test_det_vanishes_exactly_below_full_rank_and_is_the_leibniz_sum(F):
+    rng = random.Random(_kernel_ids(F))
+    for n in range(6):
+        for rank_at_most in range(n + 1):
+            for _ in range(12):
+                A = tuple(_draw_rows(F, rng, n, n, rank_at_most))
+                d = det(F, A)
+                assert (d == F.zero) == (len(fq_oracle.rref(F, A)) < n), A
+                if n <= 4:
+                    assert d == _leibniz(F, A), A
+
+
+@pytest.mark.parametrize("F", KERNEL_FIELDS, ids=_kernel_ids)
+def test_containment_matches_the_rank_test_for_every_dimension(F):
+    # Y of each dimension 0..n, F^n included; X inside Y about half the time
+    rng = random.Random(_kernel_ids(F))
+    for n in range(1, 6):
+        for d in range(n + 1):
+            for _ in range(20):
+                rows = []
+                while len(fq_oracle.rref(F, rows)) < d:
+                    rows = _draw_rows(F, rng, d, n, d)
+                Y = FqSubspace(F, n, rref(F, rows))
+                base = Y.rows if rng.random() < 0.5 else _draw_rows(F, rng, n, n, n)
+                X = FqSubspace(F, n, rref(F, _combinations(F, rng, rng.randint(0, 3), n, base)))
+                want = len(fq_oracle.rref(F, Y.rows + X.rows)) == Y.dim
+                assert (X <= Y) == want, (X.rows, Y.rows)

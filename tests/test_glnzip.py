@@ -255,6 +255,41 @@ def test_gl2_f8_census_obeys_point_count_law():
     assert all(report["counts"][str(m)] == {"1,2": 392, "2,1": 3136} for m in (1, 2, 3))
 
 
+def test_gl3_f4_census_obeys_point_count_law_for_both_exponents():
+    # the stress census of signature (2,1) over F_4, where sigma^1 != sigma^2:
+    # |P(F_4)| = 15 * 12 * 3 * 4^2 = 8640, and the strata of lengths 0, 1, 2
+    # have 8640 * 4^l points for m = 1 and m = 2 alike
+    report = fp_point_census(Signature(2, 1), 4, [1, 2])
+    counts = {"1,2,3": 8640, "1,3,2": 34560, "3,1,2": 138240}
+    assert report["total"] == sum(counts.values()) == 181440
+    assert report["counts"] == {"1": counts, "2": counts}
+    assert report["counts_m_independent"]
+    assert all(row["matched"] for law in report["point_count_law"].values()
+               for row in law.values())
+
+
+def test_census_classifies_every_point_once_per_exponent(monkeypatch):
+    # sigma^1 != sigma^2 on F_4, so the filtration of a point depends on m:
+    # the profile is taken for every (point, m) with that m, never once per
+    # point with its label copied to the other exponents
+    sig = Signature(1, 1)
+    zd = sig.zip_datum()
+    glnzip._model_table(zd)  # built before recording: it classifies models
+    seen = []
+    profile = glnzip._stratum_invariant
+
+    def record(zd, F, g, m, *args, **kwargs):
+        seen.append((g, m))
+        return profile(zd, F, g, m, *args, **kwargs)
+
+    monkeypatch.setattr(glnzip, "_stratum_invariant", record)
+    report = fp_point_census(sig, 4, [1, 2])
+    z_inverse = perm_matrix(F4, zd.z.inverse())
+    points = [fq_oracle.mat_mul(F4, f, z_inverse) for f in enumerate_gl(F4, 2)]
+    assert len(points) == report["total"] == 180
+    assert sorted(seen) == sorted((g, m) for g in points for m in (1, 2))
+
+
 def test_xi_classify_zip_orbit_invariance(zd22):
     # the strata are the E_m-orbits, so classifying g z by Xi is invariant
     # under g |-> x g y^{-1} for zip pairs (x, y) of exponent m
