@@ -25,7 +25,7 @@ from .glnzip import (
     verify_length2,
     xi_classify,
 )
-from .hasse import hasse_feasible_at_zero, hasse_report
+from .hasse import hasse_feasible, hasse_report
 from .rootdata import TYPE_A_GL, RootDataError
 from .strata import closure_codim1, decide_smooth, is_small, xi_of_weyl
 from .weyl import DEFAULT_BUDGET, BudgetExceeded, WeylElement, budget_scope
@@ -42,8 +42,6 @@ class RunConfig:
     cartan_file: str | None
     sigma: str
     I: list[int] | None
-    m: int | None = None  # the global --m; None when not given
-    q: int = 2
     fmt: str = "json"
 
     def datum(self) -> ZipDatum:
@@ -105,10 +103,11 @@ def _emit(payload, fmt: str) -> str:
 def cmd_strata_list(config: RunConfig) -> str:
     zd = config.datum()
     reps = zd.minimal_reps()
+    zero = (0,) * zd.lattice.dim
     nodes = []
     covers = []
     for w in reps:
-        feasible0 = hasse_feasible_at_zero(zd, w).feasible
+        feasible0 = hasse_feasible(zd, w, zero).feasible
         nodes.append(
             {
                 "w": w.label(),
@@ -199,16 +198,20 @@ def cmd_hasse(config: RunConfig, w_text: str | None, lam_text: str | None) -> st
     return _emit(reports, config.fmt)
 
 
-def cmd_xi(config: RunConfig, w_text: str | None, matrix_text: str | None) -> str:
+def cmd_xi(config: RunConfig, w_text: str | None, matrix_text: str | None,
+           q: int | None, m: int | None) -> str:
     zd = config.datum()
     if (w_text is None) == (matrix_text is None):
         raise ZipDatumError("give exactly one of an element or --matrix")
     if w_text is not None:
+        for option, value in (("--q", q), ("--m", m)):
+            if value is not None:
+                raise ZipDatumError(f"xi takes {option} only with --matrix")
         w = _parse_element(zd, w_text)
         out = xi_of_weyl(zd, w)
         payload = {"input": w.label(), "xi": out.label(), "small": is_small(zd, w)}
         return _emit(payload, config.fmt)
-    F = Fq(*_factor_prime_power(config.q))
+    F = Fq(*_factor_prime_power(2 if q is None else q))
     entries = [int(x) % F.p for x in matrix_text.replace(",", " ").split()]
     n = zd.rs.ambient_dim
     if len(entries) != n * n:
@@ -216,15 +219,13 @@ def cmd_xi(config: RunConfig, w_text: str | None, matrix_text: str | None) -> st
     if F.k != 1:
         raise ZipDatumError("matrix entries are reduced mod p; use a prime q")
     f = tuple(tuple(entries[i * n + j] for j in range(n)) for i in range(n))
-    m = 1 if config.m is None else config.m
+    m = 1 if m is None else m
     out = xi_classify(zd, F, f, m)
     return _emit({"matrix": entries, "m": m, "xi": out.label()}, config.fmt)
 
 
-def cmd_census(config: RunConfig, m_list: list[int]) -> str:
+def cmd_census(config: RunConfig, q: int, m_list: list[int]) -> str:
     config.refuse_datum("census", gl=True)
-    if config.m is not None:
-        raise ZipDatumError("census does not take --m; give the exponents with --m-list")
     if config.gl is None:
         raise ZipDatumError("census needs --gl N R")
     n, r = config.gl
@@ -232,7 +233,7 @@ def cmd_census(config: RunConfig, m_list: list[int]) -> str:
     sig = Signature(max(r, s), min(r, s))
     if sig.r != r:
         raise ZipDatumError("census expects r >= s; swap the signature")
-    report = fp_point_census(sig, config.q, m_list)
+    report = fp_point_census(sig, q, m_list)
     if config.fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
@@ -250,9 +251,9 @@ def cmd_closed_form(config: RunConfig, r: int, s: int) -> str:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    # no parser takes an abbreviated option: a global flag given after the
-    # subcommand would otherwise be read as the subcommand option it
-    # abbreviates (``--m`` as ``--matrix`` or ``--m-list``)
+    # no parser takes an abbreviated option: an option given to a command
+    # that does not take it would otherwise be read as the option it
+    # abbreviates (``census --m`` as ``--m-list``)
     parser = argparse.ArgumentParser(
         prog="zipstrata",
         description="decide regularity in codimension one of zip strata "
@@ -264,9 +265,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--I", type=str, default=None,
                         help="comma-separated simple indices (generic data)")
     parser.add_argument("--sigma", default="id", help="'id', 'flip', or a permutation '2,1'")
-    parser.add_argument("--m", type=int, default=None,
-                        help="Frobenius exponent of xi --matrix (default 1)")
-    parser.add_argument("--q", type=int, default=2, help="field size for matrix input / census")
     parser.add_argument("--format", dest="fmt", choices=["json", "dot", "csv"], default="json")
     parser.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -290,7 +288,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("xi")
     p.add_argument("w", nargs="?")
     p.add_argument("--matrix", default=None, help="row-major entries, reduced mod p")
+    p.add_argument("--q", type=int, default=None, help="field size of --matrix (default 2)")
+    p.add_argument("--m", type=int, default=None,
+                   help="Frobenius exponent of --matrix (default 1)")
     p = command("census")
+    p.add_argument("--q", type=int, default=2, help="field size")
     p.add_argument("--m-list", default="1", help="comma-separated exponents")
     p = command("closed-form")
     p.add_argument("r", type=int)
@@ -305,9 +307,9 @@ COMMANDS = {
     "closure": lambda config, args: cmd_closure(config, args.w),
     "sweep-length2": lambda config, args: cmd_sweep_length2(config, args.n_max, args.verify),
     "hasse": lambda config, args: cmd_hasse(config, args.w, args.weight),
-    "xi": lambda config, args: cmd_xi(config, args.w, args.matrix),
+    "xi": lambda config, args: cmd_xi(config, args.w, args.matrix, args.q, args.m),
     "census": lambda config, args: cmd_census(
-        config, [int(x) for x in args.m_list.split(",")]),
+        config, args.q, [int(x) for x in args.m_list.split(",")]),
     "closed-form": lambda config, args: cmd_closed_form(config, args.r, args.s),
 }
 
@@ -321,8 +323,6 @@ def main(argv=None) -> int:
             cartan_file=args.cartan,
             sigma=args.sigma,
             I=[int(x) for x in args.I.split(",")] if args.I else None,
-            m=args.m,
-            q=args.q,
             fmt=args.fmt,
         )
         with budget_scope(args.budget):

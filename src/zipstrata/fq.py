@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
-from .weyl import InvariantViolation
+from .rootdata import InvariantViolation
 
 _TABLE_LIMIT = 2048
 
@@ -48,7 +48,7 @@ def _is_prime(p: int) -> bool:
 class Fq:
     """The finite field with q = p^k elements."""
 
-    def __init__(self, p: int, k: int = 1, modulus: Sequence[int] | None = None):
+    def __init__(self, p: int, k: int = 1):
         if not _is_prime(p):
             raise ValueError(f"{p} is not prime")
         if not 1 <= k <= 3:
@@ -57,7 +57,7 @@ class Fq:
         self.k = k
         self.q = p**k
         if k == 1:
-            self.modulus = (0, 1) if modulus is None else tuple(modulus)
+            self.modulus = (0, 1)
             self._add_table = None
             self._neg_table = None
             self._mul_table = None
@@ -66,13 +66,7 @@ class Fq:
         else:
             if self.q > _TABLE_LIMIT:
                 raise ValueError(f"extension field with q = {self.q} exceeds table limit")
-            if modulus is None:
-                modulus = self._find_irreducible()
-            self.modulus = tuple(int(c) % p for c in modulus)
-            if len(self.modulus) != k + 1 or self.modulus[-1] != 1:
-                raise ValueError("modulus must be monic of degree k")
-            if self._has_root(self.modulus):
-                raise ValueError("modulus is reducible (has a root in F_p)")
+            self.modulus = self._find_irreducible()
             self._build_tables()
         self.zero = 0
         self.one = 1

@@ -52,7 +52,7 @@ property-test data the witnesses agree.  Without the rule, redundant rows
 compound from one eliminated variable to the next.
 
 At lambda = 0, the query `strata-list` makes for every stratum,
-`hasse_feasible_at_zero` eliminates no equality.  Let u = z^{-1} w.  Then
+`hasse_feasible` eliminates no equality.  Let u = z^{-1} w.  Then
 (w - z) lambda_0 = 0 says exactly that u fixes lambda_0, and for such a
 lambda_0 the pairing <lambda_0, beta^vee> = <u lambda_0, (u beta)^vee> is
 constant on each u-orbit O of roots.  So the strict rows become one row per
@@ -190,10 +190,6 @@ class HasseResult:
 
 
 def _check_L_weight(zd: ZipDatum, lam: Sequence[int]) -> None:
-    if len(lam) != zd.lattice.dim:
-        raise ZipDatumError(
-            f"weight has dimension {len(lam)}, lattice has {zd.lattice.dim}"
-        )
     for k in sorted(zd.I):
         if zd.lattice.pairing_simple(lam, k) != 0:
             raise ZipDatumError(
@@ -261,29 +257,26 @@ def _tables(zd: ZipDatum) -> _Tables:
 # vector, so no Fraction is built inside an elimination loop.
 
 
-def _rref_with_combos(rows, rhs):
-    """Row reduce [rows | rhs] fraction-free, tracking each work row as an
-    integer combination of the input rows.
+def _rref_with_combos(rows, rhs, dim):
+    """Row reduce the integer system [rows | rhs] in ``dim`` variables
+    fraction-free, tracking each work row as an integer combination of the
+    input rows.
 
-    A row given with Fractions is first scaled by the lcm of its denominators
-    and its combination starts at that scale.  Elimination replaces row i by
-    d * row_i - f * row_r (d the pivot of row r, f the entry of row i in the
-    pivot column) and divides by the gcd of the whole row; every work row is
-    then a nonzero multiple of the row plain Gauss-Jordan elimination gives.
+    Elimination replaces row i by d * row_i - f * row_r (d the pivot of row
+    r, f the entry of row i in the pivot column) and divides by the gcd of
+    the whole row; every work row is then a nonzero multiple of the row
+    plain Gauss-Jordan elimination gives.
     Returns (pivots, reduced, bad_combo): ``reduced[i]`` is the integer pivot
     row ``[coeffs | rhs | combination]`` whose pivot sits in column
     ``pivots[i]``, and ``bad_combo`` combines the input rows to 0 = nonzero
     when the system is inconsistent (else None).
     """
     m = len(rows)
-    dim = len(rows[0]) if m else 0
-    # one augmented integer row: coefficients, rhs, combination of the inputs
-    work = []
+    # one augmented row: coefficients, rhs, combination of the inputs
+    work, zeros = [], [0] * m
     for i, (row, b) in enumerate(zip(rows, rhs)):
-        scale = lcm(*(x.denominator for x in row), b.denominator)
-        aug = [int(x * scale) for x in row]
-        aug.append(int(b * scale))
-        aug.extend(scale if j == i else 0 for j in range(m))
+        aug = [*row, b, *zeros]
+        aug[dim + 1 + i] = 1
         work.append(aug)
     pivots = []
     r = 0
@@ -307,8 +300,9 @@ def _rref_with_combos(rows, rhs):
     return pivots, work[:r], bad_combo
 
 
-def _solve_equalities(rows, rhs):
-    """Solve rows . x = rhs over Q (rows nonempty).
+def _solve_equalities(rows, rhs, dim):
+    """Solve rows . x = rhs over Q in ``dim`` variables; with no rows every
+    x solves it (P = 0, B the unit vectors, D = 1).
 
     Returns ('infeasible', multipliers) with integer multipliers deriving
     0 = nonzero, or ('ok', (P, B, D, span)): the solutions are
@@ -319,10 +313,9 @@ def _solve_equalities(rows, rhs):
     c, the factor D / d (d the row's pivot entry) and the row's integer
     combination of the input rows.
     """
-    pivots, red, bad_combo = _rref_with_combos(rows, rhs)
+    pivots, red, bad_combo = _rref_with_combos(rows, rhs, dim)
     if bad_combo is not None:
         return "infeasible", bad_combo
-    dim = len(rows[0])
     denom = lcm(*(abs(row[c]) for row, c in zip(red, pivots)))
     scale = [denom // row[c] for row, c in zip(red, pivots)]
     span = [(c, k, row[dim + 1:]) for row, c, k in zip(red, pivots, scale)]
@@ -492,19 +485,12 @@ def _feasible_lambda0(dim, eq_rows, eq_rhs, strict_rows):
     Returns ((numerators, den), None), x = numerators / den with den > 0, or
     (None, certificate); all rows are integer.
     """
-    if eq_rows:
-        status, payload = _solve_equalities(eq_rows, eq_rhs)
-        if status == "infeasible":
-            return None, _certificate(
-                eq_rows, eq_rhs, strict_rows, payload, [0] * len(strict_rows)
-            )
-        particular, basis, denom, span = payload
-    else:  # no equality constraints at all: x is free
-        particular = [0] * dim
-        basis = [[int(j == k) for j in range(dim)] for k in range(dim)]
-        denom = 1
-        span = []
-
+    status, payload = _solve_equalities(eq_rows, eq_rhs, dim)
+    if status == "infeasible":
+        return None, _certificate(
+            eq_rows, eq_rhs, strict_rows, payload, [0] * len(strict_rows)
+        )
+    particular, basis, denom, span = payload
     if not strict_rows:
         return (particular, denom), None
 
@@ -561,27 +547,31 @@ def _w_minus_z_cols(zd, w, tables):
     ]
 
 
+def _prologue(zd, w):
+    """E_w and the datum's tables, after refusing w outside ^I W."""
+    if not zd.in_IW(w):
+        raise ZipDatumError(f"w = {w!r} is not in ^I W")
+    return tuple(e_w_set(zd, w)), _tables(zd)
+
+
 def hasse_feasible(zd: ZipDatum, w: WeylElement, lam: Sequence[int]) -> HasseResult:
     """Does some positive power of L(lambda) carry a Hasse invariant on w?
 
     Decides the existence of rational lambda_0 with
-    (w - z) lambda_0 = lambda and <lambda_0, alpha^vee> < 0 on E_w.
+    (w - z) lambda_0 = lambda and <lambda_0, alpha^vee> < 0 on E_w.  At
+    lambda = 0 this is decided on u-orbit sums of coroots
+    (`_feasible_at_zero`), with a witness and a certificate of its own;
+    any other weight goes to the general elimination (`_eliminate`).
     """
-    lam = tuple(int(x) for x in lam)
-    if not zd.in_IW(w):
-        raise ZipDatumError(f"w = {w!r} is not in ^I W")
+    ew, tables = _prologue(zd, w)
+    if len(lam) != zd.lattice.dim:
+        raise ZipDatumError(f"weight has dimension {len(lam)}, lattice has {zd.lattice.dim}")
+    if not any(lam):
+        return _feasible_at_zero(zd, w, ew, tables)
+    lam = [int(x) for x in lam]
     _check_L_weight(zd, lam)
-    ew = tuple(e_w_set(zd, w))
-    tables = _tables(zd)
-    eq_rows = list(zip(*_w_minus_z_cols(zd, w, tables)))
-    eq_rhs = list(lam)
-    point, cert = _feasible_lambda0(
-        zd.lattice.dim, eq_rows, eq_rhs, _strict_rows(tables, ew))
-    if point is None:
-        return HasseResult(witness=None, certificate=cert, e_w=ew)
-    witness = _scaled_witness(*point)
-    _verify_witness(zd, w, lam, witness, ew)
-    return HasseResult(witness=witness, certificate=None, e_w=ew)
+    return _eliminate(zd, w, ew, tables, lambda cols: (list(zip(*cols)), lam),
+                      lambda cols, witness: [witness.multiplier * x for x in lam])[1]
 
 
 def hasse_any_Lweight(zd: ZipDatum, w: WeylElement):
@@ -591,39 +581,47 @@ def hasse_any_Lweight(zd: ZipDatum, w: WeylElement):
     coroot in I and <lambda_0, alpha^vee> < 0 on E_w; on success returns
     ``(lambda, HasseResult)`` with lambda = (w - z) lambda_0 scaled integral.
     """
-    if not zd.in_IW(w):
-        raise ZipDatumError(f"w = {w!r} is not in ^I W")
-    ew = tuple(e_w_set(zd, w))
-    dim = zd.lattice.dim
-    tables = _tables(zd)
+    ew, tables = _prologue(zd, w)
+
+    def equalities(cols):
+        # row k: <(w - z) e_j, alpha_k^vee> for each j, alpha_k simple in I
+        rows = [[zd.lattice.pairing_simple(col, k) for col in cols] for k in sorted(zd.I)]
+        return rows, [0] * len(rows)
+
+    def image(cols, witness):
+        lam = tuple(sum(map(mul, row, witness.scaled_integral)) for row in zip(*cols))
+        _check_L_weight(zd, lam)
+        return lam
+
+    return _eliminate(zd, w, ew, tables, equalities, image)
+
+
+def _eliminate(zd, w, ew, tables, equalities, image):
+    """The general elimination, shared by `hasse_feasible` and
+    `hasse_any_Lweight`: rational lambda_0 meeting the equality rows and
+    right-hand side ``equalities(cols)`` and <lambda_0, alpha^vee> < 0 on
+    E_w, where cols are the columns (w - z) e_k.  A witness is re-checked
+    against ``image(cols, witness)``, the (w - z)-image its scaled integral
+    vector must have.  Returns (that image, or None when infeasible,
+    HasseResult)."""
     cols = _w_minus_z_cols(zd, w, tables)
-    # row k: <(w - z) e_j, alpha_k^vee> for each j, alpha_k simple in I
-    eq_rows = [[zd.lattice.pairing_simple(col, k) for col in cols] for k in sorted(zd.I)]
-    eq_rhs = [0] * len(eq_rows)
-    point, cert = _feasible_lambda0(dim, eq_rows, eq_rhs, _strict_rows(tables, ew))
+    eq_rows, eq_rhs = equalities(cols)
+    point, cert = _feasible_lambda0(zd.lattice.dim, eq_rows, eq_rhs, _strict_rows(tables, ew))
     if point is None:
         return None, HasseResult(witness=None, certificate=cert, e_w=ew)
     witness = _scaled_witness(*point)
-    lam_scaled = tuple(
-        sum(col[d] * s for col, s in zip(cols, witness.scaled_integral))
-        for d in range(dim)
-    )
-    _check_L_weight(zd, lam_scaled)
-    _verify_witness(zd, w, lam_scaled, witness, ew, lam_multiplier=1)
-    return lam_scaled, HasseResult(witness=witness, certificate=None, e_w=ew)
+    expected = image(cols, witness)
+    _verify_witness(zd, w, expected, witness, ew)
+    return expected, HasseResult(witness=witness, certificate=None, e_w=ew)
 
 
-def hasse_feasible_at_zero(zd: ZipDatum, w: WeylElement) -> HasseResult:
-    """`hasse_feasible(zd, w, 0)` decided on u-orbit sums of coroots,
+def _feasible_at_zero(zd, w, ew, tables) -> HasseResult:
+    """`hasse_feasible` at lambda = 0, decided on u-orbit sums of coroots,
     u = z^{-1} w, with no equality elimination (module docstring).
 
-    Gives the verdict and E_w of `hasse_feasible` at lambda = 0; the witness
-    and the certificate are its own, and both are re-checked.
+    Gives the verdict and E_w of `_eliminate` at lambda = 0; the witness and
+    the certificate are its own, and both are re-checked.
     """
-    if not zd.in_IW(w):
-        raise ZipDatumError(f"w = {w!r} is not in ^I W")
-    ew = tuple(e_w_set(zd, w))
-    tables = _tables(zd)
     coroots, supports, index = tables.coroots, tables.supports, tables.index
     # u permutes the root indices as z^{-1} after w
     on_w = zd.W.root_key(w)
@@ -696,17 +694,16 @@ def _strict_rows(tables, ew):
     return [coroots[index[alpha.coords]] for alpha in ew]
 
 
-def _verify_witness(zd, w, lam, witness, ew, lam_multiplier=None):
-    """Exact integer re-check of a scaled witness: the weight equation by
-    the Weyl action on the lattice, and each strict row through the coroot
-    expansion of alpha^vee over the witness's pairings with the simple
-    coroots, so it reads none of the coroot rows the system was built
-    from."""
+def _verify_witness(zd, w, image, witness, ew):
+    """Exact integer re-check of a scaled witness: its image under w - z,
+    taken by the Weyl action on the lattice, must be ``image``, and each
+    strict row is checked through the coroot expansion of alpha^vee over
+    the witness's pairings with the simple coroots, so it reads none of the
+    coroot rows the system was built from."""
     scaled = witness.scaled_integral
     lattice = zd.lattice
     got = list(map(sub, w.apply_weight(scaled, lattice), zd.z.apply_weight(scaled, lattice)))
-    factor = witness.multiplier if lam_multiplier is None else lam_multiplier
-    if got != [factor * x for x in lam]:
+    if got != list(image):
         raise InvariantViolation("witness fails the weight equation")
     simple = [sum(map(mul, scaled, col)) for col in zip(*lattice.coroot_pairing)]
     for alpha in ew:

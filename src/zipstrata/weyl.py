@@ -87,16 +87,12 @@ def compose(u: tuple, v: tuple) -> tuple:
     ``itemgetter(*v)(u)``.
 
     ``itemgetter`` returns a bare item for one index and refuses none, so a
-    key of fewer than two points takes the loop instead; no datum has one
-    (GL_n needs n >= 2, and a generic rank >= 1 gives 2N >= 2 root indices).
+    key needs at least two points; every datum's keys have them (GL_n needs
+    n >= 2, and a generic rank >= 1 gives 2N >= 2 root indices).
 
     >>> compose((1, 2, 0), (2, 0, 1))
     (0, 1, 2)
-    >>> compose((0,), (0,))
-    (0,)
     """
-    if len(v) < 2:
-        return tuple(u[i] for i in v)
     return itemgetter(*v)(u)
 
 

@@ -275,6 +275,17 @@ def test_hasse_all_with_weight(capsys):
     assert code == 0 and len(docs) == 6
 
 
+@pytest.mark.parametrize("argv,err", [
+    (["hasse", "--weight", "0,0,0"], "weight has dimension 3, lattice has 4"),
+    (["hasse", "1,3,2,4", "--weight", "0,0,0,0,0"], "weight has dimension 5, lattice has 4"),
+    # w outside ^I W is refused first
+    (["hasse", "2,1,3,4", "--weight", "0,0,0"], "w = [2 1 3 4] is not in ^I W"),
+], ids=["all strata", "one stratum", "not in ^I W"])
+def test_a_zero_weight_of_the_wrong_dimension_exits_2(capsys, argv, err):
+    assert main(["--gl", "4", "2", *argv]) == 2
+    assert capsys.readouterr() == ("", f"error: {err}\n")
+
+
 def test_xi_element(capsys):
     code, out = run(capsys, "--gl", "4", "2", "xi", "e")
     doc = json.loads(out)
@@ -305,24 +316,23 @@ def test_xi_singular_matrix_with_independent_column_blocks_rejected(capsys):
 
 
 def test_census_csv(capsys):
-    code, out = run(capsys, "--gl", "3", "2", "--q", "2", "--format", "csv",
-                    "census", "--m-list", "1,2")
+    code, out = run(capsys, "--gl", "3", "2", "--format", "csv",
+                    "census", "--q", "2", "--m-list", "1,2")
     assert code == 0
     lines = out.strip().splitlines()
     assert lines[0] == "m,stratum,count"
     assert len(lines) == 1 + 6  # 3 strata x 2 exponents
 
 
-@pytest.mark.parametrize("argv,code,err", [
-    (["--gl", "2", "1", "--q", "11"], 0, ""),
-    (["--gl", "2", "1", "--q", "12"], 2, "error: 12 is not a prime power\n"),
-    (["--gl", "2", "1", "--q", "16"], 2, "error: extension degree k must be 1, 2 or 3\n"),
-    (["--gl", "5", "3", "--q", "2"], 3,
-     "budget exceeded: |GL_5(F_2)| = 9999360 exceeds budget 3628800\n"),
+@pytest.mark.parametrize("gl,q,code,err", [
+    (["2", "1"], "11", 0, ""),
+    (["2", "1"], "12", 2, "error: 12 is not a prime power\n"),
+    (["2", "1"], "16", 2, "error: extension degree k must be 1, 2 or 3\n"),
+    (["5", "3"], "2", 3, "budget exceeded: |GL_5(F_2)| = 9999360 exceeds budget 3628800\n"),
 ], ids=["GL_2(F_11)", "GL_2(F_12)", "GL_2(F_16)", "GL_5(F_2)"])
-def test_census_is_capped_by_the_budget_alone(capsys, argv, code, err):
+def test_census_is_capped_by_the_budget_alone(capsys, gl, q, code, err):
     # |GL_n(F_q)| is checked against the budget before q is factored
-    assert main(argv + ["census"]) == code
+    assert main(["--gl", *gl, "census", "--q", q]) == code
     captured = capsys.readouterr()
     assert captured.err == err
     if code == 0:
@@ -338,7 +348,7 @@ def test_census_exponents_are_checked_before_any_point(capsys, monkeypatch, m_li
     # first point; both exit 2 before any point is classified
     classified = []
     monkeypatch.setattr(glnzip, "xi_classify", lambda *args: classified.append(args))
-    code = main(["--gl", "2", "1", "--q", "3", "census", "--m-list", m_list])
+    code = main(["--gl", "2", "1", "census", "--q", "3", "--m-list", m_list])
     assert (code, *capsys.readouterr()) == (
         2, "", f"error: census exponents must be distinct and >= 1, got {shown}\n")
     assert classified == []
@@ -346,7 +356,7 @@ def test_census_exponents_are_checked_before_any_point(capsys, monkeypatch, m_li
 
 def test_xi_matrix_over_a_large_prime_field():
     # q is factored by trial division up to sqrt(q), not up to q
-    argv = ["--gl", "2", "1", "--q", "1000000007", "xi", "--matrix", "1,0,0,1"]
+    argv = ["--gl", "2", "1", "xi", "--matrix", "1,0,0,1", "--q", "1000000007"]
     env = {**os.environ, "PYTHONPATH": str(Path(zipstrata.__file__).parent.parent)}
     proc = subprocess.run([sys.executable, "-m", "zipstrata.cli", *argv],
                           capture_output=True, text=True, env=env, timeout=20)
@@ -373,11 +383,11 @@ _NO_FILE = "/nonexistent.json"
           (["--I", "1"], "--I"),
           (["--sigma", "flip"], "--sigma flip"),
       ]),
-    (["--gl", "2", "1", "--q", "3", "--sigma", "flip"], ["census", "--m-list", "1"],
+    (["--gl", "2", "1", "--sigma", "flip"], ["census", "--q", "3", "--m-list", "1"],
      "--sigma flip"),
-    (["--gl", "2", "1", "--q", "3", "--cartan", _NO_FILE], ["census", "--m-list", "1"],
+    (["--gl", "2", "1", "--cartan", _NO_FILE], ["census", "--q", "3", "--m-list", "1"],
      "--cartan FILE"),
-    (["--gl", "2", "1", "--q", "3", "--I", "1"], ["census", "--m-list", "1"], "--I"),
+    (["--gl", "2", "1", "--I", "1"], ["census", "--q", "3", "--m-list", "1"], "--I"),
     (["--cartan", _NO_FILE], ["census"], "--cartan FILE"),
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else v)
 def test_a_command_refuses_the_datum_options_it_cannot_honour(capsys, monkeypatch,
@@ -391,31 +401,65 @@ def test_a_command_refuses_the_datum_options_it_cannot_honour(capsys, monkeypatc
     assert capsys.readouterr() == ("", f"error: {command[0]} does not take {option}\n")
 
 
-@pytest.mark.parametrize("argv,unrecognized", [
-    # --m after the subcommand abbreviated xi's --matrix: the class of the
-    # second matrix was printed with m = 1
-    (["--gl", "2", "1", "xi", "--matrix", "1 1 0 1", "--m", "0 1 1 0"], "--m"),
-    # and census's --m-list
-    (["--gl", "4", "2", "census", "--m", "2"], "--m 2"),
-], ids=["xi --m", "census --m"])
-def test_a_global_flag_after_the_subcommand_is_refused(capsys, monkeypatch, argv, unrecognized):
+@pytest.mark.parametrize("argv,error", [
+    # --m, when it was global, after the subcommand abbreviated xi's
+    # --matrix: the class of the second matrix was printed with m = 1.  It
+    # is xi's own exponent now, and a matrix given there is no integer
+    (["--gl", "2", "1", "xi", "--matrix", "1 1 0 1", "--m", "0 1 1 0"],
+     "argument --m: invalid int value: '0 1 1 0'"),
+    # census has no --m, and does not read it as --m-list
+    (["--gl", "4", "2", "census", "--m", "2"], "unrecognized arguments: --m 2"),
+    # --q and --m belong to the commands that read them; every other
+    # command dropped them with exit 0 when they were global
+    (["--gl", "2", "1", "strata-list", "--q", "5"], "unrecognized arguments: --q 5"),
+    (["--gl", "2", "1", "closure", "2,1", "--m", "3"], "unrecognized arguments: --m 3"),
+], ids=["xi --m", "census --m", "strata-list --q", "closure --m"])
+def test_a_global_flag_after_the_subcommand_is_refused(capsys, monkeypatch, argv, error):
     monkeypatch.setattr(cli, "xi_classify", None)
     monkeypatch.setattr(cli, "fp_point_census", None)
     with pytest.raises(SystemExit) as exc:
         main(argv)
     out, err = capsys.readouterr()
     assert exc.value.code == 2 and out == ""
-    assert err.endswith(f"error: unrecognized arguments: {unrecognized}\n"), err
+    assert err.endswith(f"error: {error}\n"), err
 
 
 @pytest.mark.parametrize("m", ["3", "1"])
 def test_census_refuses_the_global_m(capsys, monkeypatch, m):
-    # census takes its exponents from --m-list; a global --m was dropped and
-    # the m = 1 counts printed with exit 0, so any --m is refused, 1 included
+    # census takes its exponents from --m-list; the global --m it once
+    # dropped (printing the m = 1 counts with exit 0) is gone, and an --m
+    # before census or after it is refused by the parser, 1 included
     monkeypatch.setattr(cli, "fp_point_census", None)
-    assert main(["--gl", "2", "1", "--q", "2", "--m", m, "census"]) == 2
-    assert capsys.readouterr() == (
-        "", "error: census does not take --m; give the exponents with --m-list\n")
+    for argv in (["--gl", "2", "1", "--m", m, "census"], ["--gl", "2", "1", "census", "--m", m]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        out, err = capsys.readouterr()
+        assert exc.value.code == 2 and out == "" and "error: " in err, argv
+
+
+@pytest.mark.parametrize("argv,code,err", [
+    (["--gl", "4", "2", "xi", "3,1,2,4", "--m", "2"], 2, "error: xi takes --m only with --matrix\n"),
+    (["--gl", "2", "1", "xi", "2,1", "--q", "4"], 2, "error: xi takes --q only with --matrix\n"),
+    (["--gl", "2", "1", "xi", "--matrix", "0,1,1,0", "--q", "3", "--m", "2"], 0, ""),
+], ids=["xi element --m", "xi element --q", "xi --matrix --q --m"])
+def test_xi_reads_q_and_m_only_with_a_matrix(capsys, argv, code, err):
+    assert main(argv) == code
+    out, got = capsys.readouterr()
+    assert got == err
+    if code == 0:
+        assert json.loads(out)["m"] == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["--gl", "2", "1", "--q", "5", "strata-list"],
+    ["--gl", "2", "1", "--q", "5", "--m", "3", "strata-list"],
+], ids=lambda v: " ".join(v))
+def test_q_and_m_before_the_command_are_refused(capsys, argv):
+    # both were global, and strata-list dropped them with exit 0
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == "" and "error: " in err
 
 
 def test_generic_cartan_file(tmp_path, capsys):

@@ -48,11 +48,6 @@ def test_prime_field_large_modulus():
     assert F.mul(12345, F.inv(12345)) == 1
 
 
-def test_reducible_modulus_rejected():
-    with pytest.raises(ValueError):
-        Fq(2, 2, modulus=[1, 0, 1])  # x^2 + 1 = (x+1)^2 over F_2
-
-
 def test_rref_is_canonical():
     F = Fq(2)
     a = rref(F, [(1, 1, 0), (0, 1, 1)])

