@@ -4,6 +4,11 @@ Subcommands: strata-list, decide, sweep-length2, hasse, xi, census,
 closed-form.  Exit codes: 0 success, 1 standard output closed before the
 report was written (as when piped into ``head``), 2 precondition violation,
 3 budget exceeded.
+
+A JSON report is byte for byte ``json.dumps(payload, indent=2,
+sort_keys=True)``: ASCII only, keys sorted, two-space indent, no trailing
+whitespace.  The goldens under ``tests/data`` and the sha256 pins of the
+E8 poset and the GL_4(F_2) census rely on this.
 """
 
 from __future__ import annotations
@@ -15,6 +20,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _quote
 
 from .fq import Fq
 from .glnzip import (
@@ -96,8 +102,57 @@ def _parse_element(zd: ZipDatum, text: str) -> WeylElement:
 
 def _emit(payload, fmt: str) -> str:
     if fmt == "json":
-        return json.dumps(payload, indent=2, sort_keys=True)
+        parts: list[str] = []
+        _json_parts(payload, "\n", parts)
+        return "".join(parts)
     raise ZipDatumError(f"format {fmt!r} is not available for this report")
+
+
+def _json_parts(value, newline: str, parts: list[str]) -> None:
+    """Append to ``parts`` what ``json.dumps(value, indent=2, sort_keys=True)``
+    prints for ``value`` at the depth whose line break and indent is
+    ``newline``.  With an indent, ``json`` leaves its C encoder for a
+    pure-Python one; this covers only what a report holds (dicts with str
+    keys, lists and tuples, str, int, bool, None) and raises TypeError on
+    anything else, as ``json.dumps`` does on an object it cannot serialise."""
+    if isinstance(value, (list, tuple)):
+        if not value:
+            parts.append("[]")
+            return
+        inner = newline + "  "
+        if {*map(type, value)} == {int}:  # a label or a weight: one join
+            parts.append("[" + inner + ("," + inner).join(map(int.__repr__, value))
+                         + newline + "]")
+            return
+        sep = "[" + inner
+        for item in value:
+            parts.append(sep)
+            _json_parts(item, inner, parts)
+            sep = "," + inner
+        parts.append(newline + "]")
+    elif isinstance(value, dict):
+        if not value:
+            parts.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, item in sorted(value.items()):
+            parts.append(sep + _quote(key) + ": ")  # TypeError on a key not str
+            _json_parts(item, inner, parts)
+            sep = "," + inner
+        parts.append(newline + "}")
+    elif isinstance(value, str):
+        parts.append(_quote(value))
+    elif value is None:
+        parts.append("null")
+    elif value is True:  # before int: bool is a subclass of int
+        parts.append("true")
+    elif value is False:
+        parts.append("false")
+    elif isinstance(value, int):
+        parts.append(int.__repr__(value))
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def cmd_strata_list(config: RunConfig) -> str:
@@ -250,6 +305,14 @@ def cmd_closed_form(config: RunConfig, r: int, s: int) -> str:
     return _emit(length2_closed_form(Signature(r, s)), config.fmt)
 
 
+class _AfterCommand(argparse.Action):
+    """Refuses an option given before the command that takes it."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        parser.error(f"{option_string} belongs after its command "
+                     "(census --q Q, xi --matrix ... --q Q --m M)")
+
+
 def build_parser() -> argparse.ArgumentParser:
     # no parser takes an abbreviated option: an option given to a command
     # that does not take it would otherwise be read as the option it
@@ -267,6 +330,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--sigma", default="id", help="'id', 'flip', or a permutation '2,1'")
     parser.add_argument("--format", dest="fmt", choices=["json", "dot", "csv"], default="json")
     parser.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    # without these, argparse sets an unknown option aside and reads its
+    # value as the command ("invalid choice: '5'")
+    parser.add_argument("--q", "--m", action=_AfterCommand, default=argparse.SUPPRESS,
+                        help=argparse.SUPPRESS)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def command(name):

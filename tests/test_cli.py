@@ -6,7 +6,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import budget_sweep
@@ -453,13 +453,19 @@ def test_xi_reads_q_and_m_only_with_a_matrix(capsys, argv, code, err):
 @pytest.mark.parametrize("argv", [
     ["--gl", "2", "1", "--q", "5", "strata-list"],
     ["--gl", "2", "1", "--q", "5", "--m", "3", "strata-list"],
+    ["--gl", "2", "1", "--q=5", "strata-list"],
+    ["--gl", "2", "1", "--m", "3", "xi", "2,1"],
+    ["--gl", "2", "1", "--q", "3", "census"],
 ], ids=lambda v: " ".join(v))
 def test_q_and_m_before_the_command_are_refused(capsys, argv):
-    # both were global, and strata-list dropped them with exit 0
+    # both were global, and strata-list dropped them with exit 0; then
+    # argparse read the value as the command ("invalid choice: '5'")
+    option = next(a[:3] for a in argv if a.startswith(("--q", "--m")))
     with pytest.raises(SystemExit) as exc:
         main(argv)
     out, err = capsys.readouterr()
-    assert exc.value.code == 2 and out == "" and "error: " in err
+    assert exc.value.code == 2 and out == ""
+    assert f"error: {option} belongs after its command (" in err
 
 
 def test_generic_cartan_file(tmp_path, capsys):
@@ -483,8 +489,51 @@ def test_json_round_trip_and_determinism(capsys):
     _, out1 = run(capsys, "--gl", "4", "2", "strata-list")
     _, out2 = run(capsys, "--gl", "4", "2", "strata-list")
     assert out1 == out2
-    doc = json.loads(out1)
-    assert json.loads(json.dumps(doc)) == doc
+    assert out1 == json.dumps(json.loads(out1), indent=2, sort_keys=True) + "\n"
+
+
+# what a report may hold: str-keyed dicts, lists, tuples, str, int, bool, None
+_JSON_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.sampled_from([0, 1, -1, 2**64, -(2**64) - 1])
+    | st.integers()
+    | st.text(alphabet=st.characters(), max_size=8)
+    | st.sampled_from(['"', "\\", "\n\t\x00\x1f\x7f", "é", "\u2028", "\U0001f600"])
+)
+_JSON_KEYS = st.text(alphabet=st.characters(), max_size=6) | st.sampled_from(
+    ['"', "\\", "a\nb", "\x01", "ü", "\U0001f600", ""])
+
+
+def _json_values(depth: int):
+    if depth == 0:
+        return _JSON_SCALARS
+    child = _json_values(depth - 1)
+    return (
+        _JSON_SCALARS
+        | st.lists(child, max_size=4)
+        | st.lists(child, max_size=4).map(tuple)
+        | st.dictionaries(_JSON_KEYS, child, max_size=4)
+        | st.lists(st.integers(), max_size=4)  # the one-join path
+    )
+
+
+@given(value=_json_values(4))
+@example(value=[True, 1, False, 0])
+@example(value={"b": [], "a": {}, "c": (), "d": [[], {}, ()]})
+@example(value={"\u00e9\"\\": ["\x00", "\U0001f600"], "B": 2**70, "a": -(2**70)})
+@example(value=(1, (2,), [True]))
+def test_emit_prints_json_dumps_bytes(value):
+    assert cli._emit(value, "json") == json.dumps(value, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("value", [
+    1.5, [0.5], {1, 2}, {"a": frozenset()}, {1: "a"}, {None: 0}, {"a": 1, 2: 3},
+], ids=["float", "float in a list", "set", "frozenset in a dict", "int key", "None key",
+        "mixed keys"])
+def test_emit_refuses_what_no_report_holds(value):
+    with pytest.raises(TypeError):
+        cli._emit(value, "json")
 
 
 def test_closure_command(capsys):
