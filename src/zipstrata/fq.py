@@ -15,12 +15,20 @@ loop over the rows.
 
 Subspaces are kept in row-reduced echelon form, which is canonical, so
 equality of subspaces is tuple equality; the pivot of an echelon row is the
-index of its first 1.  Containment in a space of n rows, F_q^n itself, is
-answered without reducing anything.  Each subspace costs at most one
-elimination:
+index of its first 1.  `in_span` tests a vector against bare echelon rows,
+and `FqSubspace.contains` is that test.  Containment in a space of n rows,
+F_q^n itself, is answered without reducing anything.  Each subspace costs at
+most one elimination:
 `kernel_basis` returns the kernel already in that form, and `apply_frobenius`
 maps entries without re-reducing, since sigma^m is an automorphism fixing 0
 and 1 and so keeps echelon rows echelon.
+
+Over F_2 a row also fits in one int: bit j is coordinate j, the pivot is the
+lowest set bit and elimination is XOR (`packed_rref`, `packed_in_span`).
+The finite-field classifier (`glnzip._image_maps`) picks that kind when
+q = 2 and tuple rows otherwise, runs its filtration on bare echelon rows,
+and builds `FqSubspace` objects only where `glnzip.canonical_filtration`
+returns its chain.
 """
 
 from __future__ import annotations
@@ -70,8 +78,7 @@ class Fq:
             self._build_tables()
         self.zero = 0
         self.one = 1
-        # n -> (0, F^n), built once by `FqSubspace.ends`
-        self.subspace_ends: dict[int, tuple] = {}
+        self._identity: dict[int, tuple] = {}
 
     # -- construction helpers -------------------------------------------------
 
@@ -216,6 +223,14 @@ class Fq:
             a = self._frob_table[a]
         return a
 
+    def identity(self, n: int) -> tuple:
+        """The rows of the n x n identity matrix (the echelon rows of F^n),
+        built once per n and kept on the field."""
+        rows = self._identity.get(n)
+        if rows is None:
+            rows = self._identity[n] = mat_identity(self, n)
+        return rows
+
     def elements(self) -> range:
         return range(self.q)
 
@@ -322,6 +337,52 @@ def rref(F, rows: Iterable[Sequence]) -> tuple:
     return tuple(map(tuple, out))
 
 
+def in_span(F, rows: Sequence[Sequence], vec: Sequence) -> bool:
+    """Whether vec lies in the span of the echelon rows ``rows``."""
+    one, sub = F.one, F.sub_multiple
+    for row in rows:
+        c = vec[row.index(one)]
+        if c:
+            vec = sub(vec, c, row)
+    return not any(vec)
+
+
+# F_2 rows packed into ints: bit j is coordinate j, so the pivot of a row is
+# its lowest set bit, v & -v, and adding two rows is XOR.  A vector is
+# reduced by an echelon row iff it has that row's pivot bit, and reducing
+# leaves its bits at the other pivots alone, so the rows can be taken in
+# any order.
+
+
+def _lowest_bit(v: int) -> int:
+    return v & -v
+
+
+def packed_rref(rows: Sequence[int], vectors: Iterable[int]) -> tuple:
+    """The canonical echelon rows of span(rows + vectors) over F_2, packed
+    and in pivot order; ``rows`` must already be such rows."""
+    out = list(rows)
+    for v in vectors:
+        for row in out:
+            if v & row & -row:
+                v ^= row
+        if v:
+            p = v & -v
+            out = [row ^ v if row & p else row for row in out]
+            out.append(v)
+    out.sort(key=_lowest_bit)
+    return tuple(out)
+
+
+def packed_in_span(rows: Sequence[int], v: int) -> bool:
+    """Whether the packed vector v lies in the span of the packed echelon
+    rows ``rows``."""
+    for row in rows:
+        if v & row & -row:
+            v ^= row
+    return not v
+
+
 def rank(F, A: Matrix) -> int:
     return len(rref(F, A))
 
@@ -413,25 +474,12 @@ class FqSubspace:
     def full(cls, F, n: int) -> "FqSubspace":
         return cls(F, n, mat_identity(F, n))
 
-    @classmethod
-    def ends(cls, F: Fq, n: int) -> tuple["FqSubspace", "FqSubspace"]:
-        """(0, F^n), built once per field and n and kept on the field."""
-        ends = F.subspace_ends.get(n)
-        if ends is None:
-            ends = F.subspace_ends[n] = cls.zero(F, n), cls.full(F, n)
-        return ends
-
     @property
     def dim(self) -> int:
         return len(self.rows)
 
     def contains(self, vec: Sequence) -> bool:
-        F = self.field
-        for row in self.rows:
-            c = vec[row.index(F.one)]
-            if c:
-                vec = F.sub_multiple(vec, c, row)
-        return not any(vec)
+        return in_span(self.field, self.rows, vec)
 
     def __le__(self, other: "FqSubspace") -> bool:
         # F_q^n holds every vector of length n

@@ -12,14 +12,22 @@ V(D) = span(e_r, ..., e_{n-1}), so that comparison is read off the echelon
 pivots of the filtration, with no further elimination.  Both maps of the
 filtration are images under f z^{-1} alone (`canonical_filtration`), so the
 classifier inverts no matrix and takes no preimage or kernel; `phi_map`
-still builds (a, b) for the checks that use them.  The ends 0 and D of the
-filtration are built once per field and n (`FqSubspace.ends`).  A census
-forms g = f z^{-1} and checks it with `det` once per point, and takes the
-filtration once per point and exponent, through the profile code that
-`xi_classify` uses.  The classifiers here
-and the combinatorial map on W are developed independently and
-cross-validated on permutation matrices.  The request's budget caps a
-census at |GL_n(F_q)| and the model table at |^I W|, checked on every call.
+still builds (a, b) for the checks that use them.
+
+The filtration runs on bare canonical echelon rows, and `_image_maps`
+chooses their kind from the field alone: over F_2 a row is an int (bit j is
+coordinate j, the pivot is the lowest set bit, elimination is XOR and g is
+checked by the rank of its packed columns); over every other field a row is
+a tuple, eliminated by `fq.rref`, and g is checked with `fq.det`.  One
+closure (`_close_chain`), with its n + 1 bound and chain check, and one
+profile count (`_stratum_invariant`) serve both kinds.  `FqSubspace`
+objects are built only where `canonical_filtration` returns its chain;
+`xi_classify` and the census read the profile without them.  A census
+builds the maps of g = f z^{-1}, which checks g, once per point, and
+closes them once per point and exponent.  The classifiers here and the
+combinatorial map on W are developed independently and cross-validated on
+permutation matrices.  The request's budget caps a census at
+|GL_n(F_q)| and the model table at |^I W|, checked on every call.
 """
 
 from __future__ import annotations
@@ -29,8 +37,9 @@ import math
 import random
 from collections import Counter
 from dataclasses import dataclass
-from operator import itemgetter
-from typing import Sequence
+from functools import partial
+from operator import itemgetter, lshift
+from typing import Callable, NamedTuple, Sequence
 
 from .fq import (
     Fq,
@@ -39,12 +48,16 @@ from .fq import (
     det,
     enumerate_gl,
     gl_order,
+    in_span,
     kernel_basis,
     mat_identity,
     mat_inv,
     mat_mul,
     mat_transpose,
+    packed_in_span,
+    packed_rref,
     rank,
+    rref,
 )
 from .rootdata import TYPE_A_GL
 from .weyl import InvariantViolation, WeylElement, check_budget
@@ -157,125 +170,199 @@ def canonical_filtration(F, g: Matrix, r: int, m: int = 1) -> list[FqSubspace]:
     for k' = 0 and V^{-1} M = D for k' = n - r.  In particular F(0) = 0,
     V^{-1}(D) = D and F(D) = V^{-1}(0) = g(W_1), which is computed once.
 
-    Raises ZeroDivisionError when g is singular; `_close_chain` enforces
-    that the family is a chain of at most n + 1 members.
+    The closure runs on bare echelon rows (`_image_maps`); the chain becomes
+    `FqSubspace` objects here, at the return, and nowhere else.  Raises
+    ZeroDivisionError when g is singular; `_close_chain` enforces that the
+    family is a chain of at most n + 1 members.
     """
-    _require_invertible(F, g)
-    return _filtration(F, g, r, m)
+    kernel = _image_maps(F, g, r)
+    n = len(g)
+    return [FqSubspace(F, n, kernel.as_tuples(rows)) for rows in _close_chain(kernel, m)]
 
 
-def _require_invertible(F, g: Matrix) -> None:
+class _RowKernel(NamedTuple):
+    """The two maps of the filtration of one g with cut r, on echelon rows of
+    one kind: tuples of field elements, or F_2 rows packed into ints."""
+
+    full: tuple  # the rows of D
+    step: Callable  # (rows of M, m) -> (rows of F M, rows of V^{-1} M)
+    contains: Callable  # (echelon rows, vector) -> whether the vector is in their span
+    high: Callable  # row -> whether its pivot is >= r
+    as_tuples: Callable  # rows -> the same rows as tuples of field elements
+
+
+def _image_maps(F, g: Matrix, r: int) -> _RowKernel:
+    """M |-> (F M, V^{-1} M) as images under g (see `canonical_filtration`).
+
+    The row kind follows from the field alone: over F_2 a row is an int
+    (`_packed_maps`), over every other field a tuple (`_tuple_maps`).  Either
+    raises ZeroDivisionError("matrix is singular") when g is not invertible.
+    """
+    if F.q == 2:
+        return _packed_maps(g, r)
+    return _tuple_maps(F, g, r)
+
+
+def _tuple_maps(F, g: Matrix, r: int) -> _RowKernel:
+    """Rows as tuples, eliminated by `rref`; g v through `mat_mul`.  g is
+    checked with `det`, one forward elimination, which measured faster here
+    than the rank of g(W_1)'s rows and the other columns through `rref`."""
+    n = len(g)
     if det(F, g) == F.zero:
         raise ZeroDivisionError("matrix is singular")
-
-
-def _filtration(F, g: Matrix, r: int, m: int) -> list[FqSubspace]:
-    """`canonical_filtration` of a g already checked to be invertible."""
-    ends = FqSubspace.ends(F, len(g))
-    return _close_chain(ends, _image_maps(F, g, r, m, ends))
-
-
-def _image_maps(F, g: Matrix, r: int, m: int, ends: tuple[FqSubspace, FqSubspace]):
-    """M |-> (F M, V^{-1} M) as images under g (see `canonical_filtration`);
-    ``ends`` is (0, D)."""
-    n = len(g)
     cols = mat_transpose(g)  # cols[j] = g e_j, so mat_mul(v, cols) = g v
     low_cols, high_cols = cols[:r], cols[r:]
-    zero, full = ends
-    gw1 = FqSubspace.from_vectors(F, n, low_cols)
-    one = F.one
+    gw1 = rref(F, low_cols)
+    full = F.identity(n)
+    one, k_field, frobenius_pow = F.one, F.k, F.frobenius_pow
 
-    def step(sp: FqSubspace) -> tuple[FqSubspace, FqSubspace]:
-        rows = sp.apply_frobenius(m).rows
+    def step(rows, m):
+        if m % k_field:  # sigma^m keeps echelon rows echelon
+            rows = tuple(tuple(frobenius_pow(x, m) for x in row) for row in rows)
         # echelon rows come in pivot order: those with pivot < r first
         k = 0
         while k < len(rows) and rows[k].index(one) < r:
             k += 1
         if k == 0:
-            f_img = zero
+            f_img = ()
         elif k == r:
             f_img = gw1
         else:  # mat_mul pairs only the first r entries of a row with low_cols
-            f_img = FqSubspace.from_vectors(F, n, mat_mul(F, rows[:k], low_cols))
+            f_img = rref(F, mat_mul(F, rows[:k], low_cols))
         if k == len(rows):
             v_img = gw1
         elif len(rows) - k == n - r:
             v_img = full
         else:
-            high = mat_mul(F, [row[r:] for row in rows[k:]], high_cols)
-            v_img = FqSubspace.from_vectors(F, n, gw1.rows + high)
+            v_img = rref(F, gw1 + mat_mul(F, [row[r:] for row in rows[k:]], high_cols))
         return f_img, v_img
 
-    return step
+    def high(row) -> bool:
+        return row.index(one) >= r
+
+    return _RowKernel(full, step, partial(in_span, F), high, tuple)
 
 
-def _close_chain(ends: tuple[FqSubspace, FqSubspace], step) -> list[FqSubspace]:
-    """Close ends = (0, D) under the two maps M |-> step(M) with a worklist,
-    so each member of the family is mapped once.  The family must be
-    totally ordered, so it has at most n + 1 members; both conditions raise
-    InvariantViolation.
+def _packed_maps(g: Matrix, r: int) -> _RowKernel:
+    """F_2 rows packed into ints: bit j is coordinate j, the pivot of a row is
+    its lowest set bit and elimination is XOR (`packed_rref`).  g v is the
+    XOR of g's packed columns at the set bits of v.  g is invertible iff its
+    columns have rank n, which is the elimination that gives g(W_1) carried
+    on through the other columns."""
+    n = len(g)
+    cols = [sum(map(lshift, col, range(n))) for col in zip(*g)]
+    gw1 = packed_rref((), cols[:r])
+    full = packed_rref(gw1, cols[r:])  # the unit rows 1, 2, 4, ... when g is invertible
+    if len(full) < n:
+        raise ZeroDivisionError("matrix is singular")
+    low = (1 << r) - 1  # the coordinates of W_1
+
+    def image(v: int) -> int:
+        out = j = 0
+        while v:
+            if v & 1:
+                out ^= cols[j]
+            v >>= 1
+            j += 1
+        return out
+
+    def step(rows, m):
+        # sigma is the identity on F_2; rows come in pivot order, and a row
+        # has pivot < r iff it has a bit below r
+        k = 0
+        while k < len(rows) and rows[k] & low:
+            k += 1
+        if k == 0:
+            f_img = ()
+        elif k == r:
+            f_img = gw1
+        else:
+            f_img = packed_rref((), [image(v & low) for v in rows[:k]])
+        if k == len(rows):
+            v_img = gw1
+        elif len(rows) - k == n - r:
+            v_img = full
+        else:
+            v_img = packed_rref(gw1, [image(v) for v in rows[k:]])
+        return f_img, v_img
+
+    def high(row: int) -> bool:
+        return not row & low
+
+    def as_tuples(rows) -> tuple:
+        return tuple(tuple(v >> j & 1 for j in range(n)) for v in rows)
+
+    return _RowKernel(full, step, packed_in_span, high, as_tuples)
+
+
+def _close_chain(kernel: _RowKernel, m: int) -> list[tuple]:
+    """Close {0, D} under M |-> kernel.step(M, m) with a worklist, so each
+    member of the family is mapped once; members are their echelon rows.
+    The family must be totally ordered, so it has at most n + 1 members;
+    both conditions raise InvariantViolation.
     """
-    n = ends[1].dim
-    todo = list(ends)
-    family = {sp.rows: sp for sp in todo}
+    full, step, contains = kernel.full, kernel.step, kernel.contains
+    n = len(full)
+    todo = [(), full]
+    family = set(todo)
     while todo:
-        sp = todo.pop()
-        for cand in step(sp):
-            if cand.rows not in family:
+        for cand in step(todo.pop(), m):
+            if cand not in family:
                 if len(family) > n:
                     raise InvariantViolation(
                         f"canonical family exceeds n + 1 = {n + 1} subspaces; "
                         "it is not a chain"
                     )
-                family[cand.rows] = cand
+                family.add(cand)
                 todo.append(cand)
-    chain = [family[rows] for rows in sorted(family, key=len)]
+    chain = sorted(family, key=len)
     for lower, upper in zip(chain, chain[1:]):
-        if not (len(lower.rows) < len(upper.rows) and lower <= upper):
+        # D holds every vector of length n
+        if not (len(lower) < len(upper)
+                and (len(upper) == n or all(contains(upper, v) for v in lower))):
             raise InvariantViolation("canonical family is not a chain; implementation bug")
     return chain
 
 
-def _stratum_invariant(zd: ZipDatum, F, g: Matrix, m: int, invertible: bool = False) -> tuple:
+def _stratum_invariant(kernel: _RowKernel, m: int) -> tuple:
     """The relative position of the canonical filtration with 0 < V(D) < D,
     recorded as the intersection-dimension profile (dim D_i, dim(V(D) /\\ D_i)).
 
     This profile is a complete isomorphism invariant of the Dieudonne pair of
-    g, hence classifies the stratum containing g.  b is zero above row rr and
-    has rank s, so V(D) = im b = span(e_rr, ..., e_{n-1}); a vector of D_i lies
-    in it iff its coefficients on the echelon rows with pivot < rr vanish, so
+    g, hence classifies the stratum containing g.  With ``kernel`` the maps of
+    g at the datum's cut rr (`_model_table`): b is zero above row rr and has
+    rank s, so V(D) = im b = span(e_rr, ..., e_{n-1}); a vector of D_i lies in
+    it iff its coefficients on the echelon rows with pivot < rr vanish, so
     dim(V(D) /\\ D_i) is the number of echelon rows of D_i with pivot >= rr.
-    ``invertible`` says that the caller has already checked g with `det`.
     """
-    (rr,) = sorted(set(zd.rs.delta_indices()) - zd.I)
-    chain = (_filtration if invertible else canonical_filtration)(F, g, rr, m)
-    one = F.one
-    return tuple((len(c.rows), [row.index(one) >= rr for row in c.rows].count(True))
-                 for c in chain)
+    high = kernel.high
+    return tuple([(len(rows), sum(map(high, rows))) for rows in _close_chain(kernel, m)])
 
 
-def _model_table(zd: ZipDatum) -> dict:
-    """Profile -> label lookup, built from the T-point models w z^{-1}.
+def _model_table(zd: ZipDatum) -> tuple[int, dict]:
+    """The cut rr of the datum (the one simple root outside I) and the
+    profile -> label lookup, built from the T-point models w z^{-1}.
 
     The models have 0/1 entries fixed by every Frobenius power, so one table
     (computed over F_2) serves all fields and exponents.
     """
-    table = zd._extra.get("xi_model_table")
-    if table is not None:  # one profile per element of ^I W
-        check_budget(len(table), "|^K W|")
+    cut_table = zd._extra.get("xi_model_table")
+    if cut_table is not None:  # one profile per element of ^I W
+        check_budget(len(cut_table[1]), "|^K W|")
     else:
         F2 = Fq(2)
+        (rr,) = sorted(set(zd.rs.delta_indices()) - zd.I)
         table = {}
         for w in zd.minimal_reps():
-            inv = _stratum_invariant(zd, F2, perm_matrix(F2, w * zd.z.inverse()), 1)
+            inv = _stratum_invariant(_image_maps(F2, perm_matrix(F2, w * zd.z.inverse()), rr), 1)
             if inv in table:
                 raise InvariantViolation(
                     "stratum profiles must separate ^I W; collision at "
                     f"{w.one_line()} vs {table[inv].one_line()}"
                 )
             table[inv] = w
-        zd._extra["xi_model_table"] = table
-    return table
+        cut_table = zd._extra["xi_model_table"] = rr, table
+    return cut_table
 
 
 def xi_classify(zd: ZipDatum, F, f: Matrix, m: int = 1) -> WeylElement:
@@ -303,7 +390,8 @@ def xi_classify(zd: ZipDatum, F, f: Matrix, m: int = 1) -> WeylElement:
     entries = list(itertools.chain.from_iterable(f))
     if set(map(type, entries)) != {int} or min(entries) < 0 or max(entries) >= F.q:
         raise ZipDatumError(f"matrix entries must be elements of F_{F.q}: integers 0..{F.q - 1}")
-    return _model_table(zd)[_stratum_invariant(zd, F, _frame_columns(zd, f), m)]
+    rr, table = _model_table(zd)
+    return table[_stratum_invariant(_image_maps(F, _frame_columns(zd, f), rr), m)]
 
 
 def _frame_columns(zd: ZipDatum, f: Matrix) -> Matrix:
@@ -562,13 +650,13 @@ def fp_point_census(sig: Signature, q: int, m_list: Sequence[int]) -> dict:
     zd = sig.zip_datum()
     if not m_list or min(m_list) < 1 or len(set(m_list)) < len(m_list):
         raise ZipDatumError(f"census exponents must be distinct and >= 1, got {list(m_list)}")
-    labels_of = {profile: label_of(w) for profile, w in _model_table(zd).items()}
+    rr, table = _model_table(zd)
+    labels_of = {profile: label_of(w) for profile, w in table.items()}
     counts = {m: Counter() for m in m_list}
     pointwise_equal = True
     for f in enumerate_gl(F, n):
-        g = _frame_columns(zd, f)
-        _require_invertible(F, g)
-        labels = [labels_of[_stratum_invariant(zd, F, g, m, invertible=True)] for m in m_list]
+        kernel = _image_maps(F, _frame_columns(zd, f), rr)
+        labels = [labels_of[_stratum_invariant(kernel, m)] for m in m_list]
         for m, lab in zip(m_list, labels):
             counts[m][lab] += 1
         pointwise_equal = pointwise_equal and len(set(labels)) == 1

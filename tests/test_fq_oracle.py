@@ -8,17 +8,24 @@ every shape over F_5 and QQ, `det` against a Leibniz sum as well.
 
 The filtration takes both maps as images under g; the reference closes the
 pair (a, b) of `_phi_pair` with preimages, round by round.  With the cut of
-V^{-1} moved by one, the comparison must fail.
+V^{-1} moved by one, the comparison must fail on every field.  Over F_2 the
+filtration runs on rows packed into ints, and two slips in that kernel alone
+(F's image left uncut at column r, the pivot read as the highest set bit)
+must break the comparison over F_2 and leave every other field alone.
 """
 
+import __future__
+import inspect
 import itertools
 import random
+import re
+import textwrap
 from fractions import Fraction
 
 import pytest
 
 import fq_oracle
-from zipstrata import glnzip
+from zipstrata import fq, glnzip
 from zipstrata.fq import (
     QQ,
     Fq,
@@ -28,9 +35,11 @@ from zipstrata.fq import (
     mat_identity,
     mat_inv,
     mat_mul,
+    packed_in_span,
+    packed_rref,
     rref,
 )
-from zipstrata.glnzip import _phi_pair, _stratum_invariant, canonical_filtration
+from zipstrata.glnzip import _image_maps, _phi_pair, _stratum_invariant, canonical_filtration
 from zipstrata.weyl import InvariantViolation
 from zipstrata.zipdatum import gl_zip_datum
 
@@ -81,6 +90,27 @@ def test_rref_and_kernel_match_reference(field):
         # the same subspace as the reference kernel, and in its canonical form
         assert kernel_basis(F, rows, n) == fq_oracle.rref(
             F, fq_oracle.kernel_basis(F, rows, n)), rows
+
+
+def test_packed_rows_match_reference():
+    # F_2 rows packed into ints (bit j is coordinate j) against the tuple
+    # reference, from no rows and continued from echelon rows
+    F = Fq(2)
+    rng = random.Random(29)
+
+    def pack(row):
+        return sum(x << j for j, x in enumerate(row))
+
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        first, more = (_rand_rows(F, rng, rng.randint(0, 7), n) for _ in range(2))
+        start = packed_rref((), map(pack, first))
+        assert start == tuple(map(pack, fq_oracle.rref(F, first))), first
+        assert packed_rref(start, map(pack, more)) == tuple(
+            map(pack, fq_oracle.rref(F, first + more))), (first, more)
+        v = tuple(rng.randint(0, 1) for _ in range(n))
+        assert packed_in_span(start, pack(v)) == (
+            len(fq_oracle.rref(F, first + [v])) == len(start)), (first, v)
 
 
 @pytest.mark.parametrize("m", EXPONENTS)
@@ -147,15 +177,53 @@ def test_filtration_matches_round_based_reference(field, m):
 def test_a_moved_v_inverse_cut_breaks_the_comparison(monkeypatch, field, m, shift):
     # V^{-1} M = g(W_1 + (N /\ W_2)) taken with the cut at r - 1 (mostly a
     # family the chain check rejects) or r + 1 (mostly a wrong chain)
+    # (over F_2 both kernels work on packed rows)
     image_maps = glnzip._image_maps
 
-    def moved(F, g, r, m, ends):
-        f_map = image_maps(F, g, r, m, ends)
-        v_map = image_maps(F, g, min(r + shift, len(g) - 1), m, ends)
-        return lambda sp: (f_map(sp)[0], v_map(sp)[1])
+    def moved(F, g, r):
+        kernel = image_maps(F, g, r)
+        f_step, v_step = kernel.step, image_maps(F, g, min(r + shift, len(g) - 1)).step
+        return kernel._replace(step=lambda rows, m: (f_step(rows, m)[0], v_step(rows, m)[1]))
 
     monkeypatch.setattr(glnzip, "_image_maps", moved)
     assert any(chain != want for chain, want in _filtration_against_reference(field, m))
+
+
+def _mutate(monkeypatch, func, pattern, repl, *modules):
+    """Recompile ``func`` from its source with every match of ``pattern``
+    replaced by ``repl`` and install it as that name in each of ``modules``;
+    the source must contain a match."""
+    src = textwrap.dedent(inspect.getsource(func))
+    mutated, hits = re.subn(pattern, repl, src)
+    assert hits, f"{func.__name__} no longer contains {pattern!r}"
+    scope = {}
+    code = compile(mutated, inspect.getsourcefile(func), "exec",
+                   flags=__future__.annotations.compiler_flag, dont_inherit=True)
+    exec(code, func.__globals__, scope)
+    for module in modules:
+        monkeypatch.setattr(module, func.__name__, scope[func.__name__])
+
+
+def _packed_slip_uncut_f_image(monkeypatch):
+    # F M = g(p_1 N) taken as g(N): the rows with pivot < r keep their bits
+    # at and right of r
+    _mutate(monkeypatch, glnzip._packed_maps, r"image\(v & low\)", "image(v)", glnzip)
+
+
+def _packed_slip_highest_pivot(monkeypatch):
+    # every pivot read, v & -v, becomes the highest set bit of v
+    highest = r"(1 << \1.bit_length() - 1)"
+    _mutate(monkeypatch, fq._lowest_bit, r"\b(\w+) & -\1\b", highest, fq)
+    for func in (fq.packed_rref, fq.packed_in_span):
+        _mutate(monkeypatch, func, r"\b(\w+) & -\1\b", highest, fq, glnzip)
+
+
+@pytest.mark.parametrize("slip", [_packed_slip_uncut_f_image, _packed_slip_highest_pivot])
+@pytest.mark.parametrize("field", FIELDS, ids=_ids)
+def test_a_packed_kernel_slip_breaks_only_the_f2_comparison(monkeypatch, field, slip):
+    slip(monkeypatch)
+    broken = any(chain != want for chain, want in _filtration_against_reference(field, 1))
+    assert broken == (field == (2, 1))
 
 
 def test_rational_rows_match_reference():
@@ -203,11 +271,11 @@ def test_stratum_profile_matches_intersection_reference(field):
     rng = random.Random(field[0] * 31 + field[1])
     for n in range(2, 7):
         for r in range(1, n):
-            zd = gl_zip_datum(n, r)
+            cut, _ = glnzip._model_table(gl_zip_datum(n, r))
             for m in EXPONENTS:
                 for sample in (_rand_invertible, _rand_near_monomial) * 5:
                     g = sample(F, rng, n)
-                    assert _stratum_invariant(zd, F, g, m) == _reference_profile(
+                    assert _stratum_invariant(_image_maps(F, g, cut), m) == _reference_profile(
                         F, g, n, r, m), (g, r, m)
 
 

@@ -176,27 +176,34 @@ def test_filtration_endpoints_and_stability():
 
 def test_filtration_checks_survive_python_O():
     # the closure fed a = b = e_1 e_1^T, as F M = a sigma(M) and
-    # V^{-1} M = sigma{y : b y in M}: on F_2^3 the family {0, <e1>, <e2,e3>,
-    # D} has n + 1 members but is no chain; on F_2^2, {0, <e1>, <e2>, D}
-    # exceeds n + 1.  The maps of a matrix g give a chain (and over F_2 with
-    # n <= 3 they do so even for singular g), so the closure is fed these
-    # maps directly, and the singular-matrix rejection is checked on its own.
+    # V^{-1} M = sigma{y : b y in M}: on F^3 the family {0, <e1>, <e2,e3>, D}
+    # has n + 1 members but is no chain; on F^2, {0, <e1>, <e2>, D} exceeds
+    # n + 1.  The maps of a matrix g give a chain (and over F_2 with n <= 3
+    # they do so even for singular g), so the one closure is fed these maps
+    # directly: on tuple rows over F_3 through FqSubspace, and on packed rows
+    # over F_2 (e_0 = 1, e_1 = 2).  The singular-matrix rejection, the rank
+    # test of the packed kernel over F_2, is checked on its own.
     script = (
-        "from zipstrata.fq import Fq, FqSubspace\n"
-        "from zipstrata.glnzip import _close_chain, canonical_filtration\n"
+        "from zipstrata.fq import Fq, FqSubspace, mat_identity\n"
+        "from zipstrata.glnzip import _close_chain, _image_maps, canonical_filtration\n"
         "from zipstrata.weyl import InvariantViolation\n"
         "assert False, 'python -O keeps asserts'\n"
-        "F = Fq(2)\n"
-        "for n in (3, 2):\n"
-        "    e11 = tuple(tuple(int(i == j == 0) for j in range(n)) for i in range(n))\n"
-        "    def step(sp):\n"
-        "        return sp.map_semilinear(e11, 1), sp.preimage(e11).apply_frobenius(1)\n"
+        "F3, F2 = Fq(3), Fq(2)\n"
+        "e11 = tuple(tuple(int(i == j == 0) for j in range(3)) for i in range(3))\n"
+        "def tuple_step(rows, m):\n"
+        "    sp = FqSubspace(F3, 3, rows)\n"
+        "    return sp.map_semilinear(e11, 1).rows, sp.preimage(e11).apply_frobenius(1).rows\n"
+        "def packed_step(rows, m):\n"
+        "    f_img = (1,) if any(v & 1 for v in rows) else ()\n"
+        "    return f_img, ((1, 2) if 1 in rows else (2,))\n"
+        "for F, n, step in ((F3, 3, tuple_step), (F2, 2, packed_step)):\n"
+        "    kernel = _image_maps(F, mat_identity(F, n), 1)._replace(step=step)\n"
         "    try:\n"
-        "        _close_chain((FqSubspace.zero(F, n), FqSubspace.full(F, n)), step)\n"
+        "        _close_chain(kernel, 1)\n"
         "    except InvariantViolation as exc:\n"
         "        print(exc)\n"
         "try:\n"
-        "    canonical_filtration(F, ((1, 1), (1, 1)), 1)\n"
+        "    canonical_filtration(F2, ((1, 1), (1, 1)), 1)\n"
         "except ZeroDivisionError as exc:\n"
         "    print(exc)\n"
     )
@@ -275,13 +282,18 @@ def test_census_classifies_every_point_once_per_exponent(monkeypatch):
     sig = Signature(1, 1)
     zd = sig.zip_datum()
     glnzip._model_table(zd)  # built before recording: it classifies models
-    seen = []
-    profile = glnzip._stratum_invariant
+    seen, built = [], []
+    image_maps, profile = glnzip._image_maps, glnzip._stratum_invariant
 
-    def record(zd, F, g, m, *args, **kwargs):
-        seen.append((g, m))
-        return profile(zd, F, g, m, *args, **kwargs)
+    def record_maps(F, g, r):
+        built.append((image_maps(F, g, r), g))
+        return built[-1][0]
 
+    def record(kernel, m):
+        seen.append((next(g for k, g in built if k is kernel), m))
+        return profile(kernel, m)
+
+    monkeypatch.setattr(glnzip, "_image_maps", record_maps)
     monkeypatch.setattr(glnzip, "_stratum_invariant", record)
     report = fp_point_census(sig, 4, [1, 2])
     z_inverse = perm_matrix(F4, zd.z.inverse())
